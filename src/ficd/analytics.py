@@ -19,8 +19,8 @@ from scipy.stats import multivariate_normal, wasserstein_distance
 
 from ficd.guidance import Condition, EnergyFunction, QuadraticEnergy
 from ficd.posterior import PosteriorPartStrategy, cramer_rao_bound, fisher_information
-from ficd.sampler import RunTrace, SamplerConfig, guided_step, sample
-from ficd.schedule import NoiseSchedule
+from ficd.sampler import RunTrace, SamplerConfig, sample, step
+from ficd.schedule import NoiseSchedule, alpha_bar
 from ficd.scoremodel import GaussianMixture
 
 __all__ = [
@@ -308,17 +308,13 @@ def deviation_bound_check(
     ts, gaps, bounds = [], [], []
     for t in range(T, 0, -1):
         noise = rng.standard_normal(x.shape) if t > 1 else np.zeros_like(x)
-        x_f = guided_step(
-            PosteriorPartStrategy.FICD, model, schedule, energy, x, t, c, rho, 1.0, noise
-        )
-        x_m = guided_step(
-            PosteriorPartStrategy.MPGD, model, schedule, energy, x, t, c, rho, 1.0, noise
-        )
-        abar = float(schedule.alpha_bars[t - 1])
-        abar_prev = 1.0 if t == 1 else float(schedule.alpha_bars[t - 2])
+        x_f, _ = step(PosteriorPartStrategy.FICD, model, energy, x, t, c, rho, 1.0, noise)
+        x_m, _ = step(PosteriorPartStrategy.MPGD, model, energy, x, t, c, rho, 1.0, noise)
         ts.append(t)
         gaps.append(float(np.linalg.norm(x_f - x_m, axis=1).max()))
-        bounds.append(deviation_bound(rho, kappa, abar, abar_prev))
+        bounds.append(
+            deviation_bound(rho, kappa, alpha_bar(schedule, t), alpha_bar(schedule, t - 1))
+        )
         x = x_f
     return DeviationReport(
         t=np.asarray(ts, dtype=np.int64),

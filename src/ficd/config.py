@@ -25,7 +25,12 @@ from ficd.guidance import (
     QuadraticEnergy,
 )
 from ficd.sampler import Discretization, SamplerConfig, TimeTravel
-from ficd.schedule import NoiseSchedule, cosine_schedule, linear_schedule
+from ficd.schedule import (
+    NoiseSchedule,
+    cosine_schedule,
+    linear_schedule,
+    parse_key_value_text,
+)
 from ficd.scoremodel import (
     GaussianMixture,
     GaussianMixtureScore,
@@ -77,7 +82,6 @@ CONFIG_SCHEMA: dict[str, tuple[str, object]] = {
     "sampler.discretization": ("str", "sde_euler"),
     "sampler.ddim_eta": ("float", 0.0),
     "sampler.n_chains": ("int", 256),
-    "sampler.double_score_eval": ("bool", False),
     "sampler.final_noise": ("bool", False),
     "sampler.trace_fisher": ("bool", False),
     "sampler.time_travel.repeats": ("int", 0),
@@ -129,18 +133,13 @@ def _coerce(key: str, raw: str) -> object:
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
-        key, _, value = body.partition("=")
-        key = key.strip()
+    try:
+        out = parse_key_value_text(text)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    for key in out:
         if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
-        out[key] = value.strip()
+            raise ConfigError(f"unknown configuration key {key!r}")
     return out
 
 
@@ -249,15 +248,14 @@ class ExperimentConfig:
         if file_text is not None:
             layers.append(parse_config_text(file_text))
         if overrides:
-            for key, raw in overrides:
-                if key not in CONFIG_SCHEMA:
-                    raise ConfigError(f"unknown configuration key {key!r}")
             layers.append({key: raw for key, raw in overrides})
         for layer in layers:
             for key, raw in layer.items():
                 if key not in CONFIG_SCHEMA:
                     raise ConfigError(f"unknown configuration key {key!r}")
                 merged[key] = _coerce(key, raw)
+        if merged["threads"] < 1:
+            raise ConfigError(f"threads must be >= 1, got {merged['threads']}")
         return cls(values=merged)
 
     def __getitem__(self, key: str) -> object:
@@ -393,7 +391,6 @@ class ExperimentConfig:
                 time_travel=self.time_travel(),
                 n_chains=self["sampler.n_chains"],
                 seed=self["seed"],
-                double_score_eval=self["sampler.double_score_eval"],
                 final_noise=self["sampler.final_noise"],
                 trace_fisher=self["sampler.trace_fisher"],
             )

@@ -17,9 +17,9 @@ from ficd.posterior import (
     PosteriorPartStrategy,
     posterior_coefficient,
     posterior_vjp_exact,
-    tweedie_posterior_mean,
+    tweedie_from_score,
 )
-from ficd.schedule import NoiseSchedule
+from ficd.schedule import NoiseSchedule, alpha_bar
 from ficd.scoremodel.base import ScoreModel
 
 __all__ = [
@@ -29,11 +29,8 @@ __all__ = [
     "DistanceEnergy",
     "LinearMeasurementEnergy",
     "GramEnergy",
-    "apply_posterior_part",
     "conditional_term_gradient",
     "guidance_gradient_norm",
-    "condition_to_text",
-    "condition_from_text",
 ]
 
 
@@ -214,44 +211,29 @@ class GramEnergy(EnergyFunction):
         return flat
 
 
-def apply_posterior_part(
-    strategy: PosteriorPartStrategy,
-    model: ScoreModel,
-    schedule: NoiseSchedule,
-    x: np.ndarray,
-    t: int,
-    g: np.ndarray,
-) -> np.ndarray:
-    """Push a measurement-space gradient g back through the posterior part."""
-    if strategy is PosteriorPartStrategy.EXACT:
-        return posterior_vjp_exact(model, schedule, x, t, g)
-    return posterior_coefficient(strategy, schedule, t) * g
-
-
 def conditional_term_gradient(
     strategy: PosteriorPartStrategy,
     model: ScoreModel,
     schedule: NoiseSchedule,
     energy: EnergyFunction,
     x: np.ndarray,
+    score: np.ndarray,
     t: int,
     c: Condition,
     lam: float = 1.0,
 ) -> np.ndarray:
     """Gradient of the conditional term at x_t under the given strategy.
 
-    Denoises x, takes lam times the energy gradient there, and applies
-    the strategy's posterior part. Linear in lam. A non-finite result
-    aborts with the offending step in the message.
+    Denoises x with its already computed score, takes lam times the
+    energy gradient there, and applies the strategy's posterior part:
+    the exact transposed derivative for EXACT, a scalar otherwise.
+    Linear in lam. Non-finite rows pass through unchanged; sample()
+    flags the chains they belong to.
     """
-    x0_hat = tweedie_posterior_mean(model, schedule, x, t)
-    g = lam * energy.grad(x0_hat, c)
-    out = apply_posterior_part(strategy, model, schedule, x, t, g)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(
-            f"non-finite conditional gradient at t={t} under {strategy.name}"
-        )
-    return out
+    g = lam * energy.grad(tweedie_from_score(x, score, alpha_bar(schedule, t)), c)
+    if strategy is PosteriorPartStrategy.EXACT:
+        return posterior_vjp_exact(model, schedule, x, t, g)
+    return posterior_coefficient(strategy, schedule, t) * g
 
 
 def guidance_gradient_norm(gradient: np.ndarray) -> float | np.ndarray:
@@ -259,47 +241,3 @@ def guidance_gradient_norm(gradient: np.ndarray) -> float | np.ndarray:
     gradient = np.asarray(gradient, dtype=np.float64)
     norm = np.linalg.norm(gradient, axis=-1)
     return float(norm) if norm.ndim == 0 else norm
-
-
-def _floats(values) -> str:
-    return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
-
-
-def condition_to_text(c: Condition) -> str:
-    """Flat text record {kind, y, A row-major, features}."""
-    lines = [f"kind = {c.kind}"]
-    if c.y is not None:
-        lines.append(f"y = {_floats(c.y)}")
-    if c.A is not None:
-        m, d = c.A.shape
-        lines.append(f"A_shape = {m} {d}")
-        lines.append(f"A = {_floats(c.A)}")
-    if c.features is not None:
-        k, n = c.features.shape
-        lines.append(f"features_shape = {k} {n}")
-        lines.append(f"features = {_floats(c.features)}")
-    return "\n".join(lines) + "\n"
-
-
-def condition_from_text(text: str) -> Condition:
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed condition record line: {raw!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    kind = fields.get("kind")
-    if kind == "target":
-        return Condition.target([float(v) for v in fields["y"].split()])
-    if kind == "measurement":
-        m, d = (int(v) for v in fields["A_shape"].split())
-        A = np.array([float(v) for v in fields["A"].split()]).reshape(m, d)
-        return Condition.measurement(A, [float(v) for v in fields["y"].split()])
-    if kind == "features":
-        k, n = (int(v) for v in fields["features_shape"].split())
-        F = np.array([float(v) for v in fields["features"].split()]).reshape(k, n)
-        return Condition.reference_features(F)
-    raise ValueError(f"unknown condition kind {kind!r}")

@@ -28,8 +28,6 @@ __all__ = [
     "posterior_jacobian_exact",
     "posterior_vjp_exact",
     "posterior_coefficient",
-    "posterior_coefficient_from_alpha_bars",
-    "fisher_info_csv",
 ]
 
 
@@ -140,41 +138,16 @@ def posterior_vjp_exact(
     return (v + (1.0 - abar) * model.score_vjp(x, t, v)) / math.sqrt(abar)
 
 
-def posterior_coefficient_from_alpha_bars(
-    strategy: PosteriorPartStrategy, abar_t: float, abar_prev: float
-) -> float:
-    """Scalar posterior-part stand-in from raw running-product values."""
-    if strategy is PosteriorPartStrategy.EXACT:
-        raise ValueError("EXACT has no scalar coefficient; use posterior_vjp_exact")
-    if strategy is PosteriorPartStrategy.FICD:
-        if abar_t <= 0.0:
-            raise ZeroDivisionError("alpha_bar_t must be positive")
-        return 2.0 / math.sqrt(abar_t)
-    if strategy is PosteriorPartStrategy.MPGD:
-        return math.sqrt(abar_prev)
-    return 1.0
-
-
 def posterior_coefficient(
     strategy: PosteriorPartStrategy, schedule: NoiseSchedule, t: int
 ) -> float:
     """Scalar stand-in at step t; the MPGD value reads alpha_bar at t - 1."""
     if not 1 <= t <= schedule.T:
         raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
-    return posterior_coefficient_from_alpha_bars(
-        strategy, alpha_bar(schedule, t), alpha_bar(schedule, t - 1)
-    )
-
-
-def fisher_info_csv(
-    model: ScoreModel, schedule: NoiseSchedule, x: np.ndarray, ts: list[int]
-) -> str:
-    """CSV rows (t, spectral_radius, bound, ratio) at a fixed probe point."""
-    lines = ["t,spectral_radius,bound,ratio"]
-    for t in ts:
-        info = fisher_information(model, np.asarray(x, dtype=np.float64), t)
-        bound = cramer_rao_bound(schedule, t)
-        lines.append(
-            f"{t},{info.spectral_radius!r},{bound!r},{info.spectral_radius / bound!r}"
-        )
-    return "\n".join(lines) + "\n"
+    if strategy is PosteriorPartStrategy.EXACT:
+        raise ValueError("EXACT has no scalar coefficient; use posterior_vjp_exact")
+    if strategy is PosteriorPartStrategy.FICD:
+        return 2.0 / math.sqrt(alpha_bar(schedule, t))
+    if strategy is PosteriorPartStrategy.MPGD:
+        return math.sqrt(alpha_bar(schedule, t - 1))
+    return 1.0

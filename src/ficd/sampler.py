@@ -4,7 +4,8 @@ Chains are embarrassingly parallel. Every chain owns a counter-based
 random stream keyed by (seed, chain index), and the chain population is
 cut into fixed-size blocks that are processed as batches. The block
 partition and all reduction orders are independent of the worker-thread
-count, so a run is a pure function of its configuration.
+count, so a run is a pure function of its configuration. ``step`` is the
+one body of a reverse step; ``sample`` runs it over blocks and steps.
 """
 
 from __future__ import annotations
@@ -17,32 +18,30 @@ from enum import Enum
 
 import numpy as np
 
-from ficd.guidance import Condition, EnergyFunction, guidance_gradient_norm
+from ficd.guidance import (
+    Condition,
+    EnergyFunction,
+    conditional_term_gradient,
+    guidance_gradient_norm,
+)
 from ficd.posterior import (
     PosteriorPartStrategy,
     cramer_rao_bound,
     fisher_information,
-    posterior_coefficient_from_alpha_bars,
+    posterior_coefficient,
     tweedie_from_score,
 )
-from ficd.schedule import NoiseSchedule
+from ficd.schedule import NoiseSchedule, alpha_bar
 
 __all__ = [
     "Discretization",
     "TimeTravel",
     "SamplerConfig",
-    "ChainState",
     "RunTrace",
     "ChainFailureError",
     "chain_rng",
-    "initial_chain_state",
-    "euler_step_from_parts",
-    "unconditional_step",
     "ddim_sigma",
-    "ddim_step",
-    "ficd_step",
-    "guided_step",
-    "time_travel_wrap",
+    "step",
     "sample",
 ]
 
@@ -96,10 +95,10 @@ class SamplerConfig:
 
     ``strategy = None`` runs unconditionally (no energy consulted).
     ``rho`` is a constant or a length-T vector of per-step guidance
-    weights. ``double_score_eval`` restores the literal two score
-    evaluations per step (drift and denoised mean) instead of reusing
-    one. ``final_noise`` keeps the noise injection at t = 1, which is
-    suppressed by default to return a clean terminal sample.
+    weights. ``ddim_eta`` lies in [0, 1], which keeps sigma_t**2 within
+    1 - alpha_bar_{t-1}. ``final_noise`` keeps the noise injection at
+    t = 1, which is suppressed by default to return a clean terminal
+    sample.
     """
 
     T: int
@@ -111,7 +110,6 @@ class SamplerConfig:
     time_travel: TimeTravel = field(default_factory=TimeTravel)
     n_chains: int = 1
     seed: int = 0
-    double_score_eval: bool = False
     final_noise: bool = False
     trace_fisher: bool = False
 
@@ -129,8 +127,8 @@ class SamplerConfig:
             raise ValueError("every rho_t must be finite and >= 0")
         if not math.isfinite(self.lam):
             raise ValueError("lambda must be finite")
-        if self.ddim_eta < 0.0:
-            raise ValueError("ddim_eta must be >= 0")
+        if not 0.0 <= self.ddim_eta <= 1.0:
+            raise ValueError("ddim_eta must lie in [0, 1]")
         self.time_travel.resolve(self.T)  # validates the window
 
     def resolved_rho(self) -> np.ndarray:
@@ -139,77 +137,22 @@ class SamplerConfig:
         return np.full(self.T, rho[0]) if rho.size == 1 else rho.copy()
 
 
-@dataclass
-class ChainState:
-    """One chain mid-run: position, current step index, and its own stream."""
-
-    x: np.ndarray
-    t: int
-    rng_stream: np.random.Generator
-
-
 def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
     """The chain's counter-based stream; pure function of (seed, index)."""
     return np.random.Generator(np.random.Philox(key=[int(seed), int(chain_index)]))
 
 
-def initial_chain_state(config: SamplerConfig, chain_index: int, d: int) -> ChainState:
-    rng = chain_rng(config.seed, chain_index)
-    return ChainState(x=rng.standard_normal(d), t=config.T, rng_stream=rng)
-
-
-# --- single steps ------------------------------------------------------
-
-
-def euler_step_from_parts(
-    x: np.ndarray, score: np.ndarray, beta: float, noise: np.ndarray
-) -> np.ndarray:
-    """(1 + beta/2) x + beta * score + sqrt(beta) * noise."""
-    return (1.0 + 0.5 * beta) * x + beta * score + math.sqrt(beta) * noise
-
-
-def unconditional_step(model, schedule: NoiseSchedule, x, t: int, noise) -> np.ndarray:
-    """One reverse Euler step t -> t-1 with externally supplied noise."""
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
-    x = np.asarray(x, dtype=np.float64)
-    out = euler_step_from_parts(x, model.score(x, t), float(schedule.betas[t - 1]), noise)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(f"non-finite state after unconditional step at t={t}")
-    return out
-
-
 def ddim_sigma(schedule: NoiseSchedule, t: int, eta: float) -> float:
     """The usual eta rule: eta * sqrt((1-abar_prev)/(1-abar)) * sqrt(1 - abar/abar_prev)."""
-    abar = float(schedule.alpha_bars[t - 1])
-    abar_prev = 1.0 if t == 1 else float(schedule.alpha_bars[t - 2])
+    abar = alpha_bar(schedule, t)
+    abar_prev = alpha_bar(schedule, t - 1)
     inner = max(1.0 - abar / abar_prev, 0.0)
     return eta * math.sqrt((1.0 - abar_prev) / (1.0 - abar)) * math.sqrt(inner)
 
 
-def ddim_step(model, schedule: NoiseSchedule, x, t: int, sigma_t: float, noise) -> np.ndarray:
-    """Denoise-and-redirect step: sqrt(abar_prev) x0_hat + direction + sigma noise."""
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
-    x = np.asarray(x, dtype=np.float64)
-    abar = float(schedule.alpha_bars[t - 1])
-    abar_prev = 1.0 if t == 1 else float(schedule.alpha_bars[t - 2])
-    det = 1.0 - abar_prev - sigma_t**2
-    if det < -1e-12:
-        raise ValueError("sigma_t**2 exceeds 1 - alpha_bar_{t-1}")
-    s = model.score(x, t)
-    eps = -math.sqrt(1.0 - abar) * s
-    x0_hat = tweedie_from_score(x, s, abar)
-    out = math.sqrt(abar_prev) * x0_hat + math.sqrt(max(det, 0.0)) * eps + sigma_t * noise
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(f"non-finite state after step at t={t}")
-    return out
-
-
-def _guided_update(
+def step(
     strategy: PosteriorPartStrategy | None,
     model,
-    schedule: NoiseSchedule,
     energy: EnergyFunction | None,
     x: np.ndarray,
     t: int,
@@ -217,21 +160,36 @@ def _guided_update(
     rho_t: float,
     lam: float,
     noise: np.ndarray,
-    discretization: Discretization,
-    sigma_t: float,
-    double_eval: bool,
-    counts: dict,
+    discretization: Discretization = Discretization.SDE_EULER,
+    sigma_t: float = 0.0,
+    counts: dict | None = None,
 ):
-    """Shared step body; returns (new state, conditional-gradient norms or None)."""
+    """One reverse step t -> t-1 of every row of x; the only step body.
+
+    The Euler step is (1 + beta/2) x + beta s + sqrt(beta) noise; the
+    DDIM step is sqrt(abar_prev) x0_hat + sqrt(1 - abar_prev - sigma_t**2)
+    eps_hat + sigma_t noise. A guided step then subtracts rho_t times
+    the conditional term, whose denoised mean reuses the one score
+    evaluation. Returns (new state, per-row conditional-gradient norms,
+    or None when unguided). Non-finite rows are returned as they are;
+    sample() flags them. ``counts``, when given, accrues per-chain
+    "score_evals" and "jacobian_passes".
+    """
+    schedule: NoiseSchedule = model.schedule
+    if not 1 <= t <= schedule.T:
+        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
+    if counts is None:
+        counts = {"score_evals": 0, "jacobian_passes": 0}
     beta = float(schedule.betas[t - 1])
-    abar = float(schedule.alpha_bars[t - 1])
-    abar_prev = 1.0 if t == 1 else float(schedule.alpha_bars[t - 2])
+    abar = alpha_bar(schedule, t)
+    abar_prev = alpha_bar(schedule, t - 1)
     s = model.score(x, t)
     counts["score_evals"] += 1
     if discretization is Discretization.SDE_EULER:
-        y = euler_step_from_parts(x, s, beta, noise)
+        y = (1.0 + 0.5 * beta) * x + beta * s + math.sqrt(beta) * noise
     else:
         eps = -math.sqrt(1.0 - abar) * s
+        # Non-negative for ddim_eta <= 1, up to rounding.
         det = max(1.0 - abar_prev - sigma_t**2, 0.0)
         y = (
             math.sqrt(abar_prev) * tweedie_from_score(x, s, abar)
@@ -242,93 +200,10 @@ def _guided_update(
         return y, None
     if energy is None or c is None:
         raise ValueError("guided sampling needs an energy and a condition")
-    if double_eval:
-        s_hat = model.score(x, t)
-        counts["score_evals"] += 1
-    else:
-        s_hat = s
-    x0_hat = tweedie_from_score(x, s_hat, abar)
-    g = lam * energy.grad(x0_hat, c)
+    cond = conditional_term_gradient(strategy, model, schedule, energy, x, s, t, c, lam)
     if strategy is PosteriorPartStrategy.EXACT:
-        cond = (g + (1.0 - abar) * model.score_vjp(x, t, g)) / math.sqrt(abar)
         counts["jacobian_passes"] += 1
-    else:
-        cond = posterior_coefficient_from_alpha_bars(strategy, abar, abar_prev) * g
     return y - rho_t * cond, guidance_gradient_norm(cond)
-
-
-def guided_step(
-    strategy: PosteriorPartStrategy | None,
-    model,
-    schedule: NoiseSchedule,
-    energy: EnergyFunction | None,
-    x,
-    t: int,
-    c: Condition | None,
-    rho_t: float,
-    lam: float,
-    noise,
-    discretization: Discretization = Discretization.SDE_EULER,
-    sigma_t: float = 0.0,
-    double_eval: bool = False,
-    counts: dict | None = None,
-) -> np.ndarray:
-    """One guided step t -> t-1 under any posterior-part strategy.
-
-    One score evaluation per step by default (the denoised mean reuses
-    the drift score); ``double_eval`` restores the literal second
-    evaluation. ``counts``, when given, accrues per-chain
-    "score_evals" and "jacobian_passes".
-    """
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
-    x = np.asarray(x, dtype=np.float64)
-    if counts is None:
-        counts = {"score_evals": 0, "jacobian_passes": 0}
-    out, _ = _guided_update(
-        strategy, model, schedule, energy, x, t, c, rho_t, lam, np.asarray(noise),
-        discretization, sigma_t, double_eval, counts,
-    )
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(f"non-finite state after guided step at t={t}")
-    return out
-
-
-def ficd_step(
-    model,
-    schedule: NoiseSchedule,
-    energy: EnergyFunction,
-    x,
-    t: int,
-    c: Condition,
-    rho_t: float,
-    lam: float,
-    noise,
-    **kwargs,
-) -> np.ndarray:
-    """Guided step with the scalar 2 / sqrt(alpha_bar_t) posterior part."""
-    return guided_step(
-        PosteriorPartStrategy.FICD, model, schedule, energy, x, t, c, rho_t, lam, noise, **kwargs
-    )
-
-
-def time_travel_wrap(step_fn, schedule: NoiseSchedule, x, t: int, r: int, rng) -> np.ndarray:
-    """Run step_fn(x, noise) at step t, then r times re-noise and re-run.
-
-    Re-noising applies the one-step forward kernel
-    x_t = sqrt(1 - beta_t) x_{t-1} + sqrt(beta_t) eps. All noise comes
-    from rng in a fixed order: step, then (re-noise, step) per repeat.
-    """
-    if r < 0:
-        raise ValueError("repeat count must be >= 0")
-    beta = float(schedule.betas[t - 1])
-    x = np.asarray(x, dtype=np.float64)
-    y = step_fn(x, rng.standard_normal(x.shape))
-    for _ in range(r):
-        eps = rng.standard_normal(x.shape)
-        renoised = math.sqrt(1.0 - beta) * y + math.sqrt(beta) * eps
-        y = step_fn(renoised, rng.standard_normal(x.shape))
-    return y
 
 
 # --- the full loop -----------------------------------------------------
@@ -388,8 +263,10 @@ def sample(
     condition; the thread count changes the wall time only. A chain
     whose state stops being finite is flagged and its row reported as
     nan; the run aborts with ChainFailureError when more than 1% of
-    chains are flagged.
+    chains are flagged. ``threads`` must be at least 1.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     schedule: NoiseSchedule = model.schedule
     if config.T != schedule.T:
         raise ValueError(f"config.T = {config.T} does not match the model schedule T = {schedule.T}")
@@ -444,10 +321,10 @@ def sample(
         counts = {"score_evals": 0, "jacobian_passes": 0}
         ok_before = ~flagged[lo:hi]
         state_sum = xb[ok_before].sum(axis=0) if config.trace_fisher else None
-        y, cond_norms = _guided_update(
-            config.strategy, model, schedule, energy, xb, t, condition,
+        y, cond_norms = step(
+            config.strategy, model, energy, xb, t, condition,
             float(rho[t - 1]), config.lam, noise,
-            config.discretization, sigma_t, config.double_score_eval, counts,
+            config.discretization, sigma_t, counts,
         )
         ok_now = np.all(np.isfinite(y), axis=1)
         newly = np.flatnonzero(ok_before & ~ok_now) + lo
@@ -499,11 +376,7 @@ def sample(
             if config.strategy is not None and n_ok > 0:
                 trace.grad_norm[si] = grad_sum / n_ok
             if config.strategy not in (None, PosteriorPartStrategy.EXACT):
-                abar = float(schedule.alpha_bars[t - 1])
-                abar_prev = 1.0 if t == 1 else float(schedule.alpha_bars[t - 2])
-                trace.coefficient_used[si] = posterior_coefficient_from_alpha_bars(
-                    config.strategy, abar, abar_prev
-                )
+                trace.coefficient_used[si] = posterior_coefficient(config.strategy, schedule, t)
             if config.trace_fisher and n_before > 0:
                 probe = state_sum / n_before
                 trace.fisher_spectral_radius[si] = fisher_information(

@@ -3,7 +3,8 @@
 Everything downstream (samplers, bounds, benchmarks) reads beta_t,
 alpha_t = 1 - beta_t, and the running product alpha_bar_t from here.
 Steps are indexed t = 1..T, and alpha_bar(0) = 1 by convention (the
-empty product, i.e. clean data).
+empty product, i.e. clean data). The ``key = value`` line parser here
+reads both the schedule record and the configuration file.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ import numpy as np
 
 __all__ = [
     "NoiseSchedule",
-    "DdimCoefficients",
     "linear_schedule",
     "cosine_schedule",
     "alpha_bar",
-    "ddim_coefficients",
-    "ddim_coefficients_from_alpha_bars",
+    "parse_key_value_text",
     "schedule_to_text",
     "schedule_from_text",
 ]
@@ -97,20 +96,6 @@ class NoiseSchedule:
             beta_min=float(betas[0]),
             beta_max=float(betas[-1]),
         )
-
-
-@dataclass(frozen=True)
-class DdimCoefficients:
-    """Per-step coefficients of the deterministic-plus-noise sampler form.
-
-    sigma_t controls the stochasticity of the step (sigma_t = 0 is fully
-    deterministic), m_t multiplies the predicted noise, and j_t is the
-    ratio alpha_bar_t / alpha_bar_{t-1} of consecutive running products.
-    """
-
-    sigma_t: float
-    m_t: float
-    j_t: float
 
 
 def _validate_beta_bounds(T: int, beta_min: float, beta_max: float) -> None:
@@ -191,39 +176,21 @@ def alpha_bar(schedule: NoiseSchedule, t: int) -> float:
     return float(schedule.alpha_bars[t - 1])
 
 
-def ddim_coefficients_from_alpha_bars(
-    alpha_bar_t: float, alpha_bar_prev: float, sigma_t: float = 0.0
-) -> DdimCoefficients:
-    """Coefficients from raw running-product values.
+def parse_key_value_text(text: str) -> dict[str, str]:
+    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped.
 
-    j_t = alpha_bar_t / alpha_bar_prev and
-    m_t = sqrt(1 - alpha_bar_prev - sigma_t**2)
-          - (sqrt(alpha_bar_prev) / sqrt(alpha_bar_t)) * sqrt(1 - alpha_bar_t).
-
-    Split out from ddim_coefficients so degenerate pairs (for instance
-    equal consecutive values) can be exercised without building a
-    schedule that a strict constructor would reject.
+    Raises ValueError naming the first line that is neither.
     """
-    if sigma_t < 0.0:
-        raise ValueError("sigma_t must be non-negative")
-    if not (0.0 < alpha_bar_t <= alpha_bar_prev <= 1.0):
-        raise ValueError("need 0 < alpha_bar_t <= alpha_bar_prev <= 1")
-    budget = 1.0 - alpha_bar_prev - sigma_t**2
-    if budget < 0.0:
-        raise ValueError("sigma_t**2 may not exceed 1 - alpha_bar_{t-1}")
-    m_t = math.sqrt(budget) - (math.sqrt(alpha_bar_prev) / math.sqrt(alpha_bar_t)) * math.sqrt(
-        1.0 - alpha_bar_t
-    )
-    return DdimCoefficients(sigma_t=float(sigma_t), m_t=m_t, j_t=alpha_bar_t / alpha_bar_prev)
-
-
-def ddim_coefficients(schedule: NoiseSchedule, t: int, sigma_t: float = 0.0) -> DdimCoefficients:
-    """Coefficients for step t of a schedule (consumes alpha_bar at t and t-1)."""
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
-    return ddim_coefficients_from_alpha_bars(
-        alpha_bar(schedule, t), alpha_bar(schedule, t - 1), sigma_t
-    )
+    out: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
+        key, _, value = body.partition("=")
+        out[key.strip()] = value.strip()
+    return out
 
 
 def schedule_to_text(schedule: NoiseSchedule) -> str:
@@ -244,15 +211,7 @@ def schedule_from_text(text: str) -> NoiseSchedule:
     (T, beta_max); the recorded beta_min is descriptive for that kind
     and is checked loosely rather than fed back in.
     """
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed schedule record line: {raw!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+    fields = parse_key_value_text(text)
     expected = {"T", "beta_min", "beta_max", "kind"}
     if set(fields) != expected:
         raise ValueError(f"schedule record must have exactly the keys {sorted(expected)}, got {sorted(fields)}")

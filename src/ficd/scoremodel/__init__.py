@@ -9,11 +9,6 @@ from ficd.scoremodel.base import (
 from ficd.scoremodel.gmm import (
     GaussianMixture,
     GaussianMixtureScore,
-    gmm_from_text,
-    gmm_marginal_score,
-    gmm_score_jacobian,
-    gmm_score_vjp,
-    gmm_to_text,
     marginal_mixture,
     mixture_logpdf,
     mixture_score,
@@ -40,11 +35,6 @@ __all__ = [
     "mixture_logpdf",
     "mixture_score",
     "mixture_score_jacobian",
-    "gmm_marginal_score",
-    "gmm_score_jacobian",
-    "gmm_score_vjp",
-    "gmm_to_text",
-    "gmm_from_text",
     "NetSpec",
     "LearnedScoreModel",
     "TrainingDivergedError",

@@ -26,11 +26,6 @@ __all__ = [
     "mixture_score",
     "mixture_score_jacobian",
     "mixture_score_vjp",
-    "gmm_marginal_score",
-    "gmm_score_jacobian",
-    "gmm_score_vjp",
-    "gmm_to_text",
-    "gmm_from_text",
 ]
 
 
@@ -197,32 +192,6 @@ def mixture_score_vjp(mix: GaussianMixture, x: np.ndarray, v: np.ndarray) -> np.
     return out[0] if single else out
 
 
-def gmm_marginal_score(
-    gmm: GaussianMixture, schedule: NoiseSchedule, x: np.ndarray, t: int
-) -> np.ndarray:
-    """Exact score of the noised marginal at step t."""
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
-    return mixture_score(marginal_mixture(gmm, alpha_bar(schedule, t)), x)
-
-
-def gmm_score_jacobian(
-    gmm: GaussianMixture, schedule: NoiseSchedule, x: np.ndarray, t: int
-) -> np.ndarray:
-    """Exact derivative of the noised-marginal score at step t."""
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
-    return mixture_score_jacobian(marginal_mixture(gmm, alpha_bar(schedule, t)), x)
-
-
-def gmm_score_vjp(
-    gmm: GaussianMixture, schedule: NoiseSchedule, x: np.ndarray, t: int, v: np.ndarray
-) -> np.ndarray:
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
-    return mixture_score_vjp(marginal_mixture(gmm, alpha_bar(schedule, t)), x, v)
-
-
 class GaussianMixtureScore(ScoreModel):
     """ScoreModel adapter over the closed-form mixture score."""
 
@@ -236,52 +205,18 @@ class GaussianMixtureScore(ScoreModel):
     def dim(self) -> int:
         return self.gmm.d
 
+    def _marginal(self, t: int) -> GaussianMixture:
+        if not 1 <= t <= self.schedule.T:
+            raise IndexError(f"t must lie in 1..{self.schedule.T}, got {t}")
+        return marginal_mixture(self.gmm, alpha_bar(self.schedule, t))
+
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
-        return gmm_marginal_score(self.gmm, self.schedule, x, t)
+        """Exact score of the noised marginal at step t."""
+        return mixture_score(self._marginal(t), x)
 
     def jacobian(self, x: np.ndarray, t: int) -> np.ndarray:
-        return gmm_score_jacobian(self.gmm, self.schedule, x, t)
+        """Exact derivative of the noised-marginal score at step t."""
+        return mixture_score_jacobian(self._marginal(t), x)
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
-        return gmm_score_vjp(self.gmm, self.schedule, x, t, v)
-
-
-def _floats(values) -> str:
-    return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
-
-
-def gmm_to_text(gmm: GaussianMixture) -> str:
-    """Flat text record {weights, means, covariances}; floats via repr."""
-    lines = [f"d = {gmm.d}", f"K = {gmm.K}", f"weights = {_floats(gmm.weights)}"]
-    for i in range(gmm.K):
-        lines.append(f"mean_{i} = {_floats(gmm.means[i])}")
-    for i in range(gmm.K):
-        lines.append(f"cov_{i} = {_floats(gmm.covariances[i])}")
-    return "\n".join(lines) + "\n"
-
-
-def gmm_from_text(text: str) -> GaussianMixture:
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed mixture record line: {raw!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    try:
-        d = int(fields["d"])
-        K = int(fields["K"])
-        weights = np.array([float(v) for v in fields["weights"].split()])
-        means = np.array(
-            [[float(v) for v in fields[f"mean_{i}"].split()] for i in range(K)]
-        )
-        covs = np.array(
-            [[float(v) for v in fields[f"cov_{i}"].split()] for i in range(K)]
-        ).reshape(K, d, d)
-    except KeyError as missing:
-        raise ValueError(f"mixture record is missing field {missing}") from None
-    if means.shape != (K, d):
-        raise ValueError("mixture record means do not match the declared shape")
-    return GaussianMixture(weights=weights, means=means, covariances=covs)
+        return mixture_score_vjp(self._marginal(t), x, v)

@@ -4,6 +4,8 @@ Commands run in-process via main(argv); outputs land in tmp_path so the
 byte-identity checks can diff real files.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,43 @@ def test_sample_zero_rho_strategies_agree(tmp_path):
     ).read_bytes()
 
 
+# samples.csv sha256 of every preset and strategy at T = 40 with 64 chains.
+# A refactor leaves them unchanged; a change that moves the samples on
+# purpose updates them and says why.
+PINNED_SAMPLES_SHA256 = {
+    ("gaussian-point", "exact"): "91fb16f4d904a35c96b4535789a4d955bdadd302b6cf5b57fe7885cce55b7101",
+    ("gaussian-point", "ficd"): "86242849811a4b155c5784009acdd19991a86c071785647092bb6dd6a831d0ea",
+    ("gaussian-point", "mpgd"): "37868eb4c2ced1e6e736696aade2db6bfe1be09006aa41c48fff64f14b9feb94",
+    ("gaussian-point", "unit"): "eb787f66fa300725415dac4e5c417da758763d19bda2c94a40ce6a35fcfc72f4",
+    ("gaussian-point", "uncond"): "b4e4c51de4c982a2ef4a045af8b7fec4a570e90c51b1f3a9fc9122288ec577d1",
+    ("gmm-tilt", "exact"): "9ddedb7a5fe299919b6aeecc8e37ecae223b3e3a2928da51f4fccb0fe0d84db8",
+    ("gmm-tilt", "ficd"): "e33ad469dbd1e2b0301286010e5608bafa8c0ca0e66c3c14c6babe691e94d904",
+    ("gmm-tilt", "mpgd"): "8c2260518c9f792bc9cd788db21776e216e4024f40e9fe3caeed7ca8ab170d9c",
+    ("gmm-tilt", "unit"): "288cc0c713214f868df269e4fc0771c164ba7e6137edf9074a88702ebb646a05",
+    ("gmm-tilt", "uncond"): "bb8fa5c064bae4464281ef625f41b357631d3254471822af11f830d1cc9d1ecc",
+    ("linear-inverse", "exact"): "fc70db468be194cb85194eacb7266feb79ed5e08691f51a70345594c7dff8e88",
+    ("linear-inverse", "ficd"): "34c9bbb65a5097b014b47fd56406cc4fa4adb36644f306d8a58c47d7efa4e03b",
+    ("linear-inverse", "mpgd"): "0ea9763abaedf5d25ff1df54cd25991a9cdd2f20b9b9a4408b4e1e05c5874580",
+    ("linear-inverse", "unit"): "fdf8691aa892f07fb7016316cf5c086acdf0f9923c50adaf547e74b5d2f02f4d",
+    ("linear-inverse", "uncond"): "b4e4c51de4c982a2ef4a045af8b7fec4a570e90c51b1f3a9fc9122288ec577d1",
+    ("gmm-style-analog", "exact"): "4a36e8a86c26987a499f0bc8257fff1516f6cc98c8cc989ae91456d484f1dc92",
+    ("gmm-style-analog", "ficd"): "2537f91c925c29def9955afdfd6a0abe87d64fbd82c4d1f814c138b593421e26",
+    ("gmm-style-analog", "mpgd"): "764304bc6c3da64c055dfc8ddb563fd4dffda4b8a38c5964ec0ade20f4d799cf",
+    ("gmm-style-analog", "unit"): "612329f02184707d75ebd6c3153d268713fd81d238a40dd6f9a3774966998ee1",
+    ("gmm-style-analog", "uncond"): "ecb5da055a072fc2f61cbb42572f5d736ce70844f8094c25d513e1433b177624",
+}
+
+
+@pytest.mark.parametrize("preset,strategy", sorted(PINNED_SAMPLES_SHA256))
+def test_sample_output_is_pinned(tmp_path, preset, strategy):
+    out = tmp_path / "run"
+    argv = ["sample", "--preset", preset, "--T", "40", "--strategy", strategy,
+            "--set", "sampler.n_chains=64", "--out", str(out)]
+    assert run(*argv) == 0
+    digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_SAMPLES_SHA256[preset, strategy]
+
+
 def test_sample_uncond_needs_no_energy(tmp_path):
     assert (
         run(
@@ -116,8 +155,13 @@ def test_sample_exit_codes(tmp_path, capsys):
     assert run("sample", "--set", "bogus.key=1", "--out", str(tmp_path / "x")) == 2
     assert run("sample", "--config", str(tmp_path / "absent.cfg")) == 2
     assert run("sample", "--preset", "gaussian-point", "--set", "energy.kind=") == 2
+    assert run(*sample_args(tmp_path / "eta", "--set", "sampler.ddim_eta=3.0")) == 2
+    assert run(*sample_args(tmp_path / "t0", "--threads", "0")) == 2
+    assert run(*sample_args(tmp_path / "tneg", "--threads", "-4")) == 2
+    assert run(*sample_args(tmp_path / "dse", "--set", "sampler.double_score_eval=true")) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
+    assert "ddim_eta" in err and "threads" in err
     failing = run(
         "sample",
         "--preset",

@@ -22,7 +22,7 @@ def test_defaults_load():
     assert config["seed"] == 0
     assert config["schedule.T"] == 200
     assert config["sampler.strategy"] == "ficd"
-    assert config["sampler.double_score_eval"] is False
+    assert config["threads"] == 1
     assert config["out.dir"] == "out"
 
 

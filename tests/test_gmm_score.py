@@ -9,11 +9,6 @@ from ficd.scoremodel import (
     GaussianMixture,
     GaussianMixtureScore,
     finite_diff_jacobian,
-    gmm_from_text,
-    gmm_marginal_score,
-    gmm_score_jacobian,
-    gmm_score_vjp,
-    gmm_to_text,
     marginal_mixture,
     mixture_logpdf,
     mixture_score,
@@ -34,20 +29,20 @@ def bimodal(d=2, sep=2.0, var=1.0):
 def test_marginal_score_at_half_alpha_bar():
     # alpha_bar = 0.5 makes the unit-Gaussian marginal exactly standard normal.
     sched = NoiseSchedule.from_betas([0.5])
-    s = gmm_marginal_score(single_gaussian(), sched, np.array([2.0, 0.0]), 1)
+    s = GaussianMixtureScore(single_gaussian(), sched).score(np.array([2.0, 0.0]), 1)
     np.testing.assert_allclose(s, [-2.0, 0.0], atol=1e-12)
 
 
 def test_marginal_score_near_clean_data():
     sched = NoiseSchedule.from_betas([1e-12])
     x = np.array([0.7, -1.3])
-    s = gmm_marginal_score(single_gaussian(), sched, x, 1)
+    s = GaussianMixtureScore(single_gaussian(), sched).score(x, 1)
     np.testing.assert_allclose(s, -x, atol=1e-9)
 
 
 def test_marginal_score_vanishes_at_symmetry_point():
     sched = linear_schedule(100)
-    s = gmm_marginal_score(bimodal(), sched, np.zeros(2), 37)
+    s = GaussianMixtureScore(bimodal(), sched).score(np.zeros(2), 37)
     np.testing.assert_allclose(s, 0.0, atol=1e-14)
 
 
@@ -56,9 +51,8 @@ def test_odd_symmetry_for_origin_symmetric_mixture():
     rng = np.random.default_rng(11)
     for t in (5, 50, 95):
         x = rng.normal(size=(8, 2)) * 2.0
-        s_pos = gmm_marginal_score(bimodal(), sched, x, t)
-        s_neg = gmm_marginal_score(bimodal(), sched, -x, t)
-        np.testing.assert_allclose(s_pos, -s_neg, atol=1e-12)
+        model = GaussianMixtureScore(bimodal(), sched)
+        np.testing.assert_allclose(model.score(x, t), -model.score(-x, t), atol=1e-12)
 
 
 def test_single_gaussian_jacobian_closed_form():
@@ -69,14 +63,14 @@ def test_single_gaussian_jacobian_closed_form():
             abar = float(sched.alpha_bars[t - 1])
             expected = -np.eye(2) / (abar * var + 1.0 - abar)
             x = rng.normal(size=2) * 3.0
-            J = gmm_score_jacobian(single_gaussian(var), sched, x, t)
+            J = GaussianMixtureScore(single_gaussian(var), sched).jacobian(x, t)
             np.testing.assert_allclose(J, expected, rtol=1e-12)
 
 
 def test_unit_gaussian_jacobian_is_minus_identity_at_every_t():
     sched = linear_schedule(50)
     for t in range(1, 51):
-        J = gmm_score_jacobian(single_gaussian(1.0), sched, np.array([1.5, -0.5]), t)
+        J = GaussianMixtureScore(single_gaussian(1.0), sched).jacobian(np.array([1.5, -0.5]), t)
         np.testing.assert_allclose(J, -np.eye(2), rtol=1e-12)
 
 
@@ -107,18 +101,19 @@ def test_vjp_agrees_with_materialized_jacobian():
     gmm = bimodal(d=3, sep=1.5, var=0.7)
     x = rng.normal(size=(6, 3)) * 2.0
     v = rng.normal(size=(6, 3))
-    J = gmm_score_jacobian(gmm, sched, x, 42)
-    direct = np.einsum("nij,nj->ni", J, v)
-    np.testing.assert_allclose(gmm_score_vjp(gmm, sched, x, 42, v), direct, rtol=1e-10, atol=1e-12)
+    model = GaussianMixtureScore(gmm, sched)
+    direct = np.einsum("nij,nj->ni", model.jacobian(x, 42), v)
+    np.testing.assert_allclose(model.score_vjp(x, 42, v), direct, rtol=1e-10, atol=1e-12)
 
 
 def test_batched_and_single_point_paths_agree():
     sched = linear_schedule(100)
     gmm = bimodal()
     x = np.array([[0.4, -1.0], [2.2, 0.3]])
-    batch = gmm_marginal_score(gmm, sched, x, 17)
+    model = GaussianMixtureScore(gmm, sched)
+    batch = model.score(x, 17)
     for k in range(2):
-        np.testing.assert_array_equal(batch[k], gmm_marginal_score(gmm, sched, x[k], 17))
+        np.testing.assert_array_equal(batch[k], model.score(x[k], 17))
 
 
 def test_logpdf_matches_scipy_reference():
@@ -150,10 +145,9 @@ def test_far_tail_responsibilities_stay_finite():
     sched = linear_schedule(1000)
     gmm = bimodal(sep=3.0, var=0.2)
     x = np.array([80.0, -75.0])
-    s = gmm_marginal_score(gmm, sched, x, 1)
-    assert np.all(np.isfinite(s))
-    J = gmm_score_jacobian(gmm, sched, x, 1)
-    assert np.all(np.isfinite(J))
+    model = GaussianMixtureScore(gmm, sched)
+    assert np.all(np.isfinite(model.score(x, 1)))
+    assert np.all(np.isfinite(model.jacobian(x, 1)))
 
 
 def test_sampling_moments():
@@ -200,17 +194,3 @@ def test_finite_diff_oracle_on_linear_and_constant_maps():
     np.testing.assert_allclose(J, -np.eye(2), atol=1e-10)
     Z = finite_diff_jacobian(Constant(), np.array([1.0, 2.0]), 1)
     np.testing.assert_allclose(Z, np.zeros((2, 2)), atol=1e-12)
-
-
-def test_text_record_round_trip():
-    gmm = GaussianMixture(
-        weights=np.array([0.25, 0.75]),
-        means=np.array([[1.0, -2.0], [0.5, 0.125]]),
-        covariances=np.stack([np.array([[1.0, 0.2], [0.2, 2.0]]), np.eye(2)]),
-    )
-    rebuilt = gmm_from_text(gmm_to_text(gmm))
-    np.testing.assert_array_equal(rebuilt.weights, gmm.weights)
-    np.testing.assert_array_equal(rebuilt.means, gmm.means)
-    np.testing.assert_array_equal(rebuilt.covariances, gmm.covariances)
-    with pytest.raises(ValueError):
-        gmm_from_text("d = 2\nK = 1\n")

@@ -6,12 +6,9 @@ import pytest
 from ficd.guidance import (
     Condition,
     DistanceEnergy,
-    EnergyFunction,
     GramEnergy,
     LinearMeasurementEnergy,
     QuadraticEnergy,
-    condition_from_text,
-    condition_to_text,
     conditional_term_gradient,
     guidance_gradient_norm,
 )
@@ -26,6 +23,13 @@ EXACT, FICD, MPGD, UNIT = (
     PosteriorPartStrategy.MPGD,
     PosteriorPartStrategy.UNIT,
 )
+
+
+def quadratic_term(strategy, model, sched, x, t, c, lam=1.0):
+    """Conditional term of the quadratic energy, fed the model's own score."""
+    return conditional_term_gradient(
+        strategy, model, sched, QuadraticEnergy(), x, model.score(x, t), t, c, lam
+    )
 
 
 class ZeroScore(ScoreModel):
@@ -146,7 +150,7 @@ def test_conditional_gradient_zero_when_energy_flat():
     x = np.array([0.1, 0.2])
     c = Condition.target(x / 0.5)  # equals the denoised point under a zero score
     for strategy in (EXACT, FICD, MPGD, UNIT):
-        out = conditional_term_gradient(strategy, ZeroScore(), sched, QuadraticEnergy(), x, 2, c)
+        out = quadratic_term(strategy, ZeroScore(), sched, x, 2, c)
         np.testing.assert_array_equal(out, [0.0, 0.0])
 
 
@@ -154,7 +158,7 @@ def test_conditional_gradient_ficd_coefficient():
     sched = NoiseSchedule.from_betas([0.5, 0.5])
     x = np.array([0.1, 0.2])
     c = Condition.target(x / 0.5 - np.array([0.5, 0.0]))  # energy grad (1, 0)
-    out = conditional_term_gradient(FICD, ZeroScore(), sched, QuadraticEnergy(), x, 2, c)
+    out = quadratic_term(FICD, ZeroScore(), sched, x, 2, c)
     np.testing.assert_allclose(out, [4.0, 0.0], rtol=1e-12)
 
 
@@ -166,7 +170,7 @@ def test_conditional_gradient_exact_gaussian():
     c = Condition.target([0.0, 0.0])
     x0_hat = 0.5 * x  # posterior mean shrinks by sqrt(alpha_bar)
     g = 2.0 * (x0_hat - c.y)
-    out = conditional_term_gradient(EXACT, model, sched, QuadraticEnergy(), x, 2, c)
+    out = quadratic_term(EXACT, model, sched, x, 2, c)
     np.testing.assert_allclose(out, 0.5 * g, rtol=1e-10)
 
 
@@ -182,8 +186,8 @@ def test_exact_equals_ficd_at_information_ceiling():
     sched = NoiseSchedule.from_betas([1.0 - abar])
     x = np.array([0.3, 0.9])
     c = Condition.target([-1.0, 2.0])
-    exact = conditional_term_gradient(EXACT, CeilingScore(abar), sched, QuadraticEnergy(), x, 1, c)
-    ficd = conditional_term_gradient(FICD, CeilingScore(abar), sched, QuadraticEnergy(), x, 1, c)
+    exact = quadratic_term(EXACT, CeilingScore(abar), sched, x, 1, c)
+    ficd = quadratic_term(FICD, CeilingScore(abar), sched, x, 1, c)
     np.testing.assert_array_equal(exact, ficd)
 
 
@@ -194,8 +198,8 @@ def test_conditional_gradient_linear_in_lambda():
     x = np.array([0.7, -0.4])
     c = Condition.target([2.0, 2.0])
     for strategy in (EXACT, FICD, MPGD, UNIT):
-        one = conditional_term_gradient(strategy, model, sched, QuadraticEnergy(), x, 20, c, lam=0.5)
-        two = conditional_term_gradient(strategy, model, sched, QuadraticEnergy(), x, 20, c, lam=1.0)
+        one = quadratic_term(strategy, model, sched, x, 20, c, lam=0.5)
+        two = quadratic_term(strategy, model, sched, x, 20, c, lam=1.0)
         np.testing.assert_array_equal(2.0 * one, two)
 
 
@@ -206,8 +210,8 @@ def test_mpgd_to_ficd_norm_ratio():
     x = np.array([1.0, 1.0])
     c = Condition.target([0.0, 0.0])
     for t in (2, 40, 90):
-        ficd = conditional_term_gradient(FICD, model, sched, QuadraticEnergy(), x, t, c)
-        mpgd = conditional_term_gradient(MPGD, model, sched, QuadraticEnergy(), x, t, c)
+        ficd = quadratic_term(FICD, model, sched, x, t, c)
+        mpgd = quadratic_term(MPGD, model, sched, x, t, c)
         abar_t = float(sched.alpha_bars[t - 1])
         abar_prev = float(sched.alpha_bars[t - 2]) if t > 1 else 1.0
         expected = 2.0 / (np.sqrt(abar_t) * np.sqrt(abar_prev))
@@ -224,24 +228,9 @@ def test_ficd_norm_dominates_exact_on_gaussian():
     x = np.array([1.5, -0.5])
     c = Condition.target([0.0, 0.0])
     for t in (2, 10, 50, 99):
-        ficd = guidance_gradient_norm(conditional_term_gradient(FICD, model, sched, QuadraticEnergy(), x, t, c))
-        exact = guidance_gradient_norm(conditional_term_gradient(EXACT, model, sched, QuadraticEnergy(), x, t, c))
+        ficd = guidance_gradient_norm(quadratic_term(FICD, model, sched, x, t, c))
+        exact = guidance_gradient_norm(quadratic_term(EXACT, model, sched, x, t, c))
         assert ficd > exact
-
-
-def test_non_finite_guidance_aborts():
-    class ExplodingEnergy(EnergyFunction):
-        def value(self, x0_hat, c):
-            return np.inf
-
-        def grad(self, x0_hat, c):
-            return np.full_like(x0_hat, np.inf)
-
-    sched = NoiseSchedule.from_betas([0.5])
-    with pytest.raises(FloatingPointError):
-        conditional_term_gradient(
-            FICD, ZeroScore(), sched, ExplodingEnergy(), np.array([0.1, 0.1]), 1, Condition.target([0.0, 0.0])
-        )
 
 
 def test_guidance_gradient_norm_values():
@@ -263,21 +252,3 @@ def test_condition_validation():
         QuadraticEnergy().grad(np.zeros(3), Condition.target([0.0, 0.0]))
     with pytest.raises(ValueError):
         LinearMeasurementEnergy().value(np.zeros(3), Condition.measurement(np.eye(2), np.zeros(2)))
-
-
-def test_condition_text_round_trips():
-    conditions = [
-        Condition.target([1.0, -0.25]),
-        Condition.measurement(np.array([[1.0, 0.0], [0.5, 2.0], [0.0, -1.0]]), [1.0, 2.0, 3.0]),
-        Condition.reference_features(np.array([[0.1, 0.2], [0.3, 0.4]])),
-    ]
-    for c in conditions:
-        rebuilt = condition_from_text(condition_to_text(c))
-        assert rebuilt.kind == c.kind
-        for name in ("y", "A", "features"):
-            a, b = getattr(c, name), getattr(rebuilt, name)
-            assert (a is None) == (b is None)
-            if a is not None:
-                np.testing.assert_array_equal(a, b)
-    with pytest.raises(ValueError):
-        condition_from_text("kind = blob\n")

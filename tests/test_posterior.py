@@ -6,10 +6,8 @@ import pytest
 from ficd.posterior import (
     PosteriorPartStrategy,
     cramer_rao_bound,
-    fisher_info_csv,
     fisher_information,
     posterior_coefficient,
-    posterior_coefficient_from_alpha_bars,
     posterior_jacobian_exact,
     posterior_vjp_exact,
     tweedie_from_score,
@@ -181,7 +179,7 @@ def test_ficd_substitution_identity_is_exact():
     for abar, exact in ((0.75, True), (0.5, True), (0.9375, True), (0.63, False), (0.123, False)):
         sched = NoiseSchedule.from_betas([1.0 - abar])
         got = posterior_jacobian_exact(CeilingScore(abar), sched, np.zeros(2), 1)
-        want = posterior_coefficient_from_alpha_bars(FICD, abar, 1.0) * np.eye(2)
+        want = posterior_coefficient(FICD, sched, 1) * np.eye(2)
         if exact:
             np.testing.assert_array_equal(got, want)
         else:
@@ -189,16 +187,19 @@ def test_ficd_substitution_identity_is_exact():
 
 
 def test_posterior_coefficients():
-    assert posterior_coefficient_from_alpha_bars(FICD, 0.25, 1.0) == 4.0
-    assert posterior_coefficient_from_alpha_bars(FICD, 1.0, 1.0) == 2.0
-    assert posterior_coefficient_from_alpha_bars(MPGD, 0.5, 0.81) == pytest.approx(0.9)
-    assert posterior_coefficient_from_alpha_bars(UNIT, 0.1, 0.2) == 1.0
     sched = NoiseSchedule.from_betas([0.75])  # alpha_bar_1 = 0.25
     assert posterior_coefficient(FICD, sched, 1) == 4.0
     # At t = 1 the MPGD value reads alpha_bar_0 = 1.
     assert posterior_coefficient(MPGD, sched, 1) == 1.0
+    assert posterior_coefficient(UNIT, sched, 1) == 1.0
     with pytest.raises(ValueError):
         posterior_coefficient(EXACT, sched, 1)
+    with pytest.raises(IndexError):
+        posterior_coefficient(FICD, sched, 2)
+    two_step = NoiseSchedule.from_betas([0.19, 1.0 - 0.5 / 0.81])  # 0.81, then 0.5
+    assert posterior_coefficient(FICD, two_step, 2) == pytest.approx(2.0 / np.sqrt(0.5))
+    assert posterior_coefficient(MPGD, two_step, 2) == pytest.approx(0.9)
+    assert posterior_coefficient(UNIT, two_step, 2) == 1.0
 
 
 def test_posterior_vjp_matches_materialized_transpose():
@@ -211,15 +212,3 @@ def test_posterior_vjp_matches_materialized_transpose():
     P = posterior_jacobian_exact(model, sched, x, 33)
     expected = np.einsum("nij,ni->nj", P, v)  # symmetric here, transpose folds in
     np.testing.assert_allclose(posterior_vjp_exact(model, sched, x, 33, v), expected, rtol=1e-10)
-
-
-def test_fisher_csv_rows():
-    sched = linear_schedule(50)
-    text = fisher_info_csv(gaussian_model(1.0, sched), sched, np.zeros(2), [1, 25, 50])
-    lines = text.strip().splitlines()
-    assert lines[0] == "t,spectral_radius,bound,ratio"
-    assert len(lines) == 4
-    for line in lines[1:]:
-        t, radius, bound, ratio = line.split(",")
-        assert float(ratio) == pytest.approx(float(radius) / float(bound))
-        assert float(ratio) <= 1.0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ficd.guidance import Condition, DistanceEnergy, EnergyFunction, QuadraticEnergy
 from ficd.posterior import PosteriorPartStrategy
@@ -14,17 +16,19 @@ from ficd.sampler import (
     TimeTravel,
     chain_rng,
     ddim_sigma,
-    ddim_step,
-    euler_step_from_parts,
-    ficd_step,
-    guided_step,
-    initial_chain_state,
     sample,
-    time_travel_wrap,
-    unconditional_step,
+    step,
 )
-from ficd.schedule import linear_schedule
+from ficd.schedule import NoiseSchedule, alpha_bar, linear_schedule
 from ficd.scoremodel import GaussianMixture, GaussianMixtureScore
+
+
+ALL_STRATEGIES = [
+    PosteriorPartStrategy.EXACT,
+    PosteriorPartStrategy.FICD,
+    PosteriorPartStrategy.MPGD,
+    PosteriorPartStrategy.UNIT,
+]
 
 
 def unit_gaussian_model(T, d=2):
@@ -80,17 +84,29 @@ class RowPoisonModel:
         return self.inner.score_vjp(x, t, v)
 
 
+class HalfSlopeModel:
+    """Score -x/2 on an explicit schedule: the Euler drift cancels to x."""
+
+    dim = 3
+
+    def __init__(self, betas):
+        self.schedule = NoiseSchedule.from_betas(betas)
+
+    def score(self, x, t):
+        return -0.5 * x
+
+
 # --- single steps ------------------------------------------------------
 
 
 def test_euler_parts_degenerate_and_simple():
+    model = HalfSlopeModel([0.1, 0.25])
     x = np.array([1.0, -2.0, 0.5])
-    s = np.array([3.0, 3.0, 3.0])
-    assert np.array_equal(euler_step_from_parts(x, s, 0.0, np.zeros(3)), x)
-    out = euler_step_from_parts(x, np.zeros(3), 0.1, np.zeros(3))
-    assert np.allclose(out, 1.05 * x, rtol=1e-15)
+    # (1 + beta/2) x + beta (-x/2) = x for any beta.
+    out, _ = step(None, model, None, x, 1, None, 0.0, 1.0, np.zeros(3))
+    assert np.array_equal(out, x)
     noise = np.array([1.0, 0.0, -1.0])
-    out = euler_step_from_parts(np.zeros(3), np.zeros(3), 0.25, noise)
+    out, _ = step(None, model, None, np.zeros(3), 2, None, 0.0, 1.0, noise)
     assert np.allclose(out, 0.5 * noise, rtol=1e-15)
 
 
@@ -104,30 +120,33 @@ def test_unconditional_step_matches_formula():
     t = 7
     beta = sched.betas[t - 1]
     expected = (1.0 + 0.5 * beta) * x + beta * (-x) + math.sqrt(beta) * noise
-    assert np.allclose(unconditional_step(model, sched, x, t, noise), expected, rtol=1e-14)
+    out, norms = step(None, model, None, x, t, None, 0.0, 1.0, noise)
+    assert np.allclose(out, expected, rtol=1e-14)
+    assert norms is None
 
 
 def test_unconditional_step_rejects_bad_t():
     model = unit_gaussian_model(5)
     with pytest.raises(IndexError):
-        unconditional_step(model, model.schedule, np.zeros(2), 0, np.zeros(2))
+        step(None, model, None, np.zeros(2), 0, None, 0.0, 1.0, np.zeros(2))
     with pytest.raises(IndexError):
-        unconditional_step(model, model.schedule, np.zeros(2), 6, np.zeros(2))
+        step(None, model, None, np.zeros(2), 6, None, 0.0, 1.0, np.zeros(2))
 
 
 def test_guided_step_requires_energy_and_rejects_nonfinite():
     model = unit_gaussian_model(10)
     c = Condition.target(np.zeros(2))
     with pytest.raises(ValueError):
-        guided_step(
-            PosteriorPartStrategy.FICD, model, model.schedule, None,
-            np.zeros(2), 5, None, 1.0, 1.0, np.zeros(2),
+        step(
+            PosteriorPartStrategy.FICD, model, None, np.zeros(2), 5, None, 1.0, 1.0, np.zeros(2)
         )
-    with pytest.raises(FloatingPointError):
-        guided_step(
-            PosteriorPartStrategy.FICD, model, model.schedule, InfEnergy(),
-            np.zeros(2), 5, c, 1.0, 1.0, np.zeros(2),
-        )
+    # A non-finite conditional term is not raised by the step; the run
+    # flags every chain it reaches and aborts.
+    for strategy in ALL_STRATEGIES:
+        config = SamplerConfig(T=10, strategy=strategy, rho=0.5, n_chains=8, seed=1)
+        with pytest.raises(ChainFailureError) as err:
+            sample(config, model, InfEnergy(), c)
+        assert err.value.flagged.tolist() == list(range(8)), strategy
 
 
 def test_ddim_step_matches_hand_formula():
@@ -148,7 +167,8 @@ def test_ddim_step_matches_hand_formula():
         + math.sqrt(1.0 - abar_prev - sigma**2) * eps
         + sigma * noise
     )
-    assert np.allclose(ddim_step(model, sched, x, t, sigma, noise), expected, rtol=1e-14)
+    out, _ = step(None, model, None, x, t, None, 0.0, 1.0, noise, Discretization.DDIM, sigma)
+    assert np.allclose(out, expected, rtol=1e-14)
 
 
 def test_ddim_step_final_step_returns_denoised_mean():
@@ -157,7 +177,7 @@ def test_ddim_step_final_step_returns_denoised_mean():
     x = np.array([2.0, -1.0])
     abar = sched.alpha_bars[0]
     x0 = (x + (1.0 - abar) * (-x)) / math.sqrt(abar)
-    out = ddim_step(model, sched, x, 1, 0.0, np.zeros(2))
+    out, _ = step(None, model, None, x, 1, None, 0.0, 1.0, np.zeros(2), Discretization.DDIM)
     assert np.allclose(out, x0, rtol=1e-14)
 
 
@@ -172,48 +192,40 @@ def test_ddim_sigma_rule():
     assert np.isclose(ddim_sigma(sched, 3, 0.3), 0.3 * expected, rtol=1e-15)
 
 
-def test_ddim_step_rejects_oversized_sigma():
-    model = unit_gaussian_model(10)
-    abar_prev = model.schedule.alpha_bars[4]
-    too_big = math.sqrt(1.0 - abar_prev) * 1.01
-    with pytest.raises(ValueError):
-        ddim_step(model, model.schedule, np.zeros(2), 6, too_big, np.zeros(2))
-
-
 # --- time travel -------------------------------------------------------
 
 
-def test_time_travel_wrap_invocation_count():
-    sched = linear_schedule(10)
-    calls = []
+def test_time_travel_renoise_matches_hand_formula():
+    """Tape slots run init, step, step, re-noise, step, step.
 
-    def step(x, noise):
-        calls.append(noise.copy())
-        return x * 0.9
-
-    rng = np.random.default_rng(3)
-    out = time_travel_wrap(step, sched, np.ones(2), 5, 2, rng)
-    assert len(calls) == 3
-    assert out.shape == (2,)
-    rng2 = np.random.default_rng(3)
-    out2 = time_travel_wrap(step, sched, np.ones(2), 5, 2, rng2)
-    assert np.array_equal(out, out2)
-
-
-def test_time_travel_wrap_zero_repeats_is_plain_step():
-    sched = linear_schedule(10)
-    model = unit_gaussian_model(10)
-    rng = np.random.default_rng(7)
-    x = np.array([0.3, -0.8])
-
-    def step(xx, noise):
-        return unconditional_step(model, sched, xx, 4, noise)
-
-    out = time_travel_wrap(step, sched, x, 4, 0, rng)
-    expected = unconditional_step(
-        model, sched, x, 4, np.random.default_rng(7).standard_normal(2)
+    One repeat at t = 2 of a T = 3 run: the repeat re-noises with the
+    one-step forward kernel sqrt(1 - beta_t) x + sqrt(beta_t) eps and
+    steps again, each with its own tape slot.
+    """
+    T = 3
+    model = unit_gaussian_model(T, d=1)
+    sched = model.schedule
+    seed = 31
+    tape = chain_rng(seed, 0).standard_normal((6, 1))
+    config = SamplerConfig(
+        T=T, strategy=None, n_chains=1, seed=seed,
+        time_travel=TimeTravel(repeats=1, t_lo=2, t_hi=2),
     )
-    assert np.array_equal(out, expected)
+    samples, trace = sample(config, model)
+    assert trace.t.tolist() == [3, 2, 2, 1]
+
+    def euler(x, t, noise):
+        beta = float(sched.betas[t - 1])
+        return (1.0 + 0.5 * beta) * x + beta * model.score(x, t) + math.sqrt(beta) * noise
+
+    beta_2 = float(sched.betas[1])
+    x = tape[0:1]
+    x = euler(x, 3, tape[1:2])
+    x = euler(x, 2, tape[2:3])
+    x = math.sqrt(1.0 - beta_2) * x + math.sqrt(beta_2) * tape[3:4]
+    x = euler(x, 2, tape[4:5])
+    x = euler(x, 1, np.zeros((1, 1)))
+    assert np.array_equal(samples, x)
 
 
 def test_time_travel_adds_trace_rows():
@@ -230,27 +242,24 @@ def test_time_travel_adds_trace_rows():
 
 # --- equivalences ------------------------------------------------------
 
-ALL_STRATEGIES = [
-    PosteriorPartStrategy.EXACT,
-    PosteriorPartStrategy.FICD,
-    PosteriorPartStrategy.MPGD,
-    PosteriorPartStrategy.UNIT,
-]
-
-
-def test_rho_zero_matches_unconditional_bitwise():
+@settings(max_examples=12, deadline=None)
+@given(
+    strategy=st.sampled_from(ALL_STRATEGIES),
+    discretization=st.sampled_from(list(Discretization)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    vector_rho=st.booleans(),
+)
+def test_rho_zero_matches_unconditional_bitwise(strategy, discretization, seed, vector_rho):
     T = 20
     model = bimodal_model(T)
-    energy = QuadraticEnergy()
     c = Condition.target(np.array([1.0, 1.0]))
-    base, _ = sample(SamplerConfig(T=T, strategy=None, n_chains=64, seed=11), model)
-    for strategy in ALL_STRATEGIES:
-        rho = np.zeros(T) if strategy is PosteriorPartStrategy.FICD else 0.0
-        got, _ = sample(
-            SamplerConfig(T=T, strategy=strategy, rho=rho, n_chains=64, seed=11),
-            model, energy, c,
-        )
-        assert np.array_equal(got, base), strategy
+    common = dict(T=T, n_chains=64, seed=seed, discretization=discretization, ddim_eta=0.5)
+    base, _ = sample(SamplerConfig(strategy=None, **common), model)
+    rho = np.zeros(T) if vector_rho else 0.0
+    got, _ = sample(
+        SamplerConfig(strategy=strategy, rho=rho, **common), model, QuadraticEnergy(), c
+    )
+    assert np.array_equal(got, base)
 
 
 def test_zero_energy_gradient_matches_unconditional_bitwise():
@@ -346,18 +355,15 @@ def test_initial_state_matches_sampled_trajectory():
     beta = float(sched.betas[0])
     seed = 99
     tape = chain_rng(seed, 0).standard_normal((2, 1))
-    state = initial_chain_state(SamplerConfig(T=T, strategy=None, seed=seed), 0, 1)
-    assert np.array_equal(state.x, tape[0])
-    assert state.t == 1
 
     samples, _ = sample(SamplerConfig(T=T, strategy=None, n_chains=1, seed=seed), model)
-    expected = euler_step_from_parts(tape[0], -tape[0], beta, np.zeros(1))
+    expected = (1.0 + 0.5 * beta) * tape[0] + beta * -tape[0]
     assert np.array_equal(samples[0], expected)
 
     with_noise, _ = sample(
         SamplerConfig(T=T, strategy=None, n_chains=1, seed=seed, final_noise=True), model
     )
-    expected_noisy = euler_step_from_parts(tape[0], -tape[0], beta, tape[1])
+    expected_noisy = expected + math.sqrt(beta) * tape[1]
     assert np.array_equal(with_noise[0], expected_noisy)
 
 
@@ -381,18 +387,6 @@ def test_per_step_cost_counts():
         _, trace = sample(config, model, energy, c)
         assert np.all(trace.score_evals == n_score), strategy
         assert np.all(trace.jacobian_passes == n_jac), strategy
-
-
-def test_double_eval_flag_restores_second_score_call():
-    T = 10
-    model = bimodal_model(T)
-    config = SamplerConfig(
-        T=T, strategy=PosteriorPartStrategy.FICD, rho=0.1, n_chains=8, seed=1,
-        double_score_eval=True,
-    )
-    _, trace = sample(config, model, QuadraticEnergy(), Condition.target(np.zeros(2)))
-    assert np.all(trace.score_evals == 2)
-    assert np.all(trace.jacobian_passes == 0)
 
 
 # --- trace contents ----------------------------------------------------
@@ -430,11 +424,13 @@ def test_single_bad_chain_is_flagged_not_fatal():
     T = 10
     inner = bimodal_model(T)
     model = RowPoisonModel(inner, poison_t=T, rows=[0])
-    config = SamplerConfig(T=T, strategy=None, n_chains=100, seed=4)
-    samples, trace = sample(config, model)
-    assert trace.flagged_chains.tolist() == [0]
-    assert np.all(np.isnan(samples[0]))
-    assert np.all(np.isfinite(samples[1:]))
+    c = Condition.target(np.array([0.5, 0.5]))
+    for strategy in [None, *ALL_STRATEGIES]:
+        config = SamplerConfig(T=T, strategy=strategy, rho=0.2, n_chains=100, seed=4)
+        samples, trace = sample(config, model, QuadraticEnergy(), c)
+        assert trace.flagged_chains.tolist() == [0], strategy
+        assert np.all(np.isnan(samples[0])), strategy
+        assert np.all(np.isfinite(samples[1:])), strategy
 
 
 def test_widespread_failure_aborts_run():
@@ -467,6 +463,15 @@ def test_config_validation_errors():
         SamplerConfig(T=10, time_travel=TimeTravel(repeats=1, t_lo=8, t_hi=4))
     with pytest.raises(ValueError):
         SamplerConfig(T=10, ddim_eta=-0.1)
+    with pytest.raises(ValueError):
+        SamplerConfig(T=10, ddim_eta=1.5)
+
+
+def test_sample_rejects_nonpositive_threads():
+    model = bimodal_model(10)
+    for threads in (0, -4):
+        with pytest.raises(ValueError, match="threads"):
+            sample(SamplerConfig(T=10, strategy=None), model, threads=threads)
 
 
 def test_sample_rejects_mismatched_schedule():
@@ -504,14 +509,10 @@ def test_one_step_strategy_gap_within_claimed_bound():
     x = rng.standard_normal((16, 2))
     noise = np.zeros((16, 2))
     for t in (2, 50, 100):
-        abar = sched.alpha_bars[t - 1]
-        abar_prev = 1.0 if t == 1 else sched.alpha_bars[t - 2]
-        x_f = guided_step(
-            PosteriorPartStrategy.FICD, model, sched, energy, x, t, c, rho, 1.0, noise
-        )
-        x_m = guided_step(
-            PosteriorPartStrategy.MPGD, model, sched, energy, x, t, c, rho, 1.0, noise
-        )
+        abar = alpha_bar(sched, t)
+        abar_prev = alpha_bar(sched, t - 1)
+        x_f, _ = step(PosteriorPartStrategy.FICD, model, energy, x, t, c, rho, 1.0, noise)
+        x_m, _ = step(PosteriorPartStrategy.MPGD, model, energy, x, t, c, rho, 1.0, noise)
         gap = np.linalg.norm(x_f - x_m, axis=1)
         bound = rho * (2.0 / math.sqrt(abar) - math.sqrt(abar_prev))
         assert np.all(gap <= bound * (1.0 + 1e-12)), (

@@ -7,8 +7,6 @@ from ficd.schedule import (
     NoiseSchedule,
     alpha_bar,
     cosine_schedule,
-    ddim_coefficients,
-    ddim_coefficients_from_alpha_bars,
     linear_schedule,
     schedule_from_text,
     schedule_to_text,
@@ -93,31 +91,6 @@ def test_schedule_arrays_are_read_only():
         sched.betas[0] = 0.5
 
 
-def test_ddim_ratio_and_degenerate_pair():
-    c = ddim_coefficients_from_alpha_bars(0.63, 0.9, sigma_t=0.0)
-    assert c.j_t == pytest.approx(0.7, abs=1e-15)
-    expected_m = np.sqrt(0.1) - (np.sqrt(0.9) / np.sqrt(0.63)) * np.sqrt(0.37)
-    assert c.m_t == pytest.approx(expected_m, abs=1e-15)
-
-    degenerate = ddim_coefficients_from_alpha_bars(0.63, 0.63, sigma_t=0.0)
-    assert degenerate.j_t == 1.0
-
-
-def test_ddim_sigma_budget_enforced():
-    with pytest.raises(ValueError):
-        ddim_coefficients_from_alpha_bars(0.63, 0.9, sigma_t=0.4)
-    # sigma_t**2 = 0.25 exactly exhausts the budget and is allowed.
-    c = ddim_coefficients_from_alpha_bars(0.5, 0.75, sigma_t=0.5)
-    assert c.m_t == pytest.approx(-np.sqrt(0.75), abs=1e-15)
-
-
-def test_ddim_j_in_unit_interval_across_schedule():
-    sched = linear_schedule(100, 1e-4, 0.02)
-    for t in range(1, sched.T + 1):
-        c = ddim_coefficients(sched, t)
-        assert 0.0 < c.j_t < 1.0
-
-
 def test_text_record_round_trip_is_bit_exact():
     sched = linear_schedule(1000, 1e-4, 0.02)
     rebuilt = schedule_from_text(schedule_to_text(sched))
@@ -133,5 +106,7 @@ def test_text_record_round_trip_is_bit_exact():
 def test_text_record_rejects_malformed_input():
     with pytest.raises(ValueError):
         schedule_from_text("T = 10\nbeta_min = 0.1\n")
+    with pytest.raises(ValueError, match="line 2"):
+        schedule_from_text("T = 10\nbeta_min 0.1\n")
     with pytest.raises(ValueError):
         schedule_from_text("T = 10\nbeta_min = 0.1\nbeta_max = 0.2\nkind = mystery\n")
