@@ -190,10 +190,12 @@ def step(
     else:
         eps = -math.sqrt(1.0 - abar) * s
         # Non-negative for ddim_eta <= 1, up to rounding.
-        det = max(1.0 - abar_prev - sigma_t**2, 0.0)
+        det = 1.0 - abar_prev - sigma_t**2
+        if det < -1e-12:
+            raise ValueError("sigma_t**2 exceeds 1 - alpha_bar_{t-1}")
         y = (
             math.sqrt(abar_prev) * tweedie_from_score(x, s, abar)
-            + math.sqrt(det) * eps
+            + math.sqrt(max(det, 0.0)) * eps
             + sigma_t * noise
         )
     if strategy is None:

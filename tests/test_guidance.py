@@ -6,6 +6,7 @@ import pytest
 from ficd.guidance import (
     Condition,
     DistanceEnergy,
+    EnergyFunction,
     GramEnergy,
     LinearMeasurementEnergy,
     QuadraticEnergy,
@@ -13,6 +14,7 @@ from ficd.guidance import (
     guidance_gradient_norm,
 )
 from ficd.posterior import PosteriorPartStrategy
+from ficd.sampler import ChainFailureError, SamplerConfig, sample
 from ficd.schedule import NoiseSchedule, linear_schedule
 from ficd.scoremodel import GaussianMixture, GaussianMixtureScore
 from ficd.scoremodel.base import ScoreModel
@@ -231,6 +233,31 @@ def test_ficd_norm_dominates_exact_on_gaussian():
         ficd = guidance_gradient_norm(quadratic_term(FICD, model, sched, x, t, c))
         exact = guidance_gradient_norm(quadratic_term(EXACT, model, sched, x, t, c))
         assert ficd > exact
+
+
+def test_non_finite_guidance_aborts():
+    class ExplodingEnergy(EnergyFunction):
+        def value(self, x0_hat, c):
+            return np.inf
+
+        def grad(self, x0_hat, c):
+            return np.full_like(x0_hat, np.inf)
+
+    sched = linear_schedule(10)
+    model = GaussianMixtureScore(GaussianMixture.isotropic([1.0], [np.zeros(2)], [1.0]), sched)
+    c = Condition.target([0.0, 0.0])
+    x = np.array([[0.1, 0.1], [0.2, -0.3]])
+    # The term itself hands the non-finite rows back to its caller ...
+    for strategy in (EXACT, FICD, MPGD, UNIT):
+        term = conditional_term_gradient(
+            strategy, model, sched, ExplodingEnergy(), x, model.score(x, 5), 5, c, 1.0
+        )
+        assert not np.isfinite(term).any(), strategy
+    # ... and the guided run flags every chain and aborts.
+    config = SamplerConfig(T=10, strategy=FICD, rho=0.5, n_chains=4, seed=0)
+    with pytest.raises(ChainFailureError) as err:
+        sample(config, model, ExplodingEnergy(), c)
+    assert err.value.flagged.tolist() == [0, 1, 2, 3]
 
 
 def test_guidance_gradient_norm_values():

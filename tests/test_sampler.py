@@ -171,6 +171,14 @@ def test_ddim_step_matches_hand_formula():
     assert np.allclose(out, expected, rtol=1e-14)
 
 
+def test_ddim_step_rejects_oversized_sigma():
+    model = unit_gaussian_model(10)
+    abar_prev = model.schedule.alpha_bars[4]
+    too_big = math.sqrt(1.0 - abar_prev) * 1.01
+    with pytest.raises(ValueError):
+        step(None, model, None, np.zeros(2), 6, None, 0.0, 1.0, np.zeros(2), Discretization.DDIM, too_big)
+
+
 def test_ddim_step_final_step_returns_denoised_mean():
     model = unit_gaussian_model(8)
     sched = model.schedule
