@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
 import warnings
@@ -127,6 +128,13 @@ def cmd_train_score(config: ExperimentConfig) -> int:
 # -- sample -------------------------------------------------------------
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports kilobytes, macOS bytes.
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 def cmd_sample(config: ExperimentConfig) -> int:
     model = config.build_model(config.schedule())
     schedule = model.schedule
@@ -145,7 +153,7 @@ def cmd_sample(config: ExperimentConfig) -> int:
     trace_to_csv(trace, _out_path(config, "trace.csv"))
     print(
         f"strategy={_strategy_name(sampler_config.strategy)} T={sampler_config.T} "
-        f"N={sampler_config.n_chains} wall={wall:.2f}s "
+        f"N={sampler_config.n_chains} wall={wall:.2f}s peak_rss={_peak_rss_mb():.1f}MB "
         f"mean_grad_norm={_mean_grad_norm(trace):.6g}"
     )
     return EXIT_OK

@@ -380,6 +380,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown sampler.discretization {disc_name!r} (sde_euler or ddim)"
             ) from None
+        # Settings the run would ignore are errors, not silent no-ops.
+        if discretization is Discretization.SDE_EULER and self["sampler.ddim_eta"] != 0.0:
+            raise ConfigError("sampler.ddim_eta is a DDIM setting; sde_euler needs it at 0")
+        if self["sampler.time_travel.repeats"] == 0 and (
+            self["sampler.time_travel.t_lo"] or self["sampler.time_travel.t_hi"]
+        ):
+            raise ConfigError(
+                "sampler.time_travel.t_lo/t_hi set while sampler.time_travel.repeats = 0"
+            )
         try:
             return SamplerConfig(
                 T=schedule.T,

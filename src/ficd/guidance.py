@@ -17,9 +17,8 @@ from ficd.posterior import (
     PosteriorPartStrategy,
     posterior_coefficient,
     posterior_vjp_exact,
-    tweedie_from_score,
 )
-from ficd.schedule import NoiseSchedule, alpha_bar
+from ficd.schedule import NoiseSchedule
 from ficd.scoremodel.base import ScoreModel
 
 __all__ = [
@@ -217,20 +216,20 @@ def conditional_term_gradient(
     schedule: NoiseSchedule,
     energy: EnergyFunction,
     x: np.ndarray,
-    score: np.ndarray,
+    x0_hat: np.ndarray,
     t: int,
     c: Condition,
     lam: float = 1.0,
 ) -> np.ndarray:
     """Gradient of the conditional term at x_t under the given strategy.
 
-    Denoises x with its already computed score, takes lam times the
-    energy gradient there, and applies the strategy's posterior part:
-    the exact transposed derivative for EXACT, a scalar otherwise.
-    Linear in lam. Non-finite rows pass through unchanged; sample()
-    flags the chains they belong to.
+    Takes lam times the energy gradient at x0_hat, the denoised mean of
+    x that the caller computed from its score, and applies the
+    strategy's posterior part: the exact transposed derivative for
+    EXACT, a scalar otherwise. Linear in lam. Non-finite rows pass
+    through unchanged; sample() flags the chains they belong to.
     """
-    g = lam * energy.grad(tweedie_from_score(x, score, alpha_bar(schedule, t)), c)
+    g = lam * energy.grad(x0_hat, c)
     if strategy is PosteriorPartStrategy.EXACT:
         return posterior_vjp_exact(model, schedule, x, t, g)
     return posterior_coefficient(strategy, schedule, t) * g

@@ -6,6 +6,12 @@ cut into fixed-size blocks that are processed as batches. The block
 partition and all reduction orders are independent of the worker-thread
 count, so a run is a pure function of its configuration. ``step`` is the
 one body of a reverse step; ``sample`` runs it over blocks and steps.
+
+Noise is streamed: each chain's generator fills its rows of one
+reusable window of tape slots, refilled between steps, so a run holds
+O(N d window) noise rather than the whole O(N T d) tape. Sequential
+draws from one generator concatenate to the same values, so the window
+size never changes a result.
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ __all__ = [
 # that the arithmetic, and therefore the output, is identical no matter
 # how many workers execute the blocks.
 BLOCK_SIZE = 512
+
+# Byte budget of the noise window: it holds max(2, budget // (N d 8))
+# tape slots, so small runs still draw their whole tape at once.
+NOISE_WINDOW_BYTES = 32 * 2**20
 
 
 class Discretization(Enum):
@@ -169,11 +179,11 @@ def step(
     The Euler step is (1 + beta/2) x + beta s + sqrt(beta) noise; the
     DDIM step is sqrt(abar_prev) x0_hat + sqrt(1 - abar_prev - sigma_t**2)
     eps_hat + sigma_t noise. A guided step then subtracts rho_t times
-    the conditional term, whose denoised mean reuses the one score
-    evaluation. Returns (new state, per-row conditional-gradient norms,
-    or None when unguided). Non-finite rows are returned as they are;
-    sample() flags them. ``counts``, when given, accrues per-chain
-    "score_evals" and "jacobian_passes".
+    the conditional term at the same denoised mean x0_hat, computed
+    once from the one score evaluation. Returns (new state, per-row
+    conditional-gradient norms, or None when unguided). Non-finite rows
+    are returned as they are; sample() flags them. ``counts``, when
+    given, accrues per-chain "score_evals" and "jacobian_passes".
     """
     schedule: NoiseSchedule = model.schedule
     if not 1 <= t <= schedule.T:
@@ -185,7 +195,11 @@ def step(
     abar_prev = alpha_bar(schedule, t - 1)
     s = model.score(x, t)
     counts["score_evals"] += 1
-    if discretization is Discretization.SDE_EULER:
+    if strategy is not None and (energy is None or c is None):
+        raise ValueError("guided sampling needs an energy and a condition")
+    ddim = discretization is Discretization.DDIM
+    x0_hat = tweedie_from_score(x, s, abar) if ddim or strategy is not None else None
+    if not ddim:
         y = (1.0 + 0.5 * beta) * x + beta * s + math.sqrt(beta) * noise
     else:
         eps = -math.sqrt(1.0 - abar) * s
@@ -194,15 +208,13 @@ def step(
         if det < -1e-12:
             raise ValueError("sigma_t**2 exceeds 1 - alpha_bar_{t-1}")
         y = (
-            math.sqrt(abar_prev) * tweedie_from_score(x, s, abar)
+            math.sqrt(abar_prev) * x0_hat
             + math.sqrt(max(det, 0.0)) * eps
             + sigma_t * noise
         )
     if strategy is None:
         return y, None
-    if energy is None or c is None:
-        raise ValueError("guided sampling needs an energy and a condition")
-    cond = conditional_term_gradient(strategy, model, schedule, energy, x, s, t, c, lam)
+    cond = conditional_term_gradient(strategy, model, schedule, energy, x, x0_hat, t, c, lam)
     if strategy is PosteriorPartStrategy.EXACT:
         counts["jacobian_passes"] += 1
     return y - rho_t * cond, guidance_gradient_norm(cond)
@@ -251,6 +263,23 @@ def _plan_entries(T: int, repeats: int, t_lo: int, t_hi: int):
     return entries, slot
 
 
+def _noise_windows(entries, capacity: int) -> list[list[int]]:
+    """Cuts the tape into [first, end) slot windows of at most ``capacity`` slots.
+
+    Windows end on plan-entry boundaries, so the two slots of a re-noise
+    entry never straddle two windows; slot 0, the initial draw, opens
+    the first window. ``capacity`` must be at least 2.
+    """
+    windows = [[0, 1]]
+    for _, renoise, slot in entries:
+        end = slot + (2 if renoise else 1)
+        if end - windows[-1][0] > capacity:
+            windows.append([slot, end])
+        else:
+            windows[-1][1] = end
+    return windows
+
+
 def sample(
     config: SamplerConfig,
     model,
@@ -262,10 +291,12 @@ def sample(
 
     Returns (samples, trace) with samples of shape (n_chains, d). The
     output is a pure function of the configuration, model, energy, and
-    condition; the thread count changes the wall time only. A chain
-    whose state stops being finite is flagged and its row reported as
-    nan; the run aborts with ChainFailureError when more than 1% of
-    chains are flagged. ``threads`` must be at least 1.
+    condition; the thread count and the noise window change the wall
+    time only. Noise is drawn window by window between steps, so memory
+    is O(N d window), not O(N T d). A chain whose state stops being
+    finite is flagged and its row reported as nan; the run aborts with
+    ChainFailureError when more than 1% of chains are flagged.
+    ``threads`` must be at least 1.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -281,16 +312,19 @@ def sample(
     entries, tape_len = _plan_entries(config.T, repeats, t_lo, t_hi)
 
     blocks = [(lo, min(lo + BLOCK_SIZE, N)) for lo in range(0, N, BLOCK_SIZE)]
-    tapes = []
-    for lo, hi in blocks:
-        tape = np.empty((hi - lo, tape_len, d))
-        for ci in range(lo, hi):
-            tape[ci - lo] = chain_rng(config.seed, ci).standard_normal((tape_len, d))
-        tapes.append(tape)
+    capacity = min(tape_len, max(2, NOISE_WINDOW_BYTES // (N * d * 8)))
+    windows = iter(_noise_windows(entries, capacity))
+    rngs = [chain_rng(config.seed, ci) for ci in range(N)]
+    window = np.empty((N, capacity, d))
 
-    x = np.empty((N, d))
-    for bi, (lo, hi) in enumerate(blocks):
-        x[lo:hi] = tapes[bi][:, 0]
+    def refill() -> tuple[int, int]:
+        first, end = next(windows)
+        for ci, rng in enumerate(rngs):
+            rng.standard_normal((end - first, d), out=window[ci, : end - first])
+        return first, end
+
+    first, end = refill()
+    x = window[:, 0].copy()
     flagged = np.zeros(N, dtype=bool)
 
     n_steps = len(entries)
@@ -307,17 +341,14 @@ def sample(
         n_chains=N,
     )
 
-    def run_block(bi: int, t: int, renoise: bool, slot: int, sigma_t: float):
+    def run_block(bi: int, t: int, renoise: bool, col: int, sigma_t: float):
         lo, hi = blocks[bi]
         xb = x[lo:hi]
-        tape = tapes[bi]
         beta = float(schedule.betas[t - 1])
         if renoise:
-            xb = math.sqrt(1.0 - beta) * xb + math.sqrt(beta) * tape[:, slot]
-            noise_slot = slot + 1
-        else:
-            noise_slot = slot
-        noise = tape[:, noise_slot]
+            xb = math.sqrt(1.0 - beta) * xb + math.sqrt(beta) * window[lo:hi, col]
+            col += 1
+        noise = window[lo:hi, col]
         if t == 1 and not config.final_noise:
             noise = np.zeros_like(noise)
         counts = {"score_evals": 0, "jacobian_passes": 0}
@@ -342,6 +373,9 @@ def sample(
     executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for si, (t, renoise, slot) in enumerate(entries):
+            if slot >= end:
+                first, end = refill()
+            col = slot - first
             sigma_t = (
                 ddim_sigma(schedule, t, config.ddim_eta)
                 if config.discretization is Discretization.DDIM
@@ -349,10 +383,10 @@ def sample(
             )
             started = time.perf_counter()
             if executor is None:
-                results = [run_block(bi, t, renoise, slot, sigma_t) for bi in range(len(blocks))]
+                results = [run_block(bi, t, renoise, col, sigma_t) for bi in range(len(blocks))]
             else:
                 results = list(
-                    executor.map(lambda bi: run_block(bi, t, renoise, slot, sigma_t), range(len(blocks)))
+                    executor.map(lambda bi: run_block(bi, t, renoise, col, sigma_t), range(len(blocks)))
                 )
             trace.step_wall_time_s[si] = time.perf_counter() - started
 

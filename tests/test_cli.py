@@ -41,6 +41,7 @@ def test_sample_smoke(tmp_path, capsys):
     assert run(*sample_args(tmp_path / "run")) == 0
     out = capsys.readouterr().out
     assert "strategy=ficd" in out and "T=30" in out and "N=64" in out
+    assert "peak_rss=" in out
     assert (tmp_path / "run" / "samples.csv").exists()
     assert (tmp_path / "run" / "trace.csv").exists()
 
@@ -155,13 +156,20 @@ def test_sample_exit_codes(tmp_path, capsys):
     assert run("sample", "--set", "bogus.key=1", "--out", str(tmp_path / "x")) == 2
     assert run("sample", "--config", str(tmp_path / "absent.cfg")) == 2
     assert run("sample", "--preset", "gaussian-point", "--set", "energy.kind=") == 2
-    assert run(*sample_args(tmp_path / "eta", "--set", "sampler.ddim_eta=3.0")) == 2
+    assert run(*sample_args(
+        tmp_path / "eta", "--set", "sampler.discretization=ddim", "--set", "sampler.ddim_eta=3.0"
+    )) == 2
+    # Settings the run would ignore: eta on an Euler run, a window without repeats.
+    assert run(*sample_args(tmp_path / "eta_euler", "--set", "sampler.ddim_eta=0.7")) == 2
+    assert run(*sample_args(tmp_path / "tt_lo", "--set", "sampler.time_travel.t_lo=5")) == 2
+    assert run(*sample_args(tmp_path / "tt_hi", "--set", "sampler.time_travel.t_hi=9")) == 2
     assert run(*sample_args(tmp_path / "t0", "--threads", "0")) == 2
     assert run(*sample_args(tmp_path / "tneg", "--threads", "-4")) == 2
     assert run(*sample_args(tmp_path / "dse", "--set", "sampler.double_score_eval=true")) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "ddim_eta" in err and "threads" in err
+    assert "sde_euler" in err and "repeats = 0" in err
     failing = run(
         "sample",
         "--preset",

@@ -253,6 +253,19 @@ def test_sampler_config_uncond_and_errors():
                 ("sampler.time_travel.t_hi", "5"),
             ]
         ).sampler_config()
+    # Settings the run would ignore are rejected, not dropped.
+    with pytest.raises(ConfigError, match="sde_euler"):
+        ExperimentConfig.from_sources(overrides=[("sampler.ddim_eta", "0.5")]).sampler_config()
+    for edge in ("t_lo", "t_hi"):
+        with pytest.raises(ConfigError, match="repeats = 0"):
+            ExperimentConfig.from_sources(
+                overrides=[(f"sampler.time_travel.{edge}", "5")]
+            ).sampler_config()
+    # ... while a DDIM run keeps its eta.
+    ddim = ExperimentConfig.from_sources(
+        overrides=[("sampler.discretization", "ddim"), ("sampler.ddim_eta", "0.5")]
+    ).sampler_config()
+    assert ddim.ddim_eta == 0.5
 
 
 def test_training_dataset_kinds(tmp_path):

@@ -13,7 +13,7 @@ from ficd.guidance import (
     conditional_term_gradient,
     guidance_gradient_norm,
 )
-from ficd.posterior import PosteriorPartStrategy
+from ficd.posterior import PosteriorPartStrategy, tweedie_posterior_mean
 from ficd.sampler import ChainFailureError, SamplerConfig, sample
 from ficd.schedule import NoiseSchedule, linear_schedule
 from ficd.scoremodel import GaussianMixture, GaussianMixtureScore
@@ -28,9 +28,10 @@ EXACT, FICD, MPGD, UNIT = (
 
 
 def quadratic_term(strategy, model, sched, x, t, c, lam=1.0):
-    """Conditional term of the quadratic energy, fed the model's own score."""
+    """Conditional term of the quadratic energy at the model's own denoised mean."""
+    x0_hat = tweedie_posterior_mean(model, sched, x, t)
     return conditional_term_gradient(
-        strategy, model, sched, QuadraticEnergy(), x, model.score(x, t), t, c, lam
+        strategy, model, sched, QuadraticEnergy(), x, x0_hat, t, c, lam
     )
 
 
@@ -250,7 +251,8 @@ def test_non_finite_guidance_aborts():
     # The term itself hands the non-finite rows back to its caller ...
     for strategy in (EXACT, FICD, MPGD, UNIT):
         term = conditional_term_gradient(
-            strategy, model, sched, ExplodingEnergy(), x, model.score(x, 5), 5, c, 1.0
+            strategy, model, sched, ExplodingEnergy(), x,
+            tweedie_posterior_mean(model, sched, x, 5), 5, c, 1.0,
         )
         assert not np.isfinite(term).any(), strategy
     # ... and the guided run flags every chain and aborts.

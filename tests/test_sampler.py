@@ -1,6 +1,7 @@
 """Sampling loop tests: step formulas, determinism, costs, and failure policy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ficd.guidance import Condition, DistanceEnergy, EnergyFunction, QuadraticEnergy
+from ficd import sampler
 from ficd.posterior import PosteriorPartStrategy
 from ficd.sampler import (
     ChainFailureError,
     Discretization,
     SamplerConfig,
     TimeTravel,
+    _noise_windows,
+    _plan_entries,
     chain_rng,
     ddim_sigma,
     sample,
@@ -373,6 +377,74 @@ def test_initial_state_matches_sampled_trajectory():
     )
     expected_noisy = expected + math.sqrt(beta) * tape[1]
     assert np.array_equal(with_noise[0], expected_noisy)
+
+
+# --- noise window ------------------------------------------------------
+
+
+def test_noise_windows_end_on_entry_boundaries():
+    """Windows tile the tape within capacity and never split a re-noise pair."""
+    entries, tape_len = _plan_entries(12, 2, 5, 8)
+    fixed_cut_would_split = False
+    for capacity in range(2, 9):
+        windows = _noise_windows(entries, capacity)
+        assert windows[0][0] == 0 and windows[-1][1] == tape_len
+        assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+        assert all(0 < end - first <= capacity for first, end in windows)
+        starts = {first for first, _ in windows}
+        for _, renoise, slot in entries:
+            if renoise:
+                assert slot + 1 not in starts, (capacity, slot)
+                fixed_cut_would_split |= (slot + 1) % capacity == 0
+    # Some pair sits where windows of a fixed slot count would split it.
+    assert fixed_cut_would_split
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    slots=st.integers(min_value=1, max_value=5),
+    repeats=st.integers(min_value=0, max_value=2),
+    discretization=st.sampled_from(list(Discretization)),
+    threads=st.sampled_from([1, 2]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_noise_window_does_not_move_a_bit(slots, repeats, discretization, threads, seed):
+    """A window of 1-5 slots (at least 2 are kept) gives the whole-tape bits."""
+    T, N, d = 12, 600, 2  # two blocks, so both threads get work
+    model = bimodal_model(T)
+    c = Condition.target(np.array([1.0, 0.0]))
+    config = SamplerConfig(
+        T=T, strategy=PosteriorPartStrategy.FICD, rho=0.1, n_chains=N, seed=seed,
+        discretization=discretization,
+        ddim_eta=0.5 if discretization is Discretization.DDIM else 0.0,
+        time_travel=TimeTravel(repeats=repeats), final_noise=True,
+    )
+    runs = []
+    for budget in (slots * N * d * 8, 2**30):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "NOISE_WINDOW_BYTES", budget)
+            runs.append(sample(config, model, QuadraticEnergy(), c, threads=threads))
+    (windowed, wtrace), (whole, trace) = runs
+    assert np.array_equal(windowed, whole)
+    for name in ("t", "grad_norm", "cr_bound", "coefficient_used", "flagged_chains"):
+        np.testing.assert_array_equal(getattr(wtrace, name), getattr(trace, name))
+
+
+def test_noise_memory_does_not_grow_with_T(monkeypatch):
+    """Peak traced memory is set by the window, not by the T + 1 slot tape."""
+    N, d = 1024, 8
+    monkeypatch.setattr(sampler, "NOISE_WINDOW_BYTES", 8 * N * d * 8)
+    peaks = {}
+    for T in (40, 320):
+        model = unit_gaussian_model(T, d=d)
+        config = SamplerConfig(T=T, strategy=None, n_chains=N, seed=1)
+        tracemalloc.start()
+        try:
+            sample(config, model)
+            peaks[T] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[320] < 1.5 * peaks[40], peaks
 
 
 # --- costs -------------------------------------------------------------
