@@ -15,11 +15,9 @@ from ficd.analytics import (
     deviation_bound_check,
     linear_gaussian_posterior,
     phase_profile,
-    samples_from_csv,
     samples_to_csv,
     sliced_wasserstein,
     tilted_gmm_oracle,
-    trace_from_csv,
     trace_to_csv,
 )
 from ficd.config import ConfigError, ExperimentConfig
@@ -27,7 +25,6 @@ from ficd.guidance import (
     Condition,
     DistanceEnergy,
     EnergyFunction,
-    GramEnergy,
     LinearMeasurementEnergy,
     QuadraticEnergy,
 )
@@ -68,18 +65,15 @@ __all__ = [
     "deviation_bound_check",
     "linear_gaussian_posterior",
     "phase_profile",
-    "samples_from_csv",
     "samples_to_csv",
     "sliced_wasserstein",
     "tilted_gmm_oracle",
-    "trace_from_csv",
     "trace_to_csv",
     "ConfigError",
     "ExperimentConfig",
     "Condition",
     "DistanceEnergy",
     "EnergyFunction",
-    "GramEnergy",
     "LinearMeasurementEnergy",
     "QuadraticEnergy",
     "PosteriorPartStrategy",

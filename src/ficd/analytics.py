@@ -39,9 +39,7 @@ __all__ = [
     "benchmark_steps",
     "TRACE_COLUMNS",
     "trace_to_csv",
-    "trace_from_csv",
     "samples_to_csv",
-    "samples_from_csv",
 ]
 
 
@@ -452,33 +450,6 @@ def trace_to_csv(trace: RunTrace, path) -> None:
             )
 
 
-def trace_from_csv(path) -> RunTrace:
-    """Rebuilds per-step arrays from a trace CSV.
-
-    Chain-level fields are not stored in the CSV, so flagged_chains
-    comes back empty and n_chains as 0.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRACE_COLUMNS:
-            raise ValueError(f"unexpected trace header {header}")
-        rows = [row for row in reader if row]
-    cols = list(zip(*rows)) if rows else [[] for _ in TRACE_COLUMNS]
-    return RunTrace(
-        t=np.asarray([int(v) for v in cols[0]], dtype=np.int64),
-        grad_norm=np.asarray([float(v) for v in cols[1]]),
-        fisher_spectral_radius=np.asarray([float(v) for v in cols[2]]),
-        cr_bound=np.asarray([float(v) for v in cols[3]]),
-        coefficient_used=np.asarray([float(v) for v in cols[4]]),
-        step_wall_time_s=np.asarray([float(v) for v in cols[5]]),
-        score_evals=np.asarray([int(v) for v in cols[6]], dtype=np.int64),
-        jacobian_passes=np.asarray([int(v) for v in cols[7]], dtype=np.int64),
-        flagged_chains=np.empty(0, dtype=np.int64),
-        n_chains=0,
-    )
-
-
 def samples_to_csv(samples: np.ndarray, path) -> None:
     """Writes chain_id plus one dim_j column per coordinate."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
@@ -488,15 +459,3 @@ def samples_to_csv(samples: np.ndarray, path) -> None:
         writer.writerow(["chain_id"] + [f"dim_{j}" for j in range(d)])
         for i, row in enumerate(samples):
             writer.writerow([i] + [_fmt(v) for v in row])
-
-
-def samples_from_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "chain_id" or any(
-            h != f"dim_{j}" for j, h in enumerate(header[1:])
-        ):
-            raise ValueError(f"unexpected samples header {header}")
-        rows = [row for row in reader if row]
-    return np.asarray([[float(v) for v in row[1:]] for row in rows])

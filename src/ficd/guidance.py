@@ -27,7 +27,6 @@ __all__ = [
     "QuadraticEnergy",
     "DistanceEnergy",
     "LinearMeasurementEnergy",
-    "GramEnergy",
     "conditional_term_gradient",
     "guidance_gradient_norm",
 ]
@@ -37,30 +36,25 @@ __all__ = [
 class Condition:
     """The c an energy compares against.
 
-    Exactly one payload is populated: a target point y, a measurement
-    pair (A, y), or a reference feature matrix.
+    It carries a target point y, or a measurement pair (A, y).
     """
 
     kind: str
     y: np.ndarray | None = None
     A: np.ndarray | None = None
-    features: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "target":
-            if self.y is None or self.A is not None or self.features is not None:
+            if self.y is None or self.A is not None:
                 raise ValueError("target condition carries y only")
         elif self.kind == "measurement":
-            if self.y is None or self.A is None or self.features is not None:
+            if self.y is None or self.A is None:
                 raise ValueError("measurement condition carries A and y")
             if np.atleast_2d(self.A).shape[0] != np.atleast_1d(self.y).size:
                 raise ValueError("measurement rows of A must match the length of y")
-        elif self.kind == "features":
-            if self.features is None or self.y is not None or self.A is not None:
-                raise ValueError("feature condition carries features only")
         else:
             raise ValueError(f"unknown condition kind {self.kind!r}")
-        for name in ("y", "A", "features"):
+        for name in ("y", "A"):
             value = getattr(self, name)
             if value is not None:
                 arr = np.array(value, dtype=np.float64)
@@ -78,10 +72,6 @@ class Condition:
             A=np.atleast_2d(np.asarray(A, dtype=np.float64)),
             y=np.atleast_1d(np.asarray(y, dtype=np.float64)),
         )
-
-    @classmethod
-    def reference_features(cls, features) -> "Condition":
-        return cls(kind="features", features=np.atleast_2d(np.asarray(features, dtype=np.float64)))
 
 
 class EnergyFunction(ABC):
@@ -157,57 +147,6 @@ class LinearMeasurementEnergy(EnergyFunction):
 
     def grad(self, x0_hat, c):
         return 2.0 * self._residual(x0_hat, c) @ c.A
-
-
-class GramEnergy(EnergyFunction):
-    """Squared Frobenius distance between second-moment (Gram) matrices.
-
-    The point is mapped to a k x n feature matrix F (by an optional
-    linear map, then a reshape) and compared to the reference features
-    through G = F F^T, which forgets any rotation of the feature rows.
-    """
-
-    def __init__(self, feature_shape: tuple[int, int], feature_matrix: np.ndarray | None = None):
-        k, n = feature_shape
-        if k < 1 or n < 1:
-            raise ValueError("feature_shape must be positive")
-        self.feature_shape = (int(k), int(n))
-        self.feature_matrix = (
-            None if feature_matrix is None else np.asarray(feature_matrix, dtype=np.float64)
-        )
-        if self.feature_matrix is not None and self.feature_matrix.shape[0] != k * n:
-            raise ValueError("feature_matrix must have k * n rows")
-
-    def _features(self, x0_hat):
-        k, n = self.feature_shape
-        x0_hat = np.asarray(x0_hat, dtype=np.float64)
-        mapped = x0_hat if self.feature_matrix is None else x0_hat @ self.feature_matrix.T
-        if mapped.shape[-1] != k * n:
-            raise ValueError(f"cannot reshape {mapped.shape[-1]} values into {k}x{n} features")
-        return mapped.reshape(*mapped.shape[:-1], k, n)
-
-    def _reference_gram(self, c):
-        if c.kind != "features":
-            raise ValueError(f"this energy expects a feature condition, got {c.kind!r}")
-        if c.features.shape != self.feature_shape:
-            raise ValueError(
-                f"reference features {c.features.shape} do not match {self.feature_shape}"
-            )
-        return c.features @ c.features.T
-
-    def value(self, x0_hat, c):
-        F = self._features(x0_hat)
-        D = F @ np.swapaxes(F, -1, -2) - self._reference_gram(c)
-        return np.sum(D * D, axis=(-2, -1))
-
-    def grad(self, x0_hat, c):
-        F = self._features(x0_hat)
-        D = F @ np.swapaxes(F, -1, -2) - self._reference_gram(c)
-        grad_F = 4.0 * (D @ F)
-        flat = grad_F.reshape(*grad_F.shape[:-2], -1)
-        if self.feature_matrix is not None:
-            flat = flat @ self.feature_matrix
-        return flat
 
 
 def conditional_term_gradient(

@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from ficd.schedule import NoiseSchedule, alpha_bar
-from ficd.scoremodel.base import ScoreModel, finite_diff_jacobian
+from ficd.schedule import NoiseSchedule, alpha_bar, check_step
+from ficd.scoremodel.base import ScoreModel
 
 __all__ = [
     "PosteriorPartStrategy",
@@ -66,28 +66,22 @@ def tweedie_posterior_mean(
     model: ScoreModel, schedule: NoiseSchedule, x: np.ndarray, t: int
 ) -> np.ndarray:
     """E[x_0 | x_t] via the score: (x + (1 - alpha_bar_t) s(x, t)) / sqrt(alpha_bar_t)."""
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
+    check_step(schedule, t)
     x = np.asarray(x, dtype=np.float64)
     return tweedie_from_score(x, model.score(x, t), alpha_bar(schedule, t))
 
 
 def fisher_information(model: ScoreModel, x: np.ndarray, t: int) -> FisherInfo:
-    """Score Jacobian at one point plus its spectral radius.
+    """The model's score Jacobian at one point plus its spectral radius.
 
-    Uses the model's exact Jacobian when it has one, otherwise the
-    central-difference oracle. The radius is the largest eigenvalue
-    magnitude; signs are deliberately dropped since the derivative of a
-    well-behaved score is negative-definite and the bound applies to
-    magnitudes.
+    The radius is the largest eigenvalue magnitude; signs are
+    deliberately dropped since the derivative of a well-behaved score is
+    negative-definite and the bound applies to magnitudes.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("fisher_information expects a single point of shape (d,)")
-    if model.has_analytic_jacobian:
-        J = model.jacobian(x, t)
-    else:
-        J = finite_diff_jacobian(model, x, t)
+    J = model.jacobian(x, t)
     if not np.all(np.isfinite(J)):
         raise ValueError(f"non-finite score derivative at t={t}")
     radius = float(np.max(np.abs(np.linalg.eigvals(J))))
@@ -96,8 +90,7 @@ def fisher_information(model: ScoreModel, x: np.ndarray, t: int) -> FisherInfo:
 
 def cramer_rao_bound(schedule: NoiseSchedule, t: int) -> float:
     """Schedule-only information ceiling 1 / (1 - alpha_bar_t)."""
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
+    check_step(schedule, t)
     abar = alpha_bar(schedule, t)
     if abar >= 1.0:
         raise ZeroDivisionError("bound undefined at alpha_bar_t = 1")
@@ -113,8 +106,7 @@ def posterior_jacobian_exact(
     Jacobian; (d, d) for a point, (N, d, d) for a batch. Intended for
     small-d verification; samplers use posterior_vjp_exact instead.
     """
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
+    check_step(schedule, t)
     abar = alpha_bar(schedule, t)
     x = np.asarray(x, dtype=np.float64)
     J = model.jacobian(x, t)
@@ -130,8 +122,7 @@ def posterior_vjp_exact(
     (1 / sqrt(alpha_bar_t)) (v + (1 - alpha_bar_t) J^T v) without
     materializing J, which is how the chain rule consumes it.
     """
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
+    check_step(schedule, t)
     abar = alpha_bar(schedule, t)
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -142,8 +133,7 @@ def posterior_coefficient(
     strategy: PosteriorPartStrategy, schedule: NoiseSchedule, t: int
 ) -> float:
     """Scalar stand-in at step t; the MPGD value reads alpha_bar at t - 1."""
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
+    check_step(schedule, t)
     if strategy is PosteriorPartStrategy.EXACT:
         raise ValueError("EXACT has no scalar coefficient; use posterior_vjp_exact")
     if strategy is PosteriorPartStrategy.FICD:

@@ -37,7 +37,7 @@ from ficd.posterior import (
     posterior_coefficient,
     tweedie_from_score,
 )
-from ficd.schedule import NoiseSchedule, alpha_bar
+from ficd.schedule import NoiseSchedule, alpha_bar, check_step
 
 __all__ = [
     "Discretization",
@@ -59,6 +59,9 @@ BLOCK_SIZE = 512
 # Byte budget of the noise window: it holds max(2, budget // (N d 8))
 # tape slots, so small runs still draw their whole tape at once.
 NOISE_WINDOW_BYTES = 32 * 2**20
+
+# Largest share of chains that may be flagged before sample() aborts.
+MAX_FLAGGED_SHARE = 0.01
 
 
 class Discretization(Enum):
@@ -186,8 +189,7 @@ def step(
     given, accrues per-chain "score_evals" and "jacobian_passes".
     """
     schedule: NoiseSchedule = model.schedule
-    if not 1 <= t <= schedule.T:
-        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
+    check_step(schedule, t)
     if counts is None:
         counts = {"score_evals": 0, "jacobian_passes": 0}
     beta = float(schedule.betas[t - 1])
@@ -295,7 +297,8 @@ def sample(
     time only. Noise is drawn window by window between steps, so memory
     is O(N d window), not O(N T d). A chain whose state stops being
     finite is flagged and its row reported as nan; the run aborts with
-    ChainFailureError when more than 1% of chains are flagged.
+    ChainFailureError when more than MAX_FLAGGED_SHARE (1%) of chains
+    are flagged.
     ``threads`` must be at least 1.
     """
     if threads < 1:
@@ -423,9 +426,10 @@ def sample(
             executor.shutdown(wait=True)
 
     trace.flagged_chains = np.flatnonzero(flagged)
-    if trace.flagged_chains.size > 0.01 * N:
+    if trace.flagged_chains.size > MAX_FLAGGED_SHARE * N:
         raise ChainFailureError(
-            f"{trace.flagged_chains.size} of {N} chains left the finite domain",
+            f"{trace.flagged_chains.size} of {N} chains left the finite domain"
+            f" (more than {MAX_FLAGGED_SHARE:.0%} tolerated)",
             trace.flagged_chains,
         )
     return x, trace

@@ -19,6 +19,7 @@ __all__ = [
     "linear_schedule",
     "cosine_schedule",
     "alpha_bar",
+    "check_step",
     "parse_key_value_text",
     "schedule_to_text",
     "schedule_from_text",
@@ -174,6 +175,12 @@ def alpha_bar(schedule: NoiseSchedule, t: int) -> float:
     if t == 0:
         return 1.0
     return float(schedule.alpha_bars[t - 1])
+
+
+def check_step(schedule: NoiseSchedule, t: int) -> None:
+    """Raise IndexError unless t is a reverse-step index, 1..T."""
+    if not 1 <= t <= schedule.T:
+        raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
 
 
 def parse_key_value_text(text: str) -> dict[str, str]:

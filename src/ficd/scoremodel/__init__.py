@@ -1,18 +1,11 @@
 """Score oracles: analytic Gaussian-mixture scores and a small learned net."""
 
-from ficd.scoremodel.base import (
-    ScoreModel,
-    eps_to_score,
-    finite_diff_jacobian,
-    score_to_eps,
-)
+from ficd.scoremodel.base import ScoreModel, eps_to_score, finite_diff_jacobian
 from ficd.scoremodel.gmm import (
     GaussianMixture,
     GaussianMixtureScore,
     marginal_mixture,
     mixture_logpdf,
-    mixture_score,
-    mixture_score_jacobian,
 )
 from ficd.scoremodel.mlp import (
     LearnedScoreModel,
@@ -27,14 +20,11 @@ from ficd.scoremodel.mlp import (
 __all__ = [
     "ScoreModel",
     "eps_to_score",
-    "score_to_eps",
     "finite_diff_jacobian",
     "GaussianMixture",
     "GaussianMixtureScore",
     "marginal_mixture",
     "mixture_logpdf",
-    "mixture_score",
-    "mixture_score_jacobian",
     "NetSpec",
     "LearnedScoreModel",
     "TrainingDivergedError",

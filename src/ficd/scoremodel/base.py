@@ -1,4 +1,4 @@
-"""Score-model interface, noise/score conversions, and the difference oracle."""
+"""Score-model interface, the noise-to-score conversion, and the difference oracle."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from ficd.schedule import NoiseSchedule, alpha_bar
 
-__all__ = ["ScoreModel", "eps_to_score", "score_to_eps", "finite_diff_jacobian"]
+__all__ = ["ScoreModel", "eps_to_score", "finite_diff_jacobian"]
 
 
 class ScoreModel(ABC):
@@ -21,11 +21,6 @@ class ScoreModel(ABC):
     of shape (N, d); the result matches the input shape. ``t`` is a
     step index in 1..T shared by the whole batch.
     """
-
-    #: True when jacobian() returns the exact derivative of score()
-    #: (closed form or exact reverse-mode), False when only the
-    #: finite-difference oracle applies.
-    has_analytic_jacobian: bool = False
 
     @property
     @abstractmethod
@@ -58,14 +53,6 @@ def eps_to_score(eps_pred: np.ndarray, schedule: NoiseSchedule, t: int) -> np.nd
     if abar >= 1.0:
         raise ZeroDivisionError("alpha_bar_t = 1 leaves no noise to invert")
     return -np.asarray(eps_pred) / math.sqrt(1.0 - abar)
-
-
-def score_to_eps(score: np.ndarray, schedule: NoiseSchedule, t: int) -> np.ndarray:
-    """Inverse of eps_to_score: -score * sqrt(1 - alpha_bar_t)."""
-    abar = alpha_bar(schedule, t)
-    if abar >= 1.0:
-        raise ZeroDivisionError("alpha_bar_t = 1 leaves no noise to invert")
-    return -np.asarray(score) * math.sqrt(1.0 - abar)
 
 
 def finite_diff_jacobian(

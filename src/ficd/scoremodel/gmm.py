@@ -10,12 +10,13 @@ reference models every approximation in the package is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
-from ficd.schedule import NoiseSchedule, alpha_bar
+from ficd.schedule import NoiseSchedule, alpha_bar, check_step
 from ficd.scoremodel.base import ScoreModel
 
 __all__ = [
@@ -23,9 +24,6 @@ __all__ = [
     "GaussianMixtureScore",
     "marginal_mixture",
     "mixture_logpdf",
-    "mixture_score",
-    "mixture_score_jacobian",
-    "mixture_score_vjp",
 ]
 
 
@@ -110,31 +108,48 @@ def marginal_mixture(gmm: GaussianMixture, abar: float) -> GaussianMixture:
     )
 
 
-def _responsibilities(mix: GaussianMixture, x: np.ndarray):
-    """Per-component responsibilities r (K, N), score terms g (K, N, d),
-    inverse covariances (K, d, d), and the mixture log-density (N,)."""
+class _Factored(NamedTuple):
+    """A mixture with every factorization done: evaluation only solves."""
+
+    log_weights: np.ndarray  # (K,)
+    means: np.ndarray  # (K, d)
+    cholesky: np.ndarray  # (K, d, d) lower factors
+    log_dets: np.ndarray  # (K,)
+    inv_covs: np.ndarray  # (K, d, d), read by the Jacobian and its action
+
+
+def _factor(mix: GaussianMixture) -> _Factored:
     K, d = mix.K, mix.d
+    cholesky = np.empty((K, d, d))
+    log_dets = np.empty(K)
+    inv_covs = np.empty((K, d, d))
+    for i in range(K):
+        cholesky[i] = cho_factor(mix.covariances[i], lower=True)[0]
+        log_dets[i] = 2.0 * float(np.sum(np.log(np.diag(cholesky[i]))))
+        inv_covs[i] = cho_solve((cholesky[i], True), np.eye(d))
+    log_weights = np.log(np.maximum(mix.weights, 1e-300))
+    return _Factored(log_weights, mix.means, cholesky, log_dets, inv_covs)
+
+
+def _responsibilities(factored: _Factored, x: np.ndarray):
+    """Per-component responsibilities r (K, N), score terms g (K, N, d),
+    and the mixture log-density (N,)."""
+    K, d = factored.means.shape
     N = x.shape[0]
     g = np.empty((K, N, d))
     log_joint = np.empty((K, N))
-    inv_covs = np.empty((K, d, d))
-    log_w = np.log(np.maximum(mix.weights, 1e-300))
     for i in range(K):
-        try:
-            factor = cho_factor(mix.covariances[i], lower=True)
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(f"component {i} covariance is singular") from None
-        diff = x - mix.means[i]
+        diff = x - factored.means[i]
         # check_finite off so nan rows (flagged chains) pass through as nan.
-        solved = cho_solve(factor, diff.T, check_finite=False).T
+        solved = cho_solve((factored.cholesky[i], True), diff.T, check_finite=False).T
         g[i] = -solved
-        log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
         quad = np.einsum("nj,nj->n", diff, solved)
-        log_joint[i] = log_w[i] - 0.5 * (quad + log_det + d * np.log(2.0 * np.pi))
-        inv_covs[i] = cho_solve(factor, np.eye(d))
+        log_joint[i] = factored.log_weights[i] - 0.5 * (
+            quad + factored.log_dets[i] + d * np.log(2.0 * np.pi)
+        )
     log_norm = logsumexp(log_joint, axis=0)
     r = np.exp(log_joint - log_norm)
-    return r, g, inv_covs, log_norm
+    return r, g, log_norm
 
 
 def _as_batch(x: np.ndarray, d: int):
@@ -150,73 +165,68 @@ def _as_batch(x: np.ndarray, d: int):
 
 def mixture_logpdf(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
     x, single = _as_batch(x, mix.d)
-    _, _, _, log_norm = _responsibilities(mix, x)
+    _, _, log_norm = _responsibilities(_factor(mix), x)
     return float(log_norm[0]) if single else log_norm
 
 
-def mixture_score(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
-    """Gradient of log density: sum_i r_i(x) g_i(x) with g_i = -Sigma_i^{-1}(x - mu_i)."""
-    x, single = _as_batch(x, mix.d)
-    r, g, _, _ = _responsibilities(mix, x)
-    s = np.einsum("kn,knd->nd", r, g)
-    return s[0] if single else s
-
-
-def mixture_score_jacobian(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
-    """Second derivative of log density.
-
-    sum_i r_i (-Sigma_i^{-1}) plus the responsibility-weighted covariance
-    of the g_i vectors, which is sum_i r_i g_i g_i^T - s s^T. Symmetric by
-    construction.
-    """
-    x, single = _as_batch(x, mix.d)
-    r, g, inv_covs, _ = _responsibilities(mix, x)
-    s = np.einsum("kn,knd->nd", r, g)
-    J = -np.einsum("kn,kde->nde", r, inv_covs)
-    J += np.einsum("kn,knd,kne->nde", r, g, g)
-    J -= np.einsum("nd,ne->nde", s, s)
-    return J[0] if single else J
-
-
-def mixture_score_vjp(mix: GaussianMixture, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Jacobian-vector product J v without forming J (J is symmetric here)."""
-    x, single = _as_batch(x, mix.d)
-    v, _ = _as_batch(v, mix.d)
-    if v.shape[0] == 1 and x.shape[0] > 1:
-        v = np.broadcast_to(v, x.shape)
-    r, g, inv_covs, _ = _responsibilities(mix, x)
-    s = np.einsum("kn,knd->nd", r, g)
-    out = -np.einsum("kn,kde,ne->nd", r, inv_covs, v)
-    out += np.einsum("kn,knd,kne,ne->nd", r, g, g, v)
-    out -= s * np.einsum("nd,nd->n", s, v)[:, None]
-    return out[0] if single else out
-
-
 class GaussianMixtureScore(ScoreModel):
-    """ScoreModel adapter over the closed-form mixture score."""
+    """Closed-form score of a mixture prior under the forward noising process.
 
-    has_analytic_jacobian = True
+    Construction factors the marginal of every step 1..T once: Cholesky
+    factors, log-determinants and inverse covariances, 2 T K d^2 floats.
+    Evaluation then runs triangular solves only.
+    """
 
     def __init__(self, gmm: GaussianMixture, schedule: NoiseSchedule):
         self.gmm = gmm
         self.schedule = schedule
+        self._factored = [
+            _factor(marginal_mixture(gmm, alpha_bar(schedule, t)))
+            for t in range(1, schedule.T + 1)
+        ]
 
     @property
     def dim(self) -> int:
         return self.gmm.d
 
-    def _marginal(self, t: int) -> GaussianMixture:
-        if not 1 <= t <= self.schedule.T:
-            raise IndexError(f"t must lie in 1..{self.schedule.T}, got {t}")
-        return marginal_mixture(self.gmm, alpha_bar(self.schedule, t))
+    def _at(self, t: int) -> _Factored:
+        check_step(self.schedule, t)
+        return self._factored[t - 1]
 
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
-        """Exact score of the noised marginal at step t."""
-        return mixture_score(self._marginal(t), x)
+        """Gradient of the step-t log density: sum_i r_i(x) g_i(x), g_i = -Sigma_i^{-1}(x - mu_i)."""
+        factored = self._at(t)
+        x, single = _as_batch(x, self.dim)
+        r, g, _ = _responsibilities(factored, x)
+        s = np.einsum("kn,knd->nd", r, g)
+        return s[0] if single else s
 
     def jacobian(self, x: np.ndarray, t: int) -> np.ndarray:
-        """Exact derivative of the noised-marginal score at step t."""
-        return mixture_score_jacobian(self._marginal(t), x)
+        """Second derivative of the step-t log density.
+
+        sum_i r_i (-Sigma_i^{-1}) plus the responsibility-weighted covariance
+        of the g_i vectors, which is sum_i r_i g_i g_i^T - s s^T. Symmetric by
+        construction.
+        """
+        factored = self._at(t)
+        x, single = _as_batch(x, self.dim)
+        r, g, _ = _responsibilities(factored, x)
+        s = np.einsum("kn,knd->nd", r, g)
+        J = -np.einsum("kn,kde->nde", r, factored.inv_covs)
+        J += np.einsum("kn,knd,kne->nde", r, g, g)
+        J -= np.einsum("nd,ne->nde", s, s)
+        return J[0] if single else J
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
-        return mixture_score_vjp(self._marginal(t), x, v)
+        """Jacobian-vector product J v without forming J (J is symmetric here)."""
+        factored = self._at(t)
+        x, single = _as_batch(x, self.dim)
+        v, _ = _as_batch(v, self.dim)
+        if v.shape[0] == 1 and x.shape[0] > 1:
+            v = np.broadcast_to(v, x.shape)
+        r, g, _ = _responsibilities(factored, x)
+        s = np.einsum("kn,knd->nd", r, g)
+        out = -np.einsum("kn,kde,ne->nd", r, factored.inv_covs, v)
+        out += np.einsum("kn,knd,kne,ne->nd", r, g, g, v)
+        out -= s * np.einsum("nd,nd->n", s, v)[:, None]
+        return out[0] if single else out

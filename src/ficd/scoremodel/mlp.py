@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ficd.schedule import NoiseSchedule, schedule_from_text, schedule_to_text
-from ficd.scoremodel.base import ScoreModel
+from ficd.schedule import NoiseSchedule, check_step, schedule_from_text, schedule_to_text
+from ficd.scoremodel.base import ScoreModel, eps_to_score
 
 __all__ = [
     "NetSpec",
@@ -72,8 +72,6 @@ class LearnedScoreModel(ScoreModel):
     concurrent evaluation. ``trained`` records whether any optimizer
     steps ran, and ``final_loss`` is the last minibatch objective.
     """
-
-    has_analytic_jacobian = True
 
     def __init__(
         self,
@@ -168,31 +166,30 @@ class LearnedScoreModel(ScoreModel):
         return eps[0] if np.asarray(x).ndim == 1 else eps
 
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
-        abar = float(self.schedule.alpha_bars[t - 1])
-        return -self.eps_pred(x, t) / math.sqrt(1.0 - abar)
+        check_step(self.schedule, t)
+        return eps_to_score(self.eps_pred(x, t), self.schedule, t)
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
+        check_step(self.schedule, t)
         single = np.asarray(x).ndim == 1
         x2d = np.atleast_2d(np.asarray(x, dtype=np.float64))
         v2d = np.atleast_2d(np.asarray(v, dtype=np.float64))
         _, cache = self._forward(x2d, t)
-        pulled = self._backward_input(cache, v2d)
-        abar = float(self.schedule.alpha_bars[t - 1])
-        out = -pulled / math.sqrt(1.0 - abar)
+        out = eps_to_score(self._backward_input(cache, v2d), self.schedule, t)
         return out[0] if single else out
 
     def jacobian(self, x: np.ndarray, t: int) -> np.ndarray:
         """Exact input Jacobian of the score, one pullback per output row."""
+        check_step(self.schedule, t)
         single = np.asarray(x).ndim == 1
         x2d = np.atleast_2d(np.asarray(x, dtype=np.float64))
         N, d = x2d.shape
         _, cache = self._forward(x2d, t)
-        abar = float(self.schedule.alpha_bars[t - 1])
         J = np.empty((N, d, d))
         for i in range(d):
             unit = np.zeros((N, d))
             unit[:, i] = 1.0
-            J[:, i, :] = -self._backward_input(cache, unit) / math.sqrt(1.0 - abar)
+            J[:, i, :] = eps_to_score(self._backward_input(cache, unit), self.schedule, t)
         return J[0] if single else J
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from ficd.schedule import NoiseSchedule, linear_schedule
@@ -11,9 +13,8 @@ from ficd.scoremodel import (
     finite_diff_jacobian,
     marginal_mixture,
     mixture_logpdf,
-    mixture_score,
-    mixture_score_jacobian,
 )
+from ficd.scoremodel import gmm as gmm_module
 
 
 def single_gaussian(var=1.0, d=2):
@@ -95,15 +96,68 @@ def test_jacobian_symmetric_and_matches_central_differences():
         assert rel < 1e-5
 
 
-def test_vjp_agrees_with_materialized_jacobian():
-    rng = np.random.default_rng(19)
-    sched = linear_schedule(100)
-    gmm = bimodal(d=3, sep=1.5, var=0.7)
-    x = rng.normal(size=(6, 3)) * 2.0
-    v = rng.normal(size=(6, 3))
-    model = GaussianMixtureScore(gmm, sched)
-    direct = np.einsum("nij,nj->ni", model.jacobian(x, 42), v)
-    np.testing.assert_allclose(model.score_vjp(x, 42, v), direct, rtol=1e-10, atol=1e-12)
+def random_mixture(rng, K, d):
+    """K components with random weights, means and full SPD covariances."""
+    A = rng.normal(size=(K, d, d))
+    covs = A @ np.swapaxes(A, 1, 2) + 0.3 * np.eye(d)
+    return GaussianMixture(
+        weights=rng.dirichlet(np.ones(K)),
+        means=rng.normal(size=(K, d)) * 1.5,
+        covariances=0.5 * (covs + np.swapaxes(covs, 1, 2)),
+    )
+
+
+SCHED_100 = linear_schedule(100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(min_value=1, max_value=3),
+    d=st.integers(min_value=1, max_value=4),
+    t=st.integers(min_value=1, max_value=100),
+    shape=st.sampled_from(["point", "batch", "broadcast v"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_vjp_agrees_with_materialized_jacobian(K, d, t, shape, seed):
+    rng = np.random.default_rng(seed)
+    model = GaussianMixtureScore(random_mixture(rng, K, d), SCHED_100)
+    x = rng.normal(size=d if shape == "point" else (5, d)) * 2.0
+    v = rng.normal(size=(5, d) if shape == "batch" else d)
+    J = model.jacobian(x, t)
+    direct = np.einsum("...ij,...i->...j", J, v)
+    got = model.score_vjp(x, t, v)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, direct, rtol=1e-10, atol=1e-10)
+
+
+def test_evaluation_factors_nothing(monkeypatch):
+    # Every step's marginal is factored at construction; evaluating the
+    # score, its Jacobian or its pullback must not factor or rebuild one.
+    calls = {"cho_factor": 0, "GaussianMixture": 0}
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    gmm = random_mixture(np.random.default_rng(29), 3, 2)
+    model = GaussianMixtureScore(gmm, SCHED_100)
+    monkeypatch.setattr(gmm_module, "cho_factor", counted("cho_factor", gmm_module.cho_factor))
+    monkeypatch.setattr(
+        gmm_module, "GaussianMixture", counted("GaussianMixture", gmm_module.GaussianMixture)
+    )
+    x = np.random.default_rng(30).normal(size=(5, 2))
+    mixture_logpdf(marginal_mixture(gmm, 0.5), x)
+    assert calls == {"cho_factor": 3, "GaussianMixture": 1}  # the counters see work
+    calls.update(cho_factor=0, GaussianMixture=0)
+    for t in (1, 50, 100):
+        model.score(x, t)
+        model.score(x[0], t)
+        model.jacobian(x, t)
+        model.score_vjp(x, t, x)
+    assert calls == {"cho_factor": 0, "GaussianMixture": 0}
 
 
 def test_batched_and_single_point_paths_agree():
@@ -130,7 +184,8 @@ def test_logpdf_matches_scipy_reference():
 
 def test_score_is_gradient_of_logpdf():
     gmm = bimodal(sep=1.3, var=0.6)
-    mix = marginal_mixture(gmm, 0.6)
+    sched = NoiseSchedule.from_betas([0.4])
+    mix = marginal_mixture(gmm, float(sched.alpha_bars[0]))
     x = np.array([0.9, -0.4])
     h = 1e-6
     grad = np.empty(2)
@@ -138,7 +193,7 @@ def test_score_is_gradient_of_logpdf():
         e = np.zeros(2)
         e[j] = h
         grad[j] = (mixture_logpdf(mix, x + e) - mixture_logpdf(mix, x - e)) / (2 * h)
-    np.testing.assert_allclose(mixture_score(mix, x), grad, atol=1e-8)
+    np.testing.assert_allclose(GaussianMixtureScore(gmm, sched).score(x, 1), grad, atol=1e-8)
 
 
 def test_far_tail_responsibilities_stay_finite():

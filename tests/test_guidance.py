@@ -7,7 +7,6 @@ from ficd.guidance import (
     Condition,
     DistanceEnergy,
     EnergyFunction,
-    GramEnergy,
     LinearMeasurementEnergy,
     QuadraticEnergy,
     conditional_term_gradient,
@@ -36,7 +35,6 @@ def quadratic_term(strategy, model, sched, x, t, c, lam=1.0):
 
 
 class ZeroScore(ScoreModel):
-    has_analytic_jacobian = True
     dim = 2
 
     def score(self, x, t):
@@ -96,35 +94,12 @@ def test_linear_measurement_gradient_matches_differences():
         np.testing.assert_allclose(e.grad(x, c), fd_grad(e, x, c), atol=1e-8)
 
 
-def test_gram_energy_matches_and_rotation_invariance():
-    e = GramEnergy(feature_shape=(1, 2))
-    same = Condition.reference_features([[0.5, -1.5]])
-    assert e.value(np.array([0.5, -1.5]), same) == 0.0
-    # (1, 0) and (0, 1) share the Gram value 1, so the energy vanishes.
-    rotated = Condition.reference_features([[0.0, 1.0]])
-    assert e.value(np.array([1.0, 0.0]), rotated) == 0.0
-    np.testing.assert_array_equal(e.grad(np.array([1.0, 0.0]), rotated), [0.0, 0.0])
-
-
-def test_gram_energy_with_linear_feature_map_matches_differences():
-    rng = np.random.default_rng(2)
-    M = rng.normal(size=(4, 3))  # 3-d point to 2x2 features
-    e = GramEnergy(feature_shape=(2, 2), feature_matrix=M)
-    c = Condition.reference_features(rng.normal(size=(2, 2)))
-    for _ in range(10):
-        x = rng.normal(size=3)
-        grad = e.grad(x, c)
-        fd = fd_grad(e, x, c)
-        assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-6
-
-
 def test_all_energy_gradients_match_differences_on_random_points():
     rng = np.random.default_rng(3)
     cases = [
         (QuadraticEnergy(), Condition.target(rng.normal(size=2)), 2),
         (DistanceEnergy(), Condition.target(rng.normal(size=2)), 2),
         (LinearMeasurementEnergy(), Condition.measurement(rng.normal(size=(3, 2)), rng.normal(size=3)), 2),
-        (GramEnergy((1, 2)), Condition.reference_features(rng.normal(size=(1, 2))), 2),
     ]
     for energy, c, d in cases:
         for _ in range(25):

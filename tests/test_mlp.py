@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ficd.schedule import linear_schedule
 from ficd.scoremodel import (
@@ -12,7 +14,6 @@ from ficd.scoremodel import (
     finite_diff_jacobian,
     load_model,
     save_model,
-    score_to_eps,
     sinusoidal_time_embedding,
     train_dsm,
 )
@@ -38,8 +39,8 @@ def test_eps_score_conversions_round_trip():
     eps = np.array([1.0, 0.0])
     sched = linear_schedule(10, 0.25, 0.25)  # alpha_bar_1 = 0.75
     np.testing.assert_array_equal(eps_to_score(eps, sched, 1), [-2.0, 0.0])
-    back = score_to_eps(eps_to_score(eps, sched, 3), sched, 3)
-    np.testing.assert_allclose(back, eps, rtol=1e-15)
+    abar_3 = float(sched.alpha_bars[2])
+    np.testing.assert_allclose(eps_to_score(eps, sched, 3), -eps / np.sqrt(1.0 - abar_3), rtol=1e-15)
 
 
 def test_untrained_model_is_flagged():
@@ -66,16 +67,30 @@ def test_jacobian_matches_central_differences():
         J = model.jacobian(x, t)
         fd = finite_diff_jacobian(model, x, t)
         assert np.linalg.norm(J - fd) / np.linalg.norm(fd) < 1e-5
+    # Steps outside 1..T have no alpha_bar; -1 must not wrap to alpha_bar_T.
+    for t in (0, -1, SCHED.T + 1):
+        for call in (model.score, model.jacobian, lambda x, t: model.score_vjp(x, t, x)):
+            with pytest.raises(IndexError):
+                call(x, t)
 
 
-def test_vjp_is_transpose_jacobian_action():
-    model = fresh_model(seed=6)
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(4, 2))
-    v = rng.normal(size=(4, 2))
-    J = model.jacobian(x, 50)
-    expected = np.einsum("nij,ni->nj", J, v)
-    np.testing.assert_allclose(model.score_vjp(x, 50, v), expected, rtol=1e-12, atol=1e-14)
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=4),
+    t=st.integers(min_value=1, max_value=SCHED.T),
+    shape=st.sampled_from(["point", "batch", "broadcast v"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_vjp_is_transpose_jacobian_action(d, t, shape, seed):
+    model = fresh_model(seed=seed, d=d)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=d if shape == "point" else (4, d))
+    v = rng.normal(size=(4, d) if shape == "batch" else d)
+    J = model.jacobian(x, t)
+    expected = np.einsum("...ij,...i->...j", J, v)
+    got = model.score_vjp(x, t, v)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_training_is_deterministic_given_seed():

@@ -26,8 +26,6 @@ EXACT, FICD, MPGD, UNIT = (
 
 
 class ZeroScore(ScoreModel):
-    has_analytic_jacobian = True
-
     def __init__(self, d=2):
         self._d = d
 
@@ -42,15 +40,6 @@ class ZeroScore(ScoreModel):
         if x.ndim == 1:
             return np.zeros((self._d, self._d))
         return np.zeros((len(x), self._d, self._d))
-
-
-class LinearScore(ScoreModel):
-    """score(x) = -x, with the Jacobian left to finite differences."""
-
-    dim = 2
-
-    def score(self, x, t):
-        return -x
 
 
 def gaussian_model(var, sched, d=2):
@@ -111,11 +100,6 @@ def test_fisher_information_half_variance_closed_form():
     assert info.spectral_radius == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
-def test_fisher_information_finite_difference_fallback():
-    info = fisher_information(LinearScore(), np.array([0.7, 0.2]), 1)
-    np.testing.assert_allclose(info.matrix, -np.eye(2), atol=1e-9)
-
-
 def test_fisher_information_rejects_non_finite():
     class BadScore(ScoreModel):
         dim = 2
@@ -123,7 +107,10 @@ def test_fisher_information_rejects_non_finite():
         def score(self, x, t):
             return np.full_like(x, np.nan)
 
-    with pytest.raises(ValueError):
+        def jacobian(self, x, t):
+            return np.full((2, 2), np.nan)
+
+    with pytest.raises(ValueError, match="non-finite score derivative"):
         fisher_information(BadScore(), np.zeros(2), 1)
 
 
