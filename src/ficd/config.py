@@ -174,11 +174,16 @@ def resolve_rho(
 
     Three syntaxes: a plain float, a comma list of length T, or
     ``matched[:gain]``. The matched form sets the step size that makes
-    the guided chain track the conjugate-Gaussian posterior exactly for
-    a unit-variance prior, scaled per strategy so all strategies land on
-    the same effective update there. ``noise_var`` is the measurement
-    noise the match assumes; for non-linear energies the caller passes
-    1 / (2 lam), which identifies lam with a Gaussian likelihood weight.
+    the guided chain track the conjugate-Gaussian posterior of a
+    unit-variance prior to first order in beta, scaled per strategy so
+    all strategies land on the same effective update there. The rule
+    beta sigma^2 / (sigma^2 + 1 - alpha_bar) is not exact in discrete
+    time: with d = 16, A = I, y = 1 and noise variance 1 (posterior mean
+    0.5) 2048 chains end at a mean of 0.456 per coordinate at T = 200 and
+    0.508 at T = 1000, alike for ficd, exact and mpgd. ``noise_var`` is
+    the measurement noise the match assumes; for non-linear energies the
+    caller passes 1 / (2 lam), which identifies lam with a Gaussian
+    likelihood weight.
     """
     spec = spec.strip()
     if spec.startswith("matched"):

@@ -5,6 +5,10 @@ means sqrt(alpha_bar_t) mu_i and covariances
 alpha_bar_t Sigma_i + (1 - alpha_bar_t) I, so the score and its
 derivative are available exactly at every noise level. These are the
 reference models every approximation in the package is checked against.
+
+Evaluation is arithmetic only: each step's marginal is factored once,
+the solves call LAPACK potrs directly, and a one-component mixture
+skips the log-sum-exp normalizer, whose value it has in closed form.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 from scipy.special import logsumexp
 
 from ficd.schedule import NoiseSchedule, alpha_bar, check_step
@@ -118,6 +123,19 @@ class _Factored(NamedTuple):
     inv_covs: np.ndarray  # (K, d, d), read by the Jacobian and its action
 
 
+def _solve(cholesky: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = b for a lower Cholesky factor L.
+
+    LAPACK potrs with the arguments ``cho_solve`` passes it, without that
+    wrapper's batching and checks: no finiteness check, so nan rows
+    (flagged chains) pass through as nan.
+    """
+    x, info = dpotrs(cholesky, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
 def _factor(mix: GaussianMixture) -> _Factored:
     K, d = mix.K, mix.d
     cholesky = np.empty((K, d, d))
@@ -126,7 +144,7 @@ def _factor(mix: GaussianMixture) -> _Factored:
     for i in range(K):
         cholesky[i] = cho_factor(mix.covariances[i], lower=True)[0]
         log_dets[i] = 2.0 * float(np.sum(np.log(np.diag(cholesky[i]))))
-        inv_covs[i] = cho_solve((cholesky[i], True), np.eye(d))
+        inv_covs[i] = _solve(cholesky[i], np.eye(d))
     log_weights = np.log(np.maximum(mix.weights, 1e-300))
     return _Factored(log_weights, mix.means, cholesky, log_dets, inv_covs)
 
@@ -140,14 +158,20 @@ def _responsibilities(factored: _Factored, x: np.ndarray):
     log_joint = np.empty((K, N))
     for i in range(K):
         diff = x - factored.means[i]
-        # check_finite off so nan rows (flagged chains) pass through as nan.
-        solved = cho_solve((factored.cholesky[i], True), diff.T, check_finite=False).T
+        solved = _solve(factored.cholesky[i], diff.T).T
         g[i] = -solved
         quad = np.einsum("nj,nj->n", diff, solved)
         log_joint[i] = factored.log_weights[i] - 0.5 * (
             quad + factored.log_dets[i] + d * np.log(2.0 * np.pi)
         )
-    log_norm = logsumexp(log_joint, axis=0)
+    if K == 1:
+        # logsumexp over one term, in closed form with the same bits: a + 0.0
+        # where finite, log(exp(a)) for +-inf and nan rows.
+        a = log_joint[0]
+        with np.errstate(divide="ignore", over="ignore"):
+            log_norm = np.where(np.isfinite(a), a + 0.0, np.log(np.exp(a)))
+    else:
+        log_norm = logsumexp(log_joint, axis=0)
     r = np.exp(log_joint - log_norm)
     return r, g, log_norm
 
@@ -174,7 +198,9 @@ class GaussianMixtureScore(ScoreModel):
 
     Construction factors the marginal of every step 1..T once: Cholesky
     factors, log-determinants and inverse covariances, 2 T K d^2 floats.
-    Evaluation then runs triangular solves only.
+    Evaluation then runs triangular solves only. With K = 1 the
+    normalizer is the component's own log density, equal bit for bit to
+    what logsumexp returns, nan and inf rows of flagged chains included.
     """
 
     def __init__(self, gmm: GaussianMixture, schedule: NoiseSchedule):

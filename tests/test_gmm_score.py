@@ -1,9 +1,14 @@
 """Closed-form mixture scores, their derivatives, and the difference oracle."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from ficd.schedule import NoiseSchedule, linear_schedule
@@ -130,23 +135,25 @@ def test_vjp_agrees_with_materialized_jacobian(K, d, t, shape, seed):
     np.testing.assert_allclose(got, direct, rtol=1e-10, atol=1e-10)
 
 
+def counted(calls, name, inner):
+    """inner, counting each call in calls[name]."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+
+    return wrapper
+
+
 def test_evaluation_factors_nothing(monkeypatch):
     # Every step's marginal is factored at construction; evaluating the
     # score, its Jacobian or its pullback must not factor or rebuild one.
     calls = {"cho_factor": 0, "GaussianMixture": 0}
-
-    def counted(name, inner):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        return wrapper
-
     gmm = random_mixture(np.random.default_rng(29), 3, 2)
     model = GaussianMixtureScore(gmm, SCHED_100)
-    monkeypatch.setattr(gmm_module, "cho_factor", counted("cho_factor", gmm_module.cho_factor))
+    monkeypatch.setattr(gmm_module, "cho_factor", counted(calls, "cho_factor", gmm_module.cho_factor))
     monkeypatch.setattr(
-        gmm_module, "GaussianMixture", counted("GaussianMixture", gmm_module.GaussianMixture)
+        gmm_module, "GaussianMixture", counted(calls, "GaussianMixture", gmm_module.GaussianMixture)
     )
     x = np.random.default_rng(30).normal(size=(5, 2))
     mixture_logpdf(marginal_mixture(gmm, 0.5), x)
@@ -158,6 +165,101 @@ def test_evaluation_factors_nothing(monkeypatch):
         model.jacobian(x, t)
         model.score_vjp(x, t, x)
     assert calls == {"cho_factor": 0, "GaussianMixture": 0}
+
+
+def test_one_component_skips_logsumexp(monkeypatch):
+    # One component needs no normalizer call, and no evaluation goes through
+    # the cho_solve wrapper: the solves call LAPACK directly.
+    calls = {"logsumexp": 0, "cho_solve": 0}
+    monkeypatch.setattr(gmm_module, "logsumexp", counted(calls, "logsumexp", logsumexp))
+    monkeypatch.setattr(
+        gmm_module, "cho_solve", counted(calls, "cho_solve", cho_solve), raising=False
+    )
+    x = np.random.default_rng(31).normal(size=(5, 2))
+    for K, per_evaluation in ((1, 0), (2, 1)):
+        model = GaussianMixtureScore(random_mixture(np.random.default_rng(32), K, 2), SCHED_100)
+        calls.update(logsumexp=0, cho_solve=0)
+        for t in (1, 50, 100):
+            model.score(x, t)
+            model.jacobian(x, t)
+            model.score_vjp(x, t, x)
+        assert calls == {"logsumexp": 9 * per_evaluation, "cho_solve": 0}, K
+
+
+def test_solve_reports_lapack_errors(monkeypatch):
+    L = np.linalg.cholesky(2.0 * np.eye(3))
+    b = np.arange(12.0).reshape(3, 4)
+    np.testing.assert_allclose(gmm_module._solve(L, b), 0.5 * b, rtol=1e-15)
+    # A factor that is not square is refused before LAPACK runs ...
+    with pytest.raises(Exception, match=r"shape\(c,0\)==shape\(c,1\)"):
+        gmm_module._solve(np.ones((3, 2)), b)
+    # ... so potrs's own report of an illegal argument comes from a stand-in.
+    monkeypatch.setattr(gmm_module, "dpotrs", lambda c, b, lower: (b, -5))
+    with pytest.raises(ValueError, match="illegal value in 5th argument of internal potrs"):
+        gmm_module._solve(L, b)
+
+
+def reference_responsibilities(factored, x):
+    """The evaluation as it was before the direct solve and the one-component
+    closed form: cho_solve and logsumexp for every K."""
+    K, d = factored.means.shape
+    N = x.shape[0]
+    g = np.empty((K, N, d))
+    log_joint = np.empty((K, N))
+    for i in range(K):
+        diff = x - factored.means[i]
+        solved = cho_solve((factored.cholesky[i], True), diff.T, check_finite=False).T
+        g[i] = -solved
+        quad = np.einsum("nj,nj->n", diff, solved)
+        log_joint[i] = factored.log_weights[i] - 0.5 * (
+            quad + factored.log_dets[i] + d * np.log(2.0 * np.pi)
+        )
+    log_norm = logsumexp(log_joint, axis=0)
+    r = np.exp(log_joint - log_norm)
+    return r, g, log_norm
+
+
+EDGE_VALUES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "1e200": 1e200, "-1e200": -1e200}
+
+
+def evaluate_all(model, x, t, v):
+    """score, jacobian and score_vjp at (x, t), with the warnings they raise."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = [model.score(x, t), model.jacobian(x, t), model.score_vjp(x, t, v)]
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(min_value=1, max_value=3),
+    d=st.integers(min_value=1, max_value=4),
+    t=st.integers(min_value=1, max_value=100),
+    rows=st.lists(
+        st.tuples(st.sampled_from(["finite", *EDGE_VALUES]), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_direct_solve_and_closed_form_keep_every_bit(K, d, t, rows, seed):
+    rng = np.random.default_rng(seed)
+    model = GaussianMixtureScore(random_mixture(rng, K, d), SCHED_100)
+    x = rng.normal(size=(len(rows), d)) * 2.0
+    for n, (kind, whole_row) in enumerate(rows):
+        if kind != "finite":
+            x[n, slice(None) if whole_row else int(rng.integers(d))] = EDGE_VALUES[kind]
+    v = rng.normal(size=x.shape)
+    got, got_warnings = evaluate_all(model, x, t, v)
+    with mock.patch.object(gmm_module, "_responsibilities", reference_responsibilities):
+        want, want_warnings = evaluate_all(model, x, t, v)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()  # nan payloads count
+    assert got_warnings == want_warnings
+    factored = model._factored[t - 1]
+    for i in range(K):
+        inv = cho_solve((factored.cholesky[i], True), np.eye(d))
+        assert factored.inv_covs[i].tobytes() == inv.tobytes()
 
 
 def test_batched_and_single_point_paths_agree():

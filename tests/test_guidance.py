@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ficd.guidance import (
     Condition,
@@ -43,6 +45,20 @@ class ZeroScore(ScoreModel):
     def jacobian(self, x, t):
         shape = (2, 2) if x.ndim == 1 else (len(x), 2, 2)
         return np.zeros(shape)
+
+
+class CeilingScore(ZeroScore):
+    """Zero score whose derivative is the information ceiling I / (1 - abar)."""
+
+    def __init__(self, abar, dim=2):
+        self.abar = abar
+        self.dim = dim
+
+    def jacobian(self, x, t):
+        return np.eye(self.dim) / (1.0 - self.abar)
+
+
+SCHED_50 = linear_schedule(50)
 
 
 def fd_grad(energy, x, c, h=1e-6):
@@ -153,13 +169,6 @@ def test_conditional_gradient_exact_gaussian():
 
 
 def test_exact_equals_ficd_at_information_ceiling():
-    class CeilingScore(ZeroScore):
-        def __init__(self, abar):
-            self.abar = abar
-
-        def jacobian(self, x, t):
-            return np.eye(2) / (1.0 - self.abar)
-
     abar = 0.75
     sched = NoiseSchedule.from_betas([1.0 - abar])
     x = np.array([0.3, 0.9])
@@ -167,6 +176,39 @@ def test_exact_equals_ficd_at_information_ceiling():
     exact = quadratic_term(EXACT, CeilingScore(abar), sched, x, 1, c)
     ficd = quadratic_term(FICD, CeilingScore(abar), sched, x, 1, c)
     np.testing.assert_array_equal(exact, ficd)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    var=st.floats(min_value=0.1, max_value=10.0),
+    d=st.integers(min_value=1, max_value=4),
+    t=st.integers(min_value=1, max_value=50),
+    lam=st.floats(min_value=1e-2, max_value=1e2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_exact_is_ficd_with_the_gaussian_information_for_the_ceiling(var, d, t, lam, seed):
+    # FICD is the exact pullback (v + (1 - abar) J v) / sqrt(abar) with J set
+    # to the information ceiling I / (1 - abar). One Gaussian N(mu, var I)
+    # has J = j I, j = -1 / (abar var + 1 - abar), so its exact term is FICD's
+    # times (1 + (1 - abar) j) / 2; a derivative at the ceiling gives FICD.
+    rng = np.random.default_rng(seed)
+    abar = float(SCHED_50.alpha_bars[t - 1])
+    gaussian = GaussianMixture.isotropic([1.0], [rng.normal(size=d)], [var])
+    model = GaussianMixtureScore(gaussian, SCHED_50)
+    x = rng.normal(size=(4, d)) * 2.0
+    c = Condition.target(rng.normal(size=d))
+    exact = quadratic_term(EXACT, model, SCHED_50, x, t, c, lam)
+    ficd = quadratic_term(FICD, model, SCHED_50, x, t, c, lam)
+    j = -1.0 / (abar * var + 1.0 - abar)
+    np.testing.assert_allclose(
+        exact, ficd * (1.0 + (1.0 - abar) * j) / 2.0, rtol=1e-10, atol=1e-10 * np.abs(ficd).max()
+    )
+    ceiling = CeilingScore(abar, d)
+    np.testing.assert_allclose(
+        quadratic_term(EXACT, ceiling, SCHED_50, x[0], t, c, lam),
+        quadratic_term(FICD, ceiling, SCHED_50, x[0], t, c, lam),
+        rtol=1e-14,
+    )
 
 
 def test_conditional_gradient_linear_in_lambda():
@@ -179,6 +221,31 @@ def test_conditional_gradient_linear_in_lambda():
         one = quadratic_term(strategy, model, sched, x, 20, c, lam=0.5)
         two = quadratic_term(strategy, model, sched, x, 20, c, lam=1.0)
         np.testing.assert_array_equal(2.0 * one, two)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    strategy=st.sampled_from([EXACT, FICD, MPGD, UNIT]),
+    K=st.integers(min_value=1, max_value=2),
+    t=st.integers(min_value=1, max_value=50),
+    lam=st.floats(min_value=1e-3, max_value=1e3),
+    k=st.integers(min_value=-4, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_conditional_term_is_linear_in_lambda(strategy, K, t, lam, k, seed):
+    # A power-of-two factor on lam commutes with every rounding on the way,
+    # so the term scales by it bit for bit; lam = 0 switches guidance off.
+    rng = np.random.default_rng(seed)
+    gmm = GaussianMixture.isotropic(
+        rng.dirichlet(np.ones(K)), rng.normal(size=(K, 3)), rng.uniform(0.2, 2.0, size=K)
+    )
+    model = GaussianMixtureScore(gmm, SCHED_50)
+    x = rng.normal(size=(4, 3)) * 2.0
+    c = Condition.target(rng.normal(size=3))
+    term = quadratic_term(strategy, model, SCHED_50, x, t, c, lam)
+    scaled = quadratic_term(strategy, model, SCHED_50, x, t, c, 2.0**k * lam)
+    np.testing.assert_array_equal(scaled, 2.0**k * term)
+    np.testing.assert_array_equal(quadratic_term(strategy, model, SCHED_50, x, t, c, 0.0), 0.0)
 
 
 def test_mpgd_to_ficd_norm_ratio():
