@@ -3,8 +3,8 @@
 Everything here is either an independent ground truth (conjugate
 posteriors, tilted mixtures, sliced Wasserstein) or a measurement
 harness over sampling runs (phase profiles, bound reports, timing
-tables). Oracles are pure functions; reports are plain dataclasses with
-a text rendering that states pass or fail per assertion.
+tables). Oracles are pure functions; reports are plain dataclasses that
+state pass or fail per assertion.
 """
 
 from __future__ import annotations
@@ -160,21 +160,6 @@ class BoundReport:
     @property
     def all_pass(self) -> bool:
         return bool(np.all(self.within))
-
-    def to_text(self) -> str:
-        lines = ["fisher-bound report"]
-        for t in np.unique(self.t):
-            mask = self.t == t
-            n_bad = int(np.sum(~self.within[mask]))
-            status = "PASS" if n_bad == 0 else f"FAIL ({n_bad} points)"
-            lines.append(
-                f"  t={int(t)}: max ratio {self.ratio[mask].max():.6f} {status}"
-            )
-        lines.append(
-            f"overall: {'PASS' if self.all_pass else 'FAIL'}"
-            f" (pass rate {self.pass_rate:.4f}, max ratio {self.ratio.max():.6f})"
-        )
-        return "\n".join(lines)
 
 
 def bound_verification(
@@ -360,6 +345,10 @@ class BenchmarkTable:
         return "\n".join(lines)
 
 
+def _strategy_name(strategy: PosteriorPartStrategy | None) -> str:
+    return "uncond" if strategy is None else strategy.value
+
+
 def benchmark_steps(
     model,
     strategies,
@@ -399,10 +388,9 @@ def benchmark_steps(
                 continue  # warm-up
             run_times.append(elapsed)
             step_times.append(float(np.median(trace.step_wall_time_s)))
-        name = strategy.value if strategy is not None else "uncond"
         rows.append(
             BenchmarkRow(
-                strategy=name,
+                strategy=_strategy_name(strategy),
                 median_run_s=float(np.median(run_times)),
                 median_step_s=float(np.median(step_times)),
                 score_evals_per_step=int(trace.score_evals[0]),

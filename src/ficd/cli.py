@@ -19,6 +19,8 @@ import warnings
 import numpy as np
 
 from ficd.analytics import (
+    _fmt,
+    _strategy_name,
     benchmark_steps,
     bound_verification,
     deviation_bound_check,
@@ -51,18 +53,10 @@ EXIT_RUNTIME = 3
 VERIFY_SUITES = ("tweedie", "jacobian-fd", "fisher-bound", "deviation-bound")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _out_path(config: ExperimentConfig, name: str) -> str:
     out_dir = config["out.dir"]
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
-
-
-def _strategy_name(strategy: PosteriorPartStrategy | None) -> str:
-    return "uncond" if strategy is None else strategy.value
 
 
 def _mean_grad_norm(trace: RunTrace) -> float:
@@ -360,7 +354,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named preset layer")
     parser.add_argument("--seed", type=int, help="root seed for every random draw")
     parser.add_argument("--out", help="output directory (default out)")
-    parser.add_argument("--threads", type=int, help="worker thread bound; results unchanged")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        help="upper bound on worker threads; the sampler runs its blocks on one",
+    )
     parser.add_argument(
         "--set",
         action="append",

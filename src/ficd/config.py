@@ -102,6 +102,16 @@ CONFIG_SCHEMA: dict[str, tuple[str, object]] = {
     "bench.rho": ("float", 0.05),
 }
 
+# Smallest value each of these integer keys accepts.
+_MINIMUMS = {
+    "threads": 1,
+    "train.data.count": 1,
+    "train.data.dim": 1,
+    "train.steps": 0,
+    "train.batch_size": 1,
+    "bench.repetitions": 1,
+}
+
 STRATEGY_NAMES = {
     "exact": PosteriorPartStrategy.EXACT,
     "ficd": PosteriorPartStrategy.FICD,
@@ -259,8 +269,9 @@ class ExperimentConfig:
                 if key not in CONFIG_SCHEMA:
                     raise ConfigError(f"unknown configuration key {key!r}")
                 merged[key] = _coerce(key, raw)
-        if merged["threads"] < 1:
-            raise ConfigError(f"threads must be >= 1, got {merged['threads']}")
+        for key, least in _MINIMUMS.items():
+            if merged[key] < least:
+                raise ConfigError(f"{key} must be >= {least}, got {merged[key]}")
         return cls(values=merged)
 
     def __getitem__(self, key: str) -> object:
@@ -425,8 +436,6 @@ class ExperimentConfig:
         """Materialize the training points named by the train.data.* keys."""
         kind = self["train.data.kind"]
         count = self["train.data.count"]
-        if count < 1:
-            raise ConfigError("train.data.count must be positive")
         if kind == "normal":
             return rng.standard_normal((count, self["train.data.dim"]))
         if kind == "gmm":

@@ -75,13 +75,7 @@ class Condition:
 
 
 class EnergyFunction(ABC):
-    """Non-negative differentiable mismatch between a denoised point and c.
-
-    ``lipschitz_bound`` is a global ceiling on the gradient norm when one
-    exists (None otherwise; callers estimate a per-run value instead).
-    """
-
-    lipschitz_bound: float | None = None
+    """Non-negative differentiable mismatch between a denoised point and c."""
 
     @abstractmethod
     def value(self, x0_hat: np.ndarray, c: Condition) -> float | np.ndarray: ...
@@ -115,8 +109,6 @@ class QuadraticEnergy(EnergyFunction):
 
 class DistanceEnergy(EnergyFunction):
     """Plain distance to a target point; its gradient is unit-norm away from y."""
-
-    lipschitz_bound = 1.0
 
     def value(self, x0_hat, c):
         diff = _target_diff(x0_hat, c)

@@ -1,11 +1,11 @@
 """Reverse-process sampling: plain, guided, DDIM, and time-travel loops.
 
-Chains are embarrassingly parallel. Every chain owns a counter-based
-random stream keyed by (seed, chain index), and the chain population is
-cut into fixed-size blocks that are processed as batches. The block
-partition and all reduction orders are independent of the worker-thread
-count, so a run is a pure function of its configuration. ``step`` is the
-one body of a reverse step; ``sample`` runs it over blocks and steps.
+Every chain owns a counter-based random stream keyed by (seed, chain
+index), and the chain population is cut into fixed-size blocks that run
+as batches, one after another on the calling thread. The block
+partition and every reduction order are fixed by the configuration, so
+a run is a pure function of it. ``step`` is the one body of a reverse
+step; ``sample`` runs it over blocks and steps.
 
 Noise is streamed: each chain's generator fills its rows of one
 reusable window of tape slots, refilled between steps, so a run holds
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -51,9 +50,8 @@ __all__ = [
     "sample",
 ]
 
-# Chains per batch block. Fixed (never derived from the thread count) so
-# that the arithmetic, and therefore the output, is identical no matter
-# how many workers execute the blocks.
+# Chains per batch block. Fixed, so the batch shapes, and with them the
+# bits of every chain, depend on the configuration alone.
 BLOCK_SIZE = 512
 
 # Byte budget of the noise window: it holds max(2, budget // (N d 8))
@@ -293,13 +291,14 @@ def sample(
 
     Returns (samples, trace) with samples of shape (n_chains, d). The
     output is a pure function of the configuration, model, energy, and
-    condition; the thread count and the noise window change the wall
-    time only. Noise is drawn window by window between steps, so memory
-    is O(N d window), not O(N T d). A chain whose state stops being
-    finite is flagged and its row reported as nan; the run aborts with
-    ChainFailureError when more than MAX_FLAGGED_SHARE (1%) of chains
-    are flagged.
-    ``threads`` must be at least 1.
+    condition; the noise window changes only the memory held. Blocks of
+    BLOCK_SIZE chains run in order on the calling thread. Noise is drawn
+    window by window between steps, so memory is O(N d window), not
+    O(N T d). A chain whose state stops being finite is flagged and its
+    row reported as nan; the run aborts with ChainFailureError when more
+    than MAX_FLAGGED_SHARE (1%) of chains are flagged.
+    ``threads`` is an upper bound on worker threads and must be at least
+    1; the sampler uses one, the calling thread.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -314,7 +313,6 @@ def sample(
     repeats, t_lo, t_hi = config.time_travel.resolve(config.T)
     entries, tape_len = _plan_entries(config.T, repeats, t_lo, t_hi)
 
-    blocks = [(lo, min(lo + BLOCK_SIZE, N)) for lo in range(0, N, BLOCK_SIZE)]
     capacity = min(tape_len, max(2, NOISE_WINDOW_BYTES // (N * d * 8)))
     windows = iter(_noise_windows(entries, capacity))
     rngs = [chain_rng(config.seed, ci) for ci in range(N)]
@@ -344,86 +342,68 @@ def sample(
         n_chains=N,
     )
 
-    def run_block(bi: int, t: int, renoise: bool, col: int, sigma_t: float):
-        lo, hi = blocks[bi]
-        xb = x[lo:hi]
+    for si, (t, renoise, slot) in enumerate(entries):
+        if slot >= end:
+            first, end = refill()
+        col = slot - first
         beta = float(schedule.betas[t - 1])
-        if renoise:
-            xb = math.sqrt(1.0 - beta) * xb + math.sqrt(beta) * window[lo:hi, col]
-            col += 1
-        noise = window[lo:hi, col]
-        if t == 1 and not config.final_noise:
-            noise = np.zeros_like(noise)
-        counts = {"score_evals": 0, "jacobian_passes": 0}
-        ok_before = ~flagged[lo:hi]
-        state_sum = xb[ok_before].sum(axis=0) if config.trace_fisher else None
-        y, cond_norms = step(
-            config.strategy, model, energy, xb, t, condition,
-            float(rho[t - 1]), config.lam, noise,
-            config.discretization, sigma_t, counts,
+        sigma_t = (
+            ddim_sigma(schedule, t, config.ddim_eta)
+            if config.discretization is Discretization.DDIM
+            else 0.0
         )
-        ok_now = np.all(np.isfinite(y), axis=1)
-        newly = np.flatnonzero(ok_before & ~ok_now) + lo
-        y[~ok_now] = np.nan
-        x[lo:hi] = y
-        ok_rows = ok_before & ok_now
-        if cond_norms is None:
-            grad_sum, n_ok = 0.0, int(np.sum(ok_rows))
-        else:
-            grad_sum, n_ok = float(np.sum(cond_norms[ok_rows])), int(np.sum(ok_rows))
-        return grad_sum, n_ok, newly, counts, state_sum, int(np.sum(ok_before))
-
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for si, (t, renoise, slot) in enumerate(entries):
-            if slot >= end:
-                first, end = refill()
-            col = slot - first
-            sigma_t = (
-                ddim_sigma(schedule, t, config.ddim_eta)
-                if config.discretization is Discretization.DDIM
-                else 0.0
+        started = time.perf_counter()
+        # Per-step sums accrue block by block, in block order.
+        grad_sum = 0.0
+        n_ok = 0
+        state_sum = np.zeros(d)
+        n_before = 0
+        for lo in range(0, N, BLOCK_SIZE):
+            hi = min(lo + BLOCK_SIZE, N)
+            xb = x[lo:hi]
+            noise = window[lo:hi, col]
+            if renoise:
+                xb = math.sqrt(1.0 - beta) * xb + math.sqrt(beta) * noise
+                noise = window[lo:hi, col + 1]
+            if t == 1 and not config.final_noise:
+                noise = np.zeros_like(noise)
+            ok_before = ~flagged[lo:hi]
+            if config.trace_fisher:
+                state_sum += xb[ok_before].sum(axis=0)
+                n_before += int(np.sum(ok_before))
+            counts = {"score_evals": 0, "jacobian_passes": 0}
+            y, cond_norms = step(
+                config.strategy, model, energy, xb, t, condition,
+                float(rho[t - 1]), config.lam, noise,
+                config.discretization, sigma_t, counts,
             )
-            started = time.perf_counter()
-            if executor is None:
-                results = [run_block(bi, t, renoise, col, sigma_t) for bi in range(len(blocks))]
-            else:
-                results = list(
-                    executor.map(lambda bi: run_block(bi, t, renoise, col, sigma_t), range(len(blocks)))
-                )
-            trace.step_wall_time_s[si] = time.perf_counter() - started
+            if lo == 0:
+                counts0 = counts
+            elif counts != counts0:
+                raise AssertionError("per-chain cost counts diverged across blocks")
+            ok_now = np.all(np.isfinite(y), axis=1)
+            y[~ok_now] = np.nan
+            x[lo:hi] = y
+            flagged[lo:hi] |= ~ok_now
+            ok_rows = ok_before & ok_now
+            n_ok += int(np.sum(ok_rows))
+            if cond_norms is not None:
+                grad_sum += float(np.sum(cond_norms[ok_rows]))
+        trace.step_wall_time_s[si] = time.perf_counter() - started
 
-            grad_sum = 0.0
-            n_ok = 0
-            state_sum = np.zeros(d)
-            n_before = 0
-            counts0 = results[0][3]
-            for grad_b, ok_b, newly_b, counts_b, state_b, before_b in results:
-                if counts_b != counts0:
-                    raise AssertionError("per-chain cost counts diverged across blocks")
-                grad_sum += grad_b
-                n_ok += ok_b
-                n_before += before_b
-                if state_b is not None:
-                    state_sum += state_b
-                flagged[newly_b] = True
-
-            trace.t[si] = t
-            trace.cr_bound[si] = cramer_rao_bound(schedule, t)
-            trace.score_evals[si] = counts0["score_evals"]
-            trace.jacobian_passes[si] = counts0["jacobian_passes"]
-            if config.strategy is not None and n_ok > 0:
-                trace.grad_norm[si] = grad_sum / n_ok
-            if config.strategy not in (None, PosteriorPartStrategy.EXACT):
-                trace.coefficient_used[si] = posterior_coefficient(config.strategy, schedule, t)
-            if config.trace_fisher and n_before > 0:
-                probe = state_sum / n_before
-                trace.fisher_spectral_radius[si] = fisher_information(
-                    model, probe, t
-                ).spectral_radius
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+        trace.t[si] = t
+        trace.cr_bound[si] = cramer_rao_bound(schedule, t)
+        trace.score_evals[si] = counts0["score_evals"]
+        trace.jacobian_passes[si] = counts0["jacobian_passes"]
+        if config.strategy is not None and n_ok > 0:
+            trace.grad_norm[si] = grad_sum / n_ok
+        if config.strategy not in (None, PosteriorPartStrategy.EXACT):
+            trace.coefficient_used[si] = posterior_coefficient(config.strategy, schedule, t)
+        if config.trace_fisher and n_before > 0:
+            probe = state_sum / n_before
+            trace.fisher_spectral_radius[si] = fisher_information(
+                model, probe, t
+            ).spectral_radius
 
     trace.flagged_chains = np.flatnonzero(flagged)
     if trace.flagged_chains.size > MAX_FLAGGED_SHARE * N:

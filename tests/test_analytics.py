@@ -198,7 +198,6 @@ def test_bound_report_single_gaussian_all_pass():
         got = report.ratio[report.t == t]
         assert np.allclose(got, expected[t], rtol=1e-9)
     assert report.ratio.max() == pytest.approx(1.0 - abars[T - 1], rel=1e-9)
-    assert "PASS" in report.to_text()
 
 
 def test_bound_report_tiny_variance_saturates():
@@ -227,7 +226,6 @@ def test_bound_report_mixture_records_violations():
     # single-Gaussian ceiling, so violations are recorded, not asserted.
     assert not report.all_pass
     assert 0.0 < report.pass_rate < 1.0
-    assert "FAIL" in report.to_text()
 
 
 # --- phase profile -----------------------------------------------------

@@ -366,6 +366,30 @@ def test_train_score_writes_model_and_loss_history(tmp_path, capsys):
     assert (tmp_path / "t" / "model.npz").exists()
 
 
+def test_out_of_range_counts_are_config_errors(tmp_path, capsys):
+    """Each count below its floor exits 2 and names its key."""
+    model_path = tmp_path / "m.npz"
+    make_model_file(model_path)
+
+    def bench(out, repetitions):
+        return (
+            "bench", "--preset", "bench-mlp", "--set", f"model.path={model_path}",
+            "--set", f"bench.repetitions={repetitions}", "--out", str(out),
+        )
+
+    cases = [
+        ("train.steps", train_args(tmp_path / "s", "--steps", "-1")),
+        ("train.batch_size", train_args(tmp_path / "b", "--set", "train.batch_size=0")),
+        ("train.data.dim", train_args(tmp_path / "d", "--set", "train.data.dim=0")),
+        ("train.data.count", train_args(tmp_path / "c", "--set", "train.data.count=0")),
+        ("bench.repetitions", bench(tmp_path / "r", -1)),
+        ("bench.repetitions", bench(tmp_path / "z", 0)),
+    ]
+    for key, argv in cases:
+        assert run(*argv) == 2, key
+        assert f"configuration error: {key} must be >= " in capsys.readouterr().err, key
+
+
 def test_train_score_zero_steps_warns(tmp_path, capsys):
     with pytest.warns(UserWarning, match="untrained"):
         assert run(*train_args(tmp_path / "t0", "--steps", "0")) == 0

@@ -89,7 +89,6 @@ def test_distance_energy_unit_gradient():
             continue
         assert guidance_gradient_norm(e.grad(x, c)) == pytest.approx(1.0, rel=1e-12)
     np.testing.assert_array_equal(e.grad(np.array([1.0, -2.0]), c), [0.0, 0.0])
-    assert e.lipschitz_bound == 1.0
 
 
 def test_linear_measurement_energy_values():

@@ -1,6 +1,7 @@
 """Sampling loop tests: step formulas, determinism, costs, and failure policy."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -351,6 +352,29 @@ def test_thread_count_does_not_change_output():
     assert np.array_equal(t1.flagged_chains, t4.flagged_chains)
 
 
+def test_sample_starts_no_thread():
+    """Every score call of a three-block run happens on the calling thread."""
+    T = 5
+    model = bimodal_model(T)
+    callers = []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(model, name)
+
+        def score(self, x, t):
+            callers.append(threading.get_ident())
+            return model.score(x, t)
+
+    config = SamplerConfig(
+        T=T, strategy=PosteriorPartStrategy.FICD, rho=0.1,
+        n_chains=2 * sampler.BLOCK_SIZE + 1, seed=2,
+    )
+    sample(config, Recording(), QuadraticEnergy(), Condition.target(np.zeros(2)), threads=4)
+    assert len(callers) == 3 * T
+    assert set(callers) == {threading.get_ident()}
+
+
 def test_repeat_run_is_identical():
     T = 25
     model = bimodal_model(T)
@@ -410,7 +434,7 @@ def test_noise_windows_end_on_entry_boundaries():
 )
 def test_noise_window_does_not_move_a_bit(slots, repeats, discretization, threads, seed):
     """A window of 1-5 slots (at least 2 are kept) gives the whole-tape bits."""
-    T, N, d = 12, 600, 2  # two blocks, so both threads get work
+    T, N, d = 12, 600, 2  # two blocks, the second one partial
     model = bimodal_model(T)
     c = Condition.target(np.array([1.0, 0.0]))
     config = SamplerConfig(
