@@ -25,12 +25,7 @@ from ficd.guidance import (
     QuadraticEnergy,
 )
 from ficd.sampler import Discretization, SamplerConfig, TimeTravel
-from ficd.schedule import (
-    NoiseSchedule,
-    cosine_schedule,
-    linear_schedule,
-    parse_key_value_text,
-)
+from ficd.schedule import NoiseSchedule, cosine_schedule, linear_schedule
 from ficd.scoremodel import (
     GaussianMixture,
     GaussianMixtureScore,
@@ -142,14 +137,23 @@ def _coerce(key: str, raw: str) -> object:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
-    try:
-        out = parse_key_value_text(text)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    for key in out:
+    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped.
+
+    Raises ConfigError naming the first line that is neither, or the
+    first key the schema does not know.
+    """
+    out: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
+        key, _, value = body.partition("=")
+        key = key.strip()
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown configuration key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -300,21 +304,34 @@ class ExperimentConfig:
         return STRATEGY_NAMES[name]
 
     def build_model(self, schedule: NoiseSchedule | None = None) -> ScoreModel:
+        """The score model; a learned one must match the configured schedule."""
         kind = self["model.kind"]
         if not kind:
             raise ConfigError("model.kind must be set (gmm or learned)")
-        if kind == "learned":
-            path = self["model.path"]
-            if not path:
-                raise ConfigError("model.kind = learned needs model.path")
-            if not os.path.exists(path):
-                raise ConfigError(f"model file does not exist: {path}")
-            return load_model(path)
-        if kind != "gmm":
+        if kind not in ("gmm", "learned"):
             raise ConfigError(f"unknown model.kind {kind!r} (gmm or learned)")
         if schedule is None:
             schedule = self.schedule()
-        return GaussianMixtureScore(self.gmm(), schedule)
+        if kind == "gmm":
+            return GaussianMixtureScore(self.gmm(), schedule)
+        path = self["model.path"]
+        if not path:
+            raise ConfigError("model.kind = learned needs model.path")
+        if not os.path.exists(path):
+            raise ConfigError(f"model file does not exist: {path}")
+        try:
+            model = load_model(path)
+        except (OSError, KeyError, ValueError) as err:
+            raise ConfigError(
+                f"model.path {path} is not a ficd model dump ({err}); "
+                "re-run train-score to write one"
+            ) from None
+        if not np.array_equal(model.schedule.betas, schedule.betas):
+            raise ConfigError(
+                f"model.path {path} holds a schedule with T={model.schedule.T} that differs "
+                f"from the configured schedule.* (T={schedule.T})"
+            )
+        return model
 
     def gmm(self) -> GaussianMixture:
         weights = parse_vector(self["model.gmm.weights"], "model.gmm.weights")

@@ -173,7 +173,6 @@ def step(
     noise: np.ndarray,
     discretization: Discretization = Discretization.SDE_EULER,
     sigma_t: float = 0.0,
-    counts: dict | None = None,
 ):
     """One reverse step t -> t-1 of every row of x; the only step body.
 
@@ -183,18 +182,14 @@ def step(
     the conditional term at the same denoised mean x0_hat, computed
     once from the one score evaluation. Returns (new state, per-row
     conditional-gradient norms, or None when unguided). Non-finite rows
-    are returned as they are; sample() flags them. ``counts``, when
-    given, accrues per-chain "score_evals" and "jacobian_passes".
+    are returned as they are; sample() flags them.
     """
     schedule: NoiseSchedule = model.schedule
     check_step(schedule, t)
-    if counts is None:
-        counts = {"score_evals": 0, "jacobian_passes": 0}
     beta = float(schedule.betas[t - 1])
     abar = alpha_bar(schedule, t)
     abar_prev = alpha_bar(schedule, t - 1)
     s = model.score(x, t)
-    counts["score_evals"] += 1
     if strategy is not None and (energy is None or c is None):
         raise ValueError("guided sampling needs an energy and a condition")
     ddim = discretization is Discretization.DDIM
@@ -215,8 +210,6 @@ def step(
     if strategy is None:
         return y, None
     cond = conditional_term_gradient(strategy, model, schedule, energy, x, x0_hat, t, c, lam)
-    if strategy is PosteriorPartStrategy.EXACT:
-        counts["jacobian_passes"] += 1
     return y - rho_t * cond, guidance_gradient_norm(cond)
 
 
@@ -232,8 +225,9 @@ class RunTrace:
     ``grad_norm`` is the mean conditional-gradient norm over the chains
     still finite at that step (nan for unconditional runs).
     ``fisher_spectral_radius`` is probed at the mean chain state when
-    enabled and is nan otherwise; the probe is diagnostic and not part
-    of the counted sampling cost. ``score_evals`` and
+    enabled and is nan otherwise, or where the score derivative there is
+    not finite; the probe is diagnostic and not part of the counted
+    sampling cost. ``score_evals`` and
     ``jacobian_passes`` are per-chain counts for the step.
     """
 
@@ -336,8 +330,12 @@ def sample(
         cr_bound=np.empty(n_steps),
         coefficient_used=np.full(n_steps, np.nan),
         step_wall_time_s=np.empty(n_steps),
-        score_evals=np.empty(n_steps, dtype=np.int64),
-        jacobian_passes=np.empty(n_steps, dtype=np.int64),
+        # Per-chain cost is fixed by the strategy: one score evaluation,
+        # plus one Jacobian pullback for exact.
+        score_evals=np.ones(n_steps, dtype=np.int64),
+        jacobian_passes=np.full(
+            n_steps, int(config.strategy is PosteriorPartStrategy.EXACT), dtype=np.int64
+        ),
         flagged_chains=np.empty(0, dtype=np.int64),
         n_chains=N,
     )
@@ -371,16 +369,11 @@ def sample(
             if config.trace_fisher:
                 state_sum += xb[ok_before].sum(axis=0)
                 n_before += int(np.sum(ok_before))
-            counts = {"score_evals": 0, "jacobian_passes": 0}
             y, cond_norms = step(
                 config.strategy, model, energy, xb, t, condition,
                 float(rho[t - 1]), config.lam, noise,
-                config.discretization, sigma_t, counts,
+                config.discretization, sigma_t,
             )
-            if lo == 0:
-                counts0 = counts
-            elif counts != counts0:
-                raise AssertionError("per-chain cost counts diverged across blocks")
             ok_now = np.all(np.isfinite(y), axis=1)
             y[~ok_now] = np.nan
             x[lo:hi] = y
@@ -393,17 +386,18 @@ def sample(
 
         trace.t[si] = t
         trace.cr_bound[si] = cramer_rao_bound(schedule, t)
-        trace.score_evals[si] = counts0["score_evals"]
-        trace.jacobian_passes[si] = counts0["jacobian_passes"]
         if config.strategy is not None and n_ok > 0:
             trace.grad_norm[si] = grad_sum / n_ok
         if config.strategy not in (None, PosteriorPartStrategy.EXACT):
             trace.coefficient_used[si] = posterior_coefficient(config.strategy, schedule, t)
         if config.trace_fisher and n_before > 0:
             probe = state_sum / n_before
-            trace.fisher_spectral_radius[si] = fisher_information(
-                model, probe, t
-            ).spectral_radius
+            try:
+                trace.fisher_spectral_radius[si] = fisher_information(
+                    model, probe, t
+                ).spectral_radius
+            except ValueError:  # non-finite score derivative at the probe: the row stays nan
+                pass
 
     trace.flagged_chains = np.flatnonzero(flagged)
     if trace.flagged_chains.size > MAX_FLAGGED_SHARE * N:

@@ -10,12 +10,13 @@ framework.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from ficd.schedule import NoiseSchedule, check_step, schedule_from_text, schedule_to_text
+from ficd.schedule import NoiseSchedule, check_step
 from ficd.scoremodel.base import ScoreModel, eps_to_score
 
 __all__ = [
@@ -261,7 +262,7 @@ def train_dsm(
 
 
 def save_model(model: LearnedScoreModel, path) -> None:
-    """Write a flat binary dump (shape-headed arrays plus the schedule record)."""
+    """Write a flat binary dump: the weights, the net shape and the schedule's betas."""
     arrays = {
         "d": np.array(model.dim),
         "hidden_width": np.array(model.spec.hidden_width),
@@ -269,7 +270,7 @@ def save_model(model: LearnedScoreModel, path) -> None:
         "time_embed_dim": np.array(model.spec.time_embed_dim),
         "trained": np.array(int(model.trained)),
         "final_loss": np.array(math.nan if model.final_loss is None else model.final_loss),
-        "schedule_record": np.array(schedule_to_text(model.schedule)),
+        "betas": model.schedule.betas,
     }
     for l, (W, b) in enumerate(zip(model.weights, model.biases)):
         arrays[f"W_{l}"] = W
@@ -278,13 +279,16 @@ def save_model(model: LearnedScoreModel, path) -> None:
 
 
 def load_model(path) -> LearnedScoreModel:
+    """Read a save_model dump; ValueError or KeyError for any other file."""
+    if not zipfile.is_zipfile(path):
+        raise ValueError("not an .npz archive")
     with np.load(path, allow_pickle=False) as data:
         spec = NetSpec(
             hidden_width=int(data["hidden_width"]),
             hidden_layers=int(data["hidden_layers"]),
             time_embed_dim=int(data["time_embed_dim"]),
         )
-        schedule = schedule_from_text(str(data["schedule_record"]))
+        schedule = NoiseSchedule(data["betas"])
         n_layers = spec.hidden_layers + 1
         weights = [data[f"W_{l}"] for l in range(n_layers)]
         biases = [data[f"b_{l}"] for l in range(n_layers)]

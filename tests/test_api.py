@@ -1,7 +1,9 @@
-"""Every exported name resolves, so a deletion cannot leave a dangling export."""
+"""Every exported or demo-imported name resolves, so a deletion cannot strand one."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +23,22 @@ def test_all_names_resolve(name):
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ lists names it does not define: {missing}"
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
+def test_demo_imports_resolve(path):
+    """Parses the demo, without running it, and looks up each name it takes from ficd."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ficd":
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    assert not missing, f"{path.name} imports names ficd does not define: {missing}"

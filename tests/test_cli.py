@@ -58,6 +58,19 @@ def test_sample_rerun_is_byte_identical_outside_timings(tmp_path):
         np.testing.assert_array_equal(ta[:, col], tb[:, col])
 
 
+def test_fisher_probe_does_not_change_how_a_run_ends(tmp_path, capsys):
+    """The probe's score derivative overflows at t = 7; the run still ends as it does without it."""
+    argv = (
+        "sample", "--preset", "gmm-tilt", "--T", "14", "--strategy", "exact", "--rho", "40",
+        "--set", "sampler.n_chains=64",
+    )
+    for probe in ("false", "true"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(*argv, "--set", f"sampler.trace_fisher={probe}", "--out", str(tmp_path / probe))
+        assert code == 3, probe
+        assert "chain failure: 64 chains went non-finite" in capsys.readouterr().err, probe
+
+
 def test_sample_thread_count_does_not_change_samples(tmp_path):
     assert run(*sample_args(tmp_path / "t1", "--threads", "1")) == 0
     assert run(*sample_args(tmp_path / "t4", "--threads", "4")) == 0
@@ -301,6 +314,8 @@ def test_bench_counts_and_ratio(tmp_path, capsys):
         "--set",
         f"model.path={model_path}",
         "--set",
+        "schedule.T=20",
+        "--set",
         "sampler.n_chains=16",
         "--set",
         "bench.repetitions=2",
@@ -330,6 +345,38 @@ def test_bench_missing_model_path(tmp_path):
         str(tmp_path / "b"),
     )
     assert code == 2
+
+
+def test_learned_model_schedule_mismatch_is_a_config_error(tmp_path, capsys):
+    model_path = tmp_path / "m.npz"
+    make_model_file(model_path)  # T = 20
+    argv = ("sample", "--preset", "bench-mlp", "--set", f"model.path={model_path}")
+    assert run(*argv, "--T", "7", "--out", str(tmp_path / "s")) == 2
+    err = capsys.readouterr().err
+    assert str(model_path) in err and "T=20" in err and "T=7" in err
+    # The bench-mlp preset's own T = 200 is just as inconsistent.
+    assert run(*argv, "--out", str(tmp_path / "p")) == 2
+    assert run(*argv, "--T", "20", "--out", str(tmp_path / "ok")) == 0
+
+
+def test_model_file_that_is_not_a_dump_is_a_config_error(tmp_path, capsys):
+    text = tmp_path / "notes.txt"
+    text.write_text("not a model\n")
+    bare_array = tmp_path / "array.npy"
+    np.save(bare_array, np.zeros(3))
+    no_weights = tmp_path / "no_weights.npz"
+    np.savez(no_weights, betas=linear_schedule(20).betas)
+    old_format = tmp_path / "old.npz"  # a dump that keeps its schedule as text, not betas
+    make_model_file(old_format)
+    with np.load(old_format) as data:
+        arrays = {key: data[key] for key in data.files if key != "betas"}
+    np.savez(old_format, schedule_text=np.array("T = 20\n"), **arrays)
+    for path in (text, bare_array, no_weights, old_format):
+        argv = ("sample", "--preset", "bench-mlp", "--T", "20", "--set", f"model.path={path}")
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2, path
+        err = capsys.readouterr().err
+        assert f"model.path {path} is not a ficd model dump" in err, path
+        assert "re-run train-score" in err, path
 
 
 # -- train-score --------------------------------------------------------

@@ -34,13 +34,13 @@ def bimodal(d=2, sep=2.0, var=1.0):
 
 def test_marginal_score_at_half_alpha_bar():
     # alpha_bar = 0.5 makes the unit-Gaussian marginal exactly standard normal.
-    sched = NoiseSchedule.from_betas([0.5])
+    sched = NoiseSchedule([0.5])
     s = GaussianMixtureScore(single_gaussian(), sched).score(np.array([2.0, 0.0]), 1)
     np.testing.assert_allclose(s, [-2.0, 0.0], atol=1e-12)
 
 
 def test_marginal_score_near_clean_data():
-    sched = NoiseSchedule.from_betas([1e-12])
+    sched = NoiseSchedule([1e-12])
     x = np.array([0.7, -1.3])
     s = GaussianMixtureScore(single_gaussian(), sched).score(x, 1)
     np.testing.assert_allclose(s, -x, atol=1e-9)
@@ -286,7 +286,7 @@ def test_logpdf_matches_scipy_reference():
 
 def test_score_is_gradient_of_logpdf():
     gmm = bimodal(sep=1.3, var=0.6)
-    sched = NoiseSchedule.from_betas([0.4])
+    sched = NoiseSchedule([0.4])
     mix = marginal_mixture(gmm, float(sched.alpha_bars[0]))
     x = np.array([0.9, -0.4])
     h = 1e-6

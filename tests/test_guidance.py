@@ -139,7 +139,7 @@ def test_energies_support_batches():
 
 
 def test_conditional_gradient_zero_when_energy_flat():
-    sched = NoiseSchedule.from_betas([0.5, 0.5])  # alpha_bar_2 = 0.25
+    sched = NoiseSchedule([0.5, 0.5])  # alpha_bar_2 = 0.25
     x = np.array([0.1, 0.2])
     c = Condition.target(x / 0.5)  # equals the denoised point under a zero score
     for strategy in (EXACT, FICD, MPGD, UNIT):
@@ -148,7 +148,7 @@ def test_conditional_gradient_zero_when_energy_flat():
 
 
 def test_conditional_gradient_ficd_coefficient():
-    sched = NoiseSchedule.from_betas([0.5, 0.5])
+    sched = NoiseSchedule([0.5, 0.5])
     x = np.array([0.1, 0.2])
     c = Condition.target(x / 0.5 - np.array([0.5, 0.0]))  # energy grad (1, 0)
     out = quadratic_term(FICD, ZeroScore(), sched, x, 2, c)
@@ -156,7 +156,7 @@ def test_conditional_gradient_ficd_coefficient():
 
 
 def test_conditional_gradient_exact_gaussian():
-    sched = NoiseSchedule.from_betas([0.5, 0.5])
+    sched = NoiseSchedule([0.5, 0.5])
     gmm = GaussianMixture.isotropic([1.0], [np.zeros(2)], [1.0])
     model = GaussianMixtureScore(gmm, sched)
     x = np.array([2.0, -1.0])
@@ -169,7 +169,7 @@ def test_conditional_gradient_exact_gaussian():
 
 def test_exact_equals_ficd_at_information_ceiling():
     abar = 0.75
-    sched = NoiseSchedule.from_betas([1.0 - abar])
+    sched = NoiseSchedule([1.0 - abar])
     x = np.array([0.3, 0.9])
     c = Condition.target([-1.0, 2.0])
     exact = quadratic_term(EXACT, CeilingScore(abar), sched, x, 1, c)

@@ -146,6 +146,8 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_model(path)
     assert loaded.trained and loaded.final_loss == model.final_loss
     assert loaded.dim == 3 and loaded.spec == model.spec
+    np.testing.assert_array_equal(loaded.schedule.betas, SCHED.betas)
+    np.testing.assert_array_equal(loaded.schedule.alpha_bars, SCHED.alpha_bars)
     for Wa, Wb in zip(loaded.weights, model.weights):
         np.testing.assert_array_equal(Wa, Wb)
     x = np.random.default_rng(14).normal(size=(4, 3))

@@ -54,13 +54,13 @@ def conjugate_posterior_mean(x, mu0, var0, abar):
 
 
 def test_tweedie_with_zero_score_rescales():
-    sched = NoiseSchedule.from_betas([0.5, 0.5])  # alpha_bar_2 = 0.25
+    sched = NoiseSchedule([0.5, 0.5])  # alpha_bar_2 = 0.25
     out = tweedie_posterior_mean(ZeroScore(), sched, np.array([1.0, 0.0]), 2)
     np.testing.assert_allclose(out, [2.0, 0.0], rtol=1e-15)
 
 
 def test_tweedie_unit_gaussian_shrinks_by_sqrt_abar():
-    sched = NoiseSchedule.from_betas([0.5, 0.5])
+    sched = NoiseSchedule([0.5, 0.5])
     model = gaussian_model(1.0, sched)
     out = tweedie_posterior_mean(model, sched, np.array([2.0, 0.0]), 2)
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
@@ -94,7 +94,7 @@ def test_fisher_information_unit_gaussian():
 
 
 def test_fisher_information_half_variance_closed_form():
-    sched = NoiseSchedule.from_betas([0.5])  # alpha_bar_1 = 0.5
+    sched = NoiseSchedule([0.5])  # alpha_bar_1 = 0.5
     info = fisher_information(gaussian_model(0.5, sched), np.zeros(2), 1)
     np.testing.assert_allclose(info.matrix, -(4.0 / 3.0) * np.eye(2), rtol=1e-12)
     assert info.spectral_radius == pytest.approx(4.0 / 3.0, rel=1e-12)
@@ -115,8 +115,8 @@ def test_fisher_information_rejects_non_finite():
 
 
 def test_cramer_rao_bound_values():
-    assert cramer_rao_bound(NoiseSchedule.from_betas([0.5]), 1) == pytest.approx(2.0)
-    assert cramer_rao_bound(NoiseSchedule.from_betas([0.25]), 1) == pytest.approx(4.0)
+    assert cramer_rao_bound(NoiseSchedule([0.5]), 1) == pytest.approx(2.0)
+    assert cramer_rao_bound(NoiseSchedule([0.25]), 1) == pytest.approx(4.0)
     late = cramer_rao_bound(linear_schedule(1000), 1000)
     assert 1.0 < late < 1.0005
 
@@ -139,7 +139,7 @@ def test_gaussian_radius_stays_under_bound_and_saturates():
 
 
 def test_posterior_jacobian_exact_values():
-    sched = NoiseSchedule.from_betas([0.5, 0.5])  # alpha_bar_2 = 0.25
+    sched = NoiseSchedule([0.5, 0.5])  # alpha_bar_2 = 0.25
     np.testing.assert_allclose(
         posterior_jacobian_exact(ZeroScore(), sched, np.zeros(2), 2), 2.0 * np.eye(2), rtol=1e-15
     )
@@ -164,7 +164,7 @@ def test_ficd_substitution_identity_is_exact():
             return np.eye(2) / (1.0 - self.abar)
 
     for abar, exact in ((0.75, True), (0.5, True), (0.9375, True), (0.63, False), (0.123, False)):
-        sched = NoiseSchedule.from_betas([1.0 - abar])
+        sched = NoiseSchedule([1.0 - abar])
         got = posterior_jacobian_exact(CeilingScore(abar), sched, np.zeros(2), 1)
         want = posterior_coefficient(FICD, sched, 1) * np.eye(2)
         if exact:
@@ -174,7 +174,7 @@ def test_ficd_substitution_identity_is_exact():
 
 
 def test_posterior_coefficients():
-    sched = NoiseSchedule.from_betas([0.75])  # alpha_bar_1 = 0.25
+    sched = NoiseSchedule([0.75])  # alpha_bar_1 = 0.25
     assert posterior_coefficient(FICD, sched, 1) == 4.0
     # At t = 1 the MPGD value reads alpha_bar_0 = 1.
     assert posterior_coefficient(MPGD, sched, 1) == 1.0
@@ -183,7 +183,7 @@ def test_posterior_coefficients():
         posterior_coefficient(EXACT, sched, 1)
     with pytest.raises(IndexError):
         posterior_coefficient(FICD, sched, 2)
-    two_step = NoiseSchedule.from_betas([0.19, 1.0 - 0.5 / 0.81])  # 0.81, then 0.5
+    two_step = NoiseSchedule([0.19, 1.0 - 0.5 / 0.81])  # 0.81, then 0.5
     assert posterior_coefficient(FICD, two_step, 2) == pytest.approx(2.0 / np.sqrt(0.5))
     assert posterior_coefficient(MPGD, two_step, 2) == pytest.approx(0.9)
     assert posterior_coefficient(UNIT, two_step, 2) == 1.0

@@ -1,5 +1,6 @@
 """Sampling loop tests: step formulas, determinism, costs, and failure policy."""
 
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -89,13 +90,26 @@ class RowPoisonModel:
         return self.inner.score_vjp(x, t, v)
 
 
+class InfiniteJacobianModel(RowPoisonModel):
+    """Scores as the inner model does, but its Jacobian is infinite at one step."""
+
+    def __init__(self, inner, poison_t):
+        super().__init__(inner, poison_t, rows=[])
+
+    def jacobian(self, x, t):
+        J = np.array(self.inner.jacobian(x, t))
+        if t == self.poison_t:
+            J[:] = np.inf
+        return J
+
+
 class HalfSlopeModel:
     """Score -x/2 on an explicit schedule: the Euler drift cancels to x."""
 
     dim = 3
 
     def __init__(self, betas):
-        self.schedule = NoiseSchedule.from_betas(betas)
+        self.schedule = NoiseSchedule(betas)
 
     def score(self, x, t):
         return -0.5 * x
@@ -519,6 +533,22 @@ def test_trace_fields():
     _, uncond_trace = sample(SamplerConfig(T=T, strategy=None, n_chains=8, seed=3), model)
     assert np.all(np.isnan(uncond_trace.grad_norm))
     assert np.all(np.isnan(uncond_trace.coefficient_used))
+
+
+def test_fisher_probe_failure_leaves_nan_and_samples_untouched():
+    T = 10
+    model = InfiniteJacobianModel(bimodal_model(T), poison_t=4)
+    energy, c = QuadraticEnergy(), Condition.target(np.array([0.5, 0.5]))
+    config = SamplerConfig(
+        T=T, strategy=PosteriorPartStrategy.FICD, rho=0.2, n_chains=32, seed=5
+    )
+    plain, _ = sample(config, model, energy, c)
+    probed, trace = sample(dataclasses.replace(config, trace_fisher=True), model, energy, c)
+    assert np.array_equal(probed, plain)
+    assert trace.flagged_chains.size == 0
+    poisoned = trace.t == 4
+    assert np.all(np.isnan(trace.fisher_spectral_radius[poisoned]))
+    assert np.all(np.isfinite(trace.fisher_spectral_radius[~poisoned]))
 
 
 # --- failure policy ----------------------------------------------------
