@@ -18,6 +18,7 @@ from ficd import (
     LearnedScoreModel,
     NetSpec,
     PosteriorPartStrategy,
+    SamplerConfig,
     benchmark_steps,
     linear_schedule,
 )
@@ -32,11 +33,11 @@ model = LearnedScoreModel.init(
 
 table = benchmark_steps(
     model,
-    [PosteriorPartStrategy.EXACT, PosteriorPartStrategy.FICD],
-    T=200,
-    n_chains=256,
+    [
+        SamplerConfig(T=200, strategy=s, rho=0.05, n_chains=256, seed=0)
+        for s in (PosteriorPartStrategy.EXACT, PosteriorPartStrategy.FICD)
+    ],
     repetitions=5,
-    seed=0,
 )
 print(table.to_text())
 

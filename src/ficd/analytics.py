@@ -15,11 +15,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import multivariate_normal, wasserstein_distance
 
 from ficd.guidance import Condition, EnergyFunction, QuadraticEnergy
 from ficd.posterior import PosteriorPartStrategy, cramer_rao_bound, fisher_information
-from ficd.sampler import RunTrace, SamplerConfig, sample, step
+from ficd.sampler import RunTrace, sample, step
 from ficd.schedule import NoiseSchedule, alpha_bar
 from ficd.scoremodel import GaussianMixture
 
@@ -96,6 +95,8 @@ def tilted_gmm_oracle(gmm: GaussianMixture, c, lam: float) -> GaussianMixture:
         raise ValueError("lam must be >= 0")
     if lam == 0:
         return gmm
+    # Imported here: scipy.stats would add about a second to every `import ficd`.
+    from scipy.stats import multivariate_normal
     c = np.asarray(c, dtype=np.float64)
     d = gmm.d
     if c.shape != (d,):
@@ -126,6 +127,8 @@ def sliced_wasserstein(samples_a, samples_b, n_projections: int = 64, seed: int 
         raise ValueError("sample sets must be non-empty")
     if a.shape[1] != b.shape[1]:
         raise ValueError("sample sets must share a dimension")
+    # Imported here: scipy.stats would add about a second to every `import ficd`.
+    from scipy.stats import wasserstein_distance
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((n_projections, a.shape[1]))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -316,6 +319,8 @@ class BenchmarkRow:
     median_step_s: float
     score_evals_per_step: int
     jacobian_passes_per_step: int
+    score_evals_per_run: int
+    jacobian_passes_per_run: int
 
 
 @dataclass
@@ -351,38 +356,31 @@ def _strategy_name(strategy: PosteriorPartStrategy | None) -> str:
 
 def benchmark_steps(
     model,
-    strategies,
-    T: int,
-    n_chains: int,
+    configs,
     repetitions: int = 20,
-    seed: int = 0,
     energy: EnergyFunction | None = None,
     condition: Condition | None = None,
-    rho: float = 0.05,
-    threads: int = 1,
 ) -> BenchmarkTable:
-    """Median wall times and exact per-step pass counts per strategy.
+    """Median wall times and exact pass counts, one row per SamplerConfig.
 
-    Each strategy gets one discarded warm-up run followed by
-    ``repetitions`` timed runs of the full sampler under an identical
-    configuration.
+    Each config, with every setting it carries, gets one discarded
+    warm-up run and ``repetitions`` timed runs of the full sampler. The
+    per-run counts sum every executed step, time-travel repeats
+    included. The configs must share one n_chains.
     """
-    if model.schedule.T != T:
-        raise ValueError(f"model schedule has T={model.schedule.T}, expected {T}")
+    configs = list(configs)
+    if len({config.n_chains for config in configs}) != 1:
+        raise ValueError("configs must be non-empty and share one n_chains")
     if energy is None:
         energy = QuadraticEnergy()
     if condition is None:
         condition = Condition.target(np.zeros(model.dim))
     rows = []
-    for strategy in strategies:
-        config = SamplerConfig(
-            T=T, strategy=strategy, rho=rho, n_chains=n_chains, seed=seed
-        )
+    for config in configs:
         run_times, step_times = [], []
-        trace = None
         for rep in range(repetitions + 1):
             started = time.perf_counter()
-            _, trace = sample(config, model, energy, condition, threads=threads)
+            _, trace = sample(config, model, energy, condition)
             elapsed = time.perf_counter() - started
             if rep == 0:
                 continue  # warm-up
@@ -390,14 +388,16 @@ def benchmark_steps(
             step_times.append(float(np.median(trace.step_wall_time_s)))
         rows.append(
             BenchmarkRow(
-                strategy=_strategy_name(strategy),
+                strategy=_strategy_name(config.strategy),
                 median_run_s=float(np.median(run_times)),
                 median_step_s=float(np.median(step_times)),
                 score_evals_per_step=int(trace.score_evals[0]),
                 jacobian_passes_per_step=int(trace.jacobian_passes[0]),
+                score_evals_per_run=int(trace.score_evals.sum()),
+                jacobian_passes_per_run=int(trace.jacobian_passes.sum()),
             )
         )
-    return BenchmarkTable(rows=rows, T=T, n_chains=n_chains, repetitions=repetitions)
+    return BenchmarkTable(rows, model.schedule.T, configs[0].n_chains, repetitions)
 
 
 # --- CSV formats -------------------------------------------------------

@@ -30,9 +30,9 @@ from ficd.analytics import (
 )
 from ficd.config import ConfigError, ExperimentConfig
 from ficd.guidance import Condition, DistanceEnergy
-from ficd.posterior import PosteriorPartStrategy, tweedie_posterior_mean
+from ficd.posterior import tweedie_posterior_mean
 from ficd.presets import PRESETS
-from ficd.sampler import ChainFailureError, RunTrace, sample
+from ficd.sampler import ChainFailureError, RunTrace, SamplerConfig, sample
 from ficd.schedule import NoiseSchedule, alpha_bar
 from ficd.scoremodel import (
     GaussianMixture,
@@ -43,14 +43,12 @@ from ficd.scoremodel import (
     train_dsm,
 )
 
-__all__ = ["main", "VERIFY_SUITES"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-VERIFY_SUITES = ("tweedie", "jacobian-fd", "fisher-bound", "deviation-bound")
 
 
 def _out_path(config: ExperimentConfig, name: str) -> str:
@@ -258,9 +256,24 @@ _SUITE_FNS = {
 }
 
 
+def verify_suites(config: ExperimentConfig) -> list[str]:
+    """The suites verify.suites names: a comma list of suite names, or all."""
+    raw = [part.strip() for part in config["verify.suites"].split(",") if part.strip()]
+    if not raw:
+        raise ConfigError("verify.suites must name at least one suite")
+    if "all" in raw:
+        return list(_SUITE_FNS)
+    unknown = [name for name in raw if name not in _SUITE_FNS]
+    if unknown:
+        raise ConfigError(
+            f"unknown verify suites {unknown}; choose from {sorted(_SUITE_FNS)} or all"
+        )
+    return raw
+
+
 def cmd_verify(config: ExperimentConfig) -> int:
     schedule = config.schedule()
-    suites = config.verify_suites()
+    suites = verify_suites(config)
     report_lines = []
     all_passed = True
     for name in suites:
@@ -276,18 +289,27 @@ def cmd_verify(config: ExperimentConfig) -> int:
     return EXIT_OK if all_passed else EXIT_ASSERTION
 
 
-# -- trace --------------------------------------------------------------
+# -- trace and bench ----------------------------------------------------
+
+
+def _paired_configs(
+    config: ExperimentConfig, schedule: NoiseSchedule
+) -> dict[str, SamplerConfig]:
+    """The configured sampler as exact and as ficd: only sampler.strategy is
+    replaced, and rho is resolved per strategy (a matched rho differs)."""
+    configs = {}
+    for name in ("exact", "ficd"):
+        variant = ExperimentConfig(values={**config.values, "sampler.strategy": name})
+        configs[name] = variant.sampler_config(schedule)
+    return configs
 
 
 def cmd_trace(config: ExperimentConfig) -> int:
     model = config.build_model(config.schedule())
-    schedule = model.schedule
     energy, condition = config.build_energy()
 
     traces: dict[str, RunTrace] = {}
-    for name in ("exact", "ficd"):
-        variant = ExperimentConfig(values={**config.values, "sampler.strategy": name})
-        sampler_config = variant.sampler_config(schedule)
+    for name, sampler_config in _paired_configs(config, model.schedule).items():
         _, trace = sample(sampler_config, model, energy, condition, threads=config["threads"])
         trace_to_csv(trace, _out_path(config, f"trace_{name}.csv"))
         traces[name] = trace
@@ -308,24 +330,15 @@ def cmd_trace(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-# -- bench --------------------------------------------------------------
-
-
 def cmd_bench(config: ExperimentConfig) -> int:
     model = config.build_model(config.schedule())
     energy, condition = config.build_energy()
-    T = model.schedule.T
     table = benchmark_steps(
         model,
-        [PosteriorPartStrategy.EXACT, PosteriorPartStrategy.FICD],
-        T=T,
-        n_chains=config["sampler.n_chains"],
+        _paired_configs(config, model.schedule).values(),
         repetitions=config["bench.repetitions"],
-        seed=config["seed"],
         energy=energy,
         condition=condition,
-        rho=config["bench.rho"],
-        threads=config["threads"],
     )
 
     with open(_out_path(config, "timing.csv"), "w") as fh:
@@ -337,7 +350,7 @@ def cmd_bench(config: ExperimentConfig) -> int:
             fh.write(
                 f"{row.strategy},{_fmt(row.median_run_s)},{_fmt(row.median_step_s)},"
                 f"{row.score_evals_per_step},{row.jacobian_passes_per_step},"
-                f"{row.score_evals_per_step * T},{row.jacobian_passes_per_step * T}\n"
+                f"{row.score_evals_per_run},{row.jacobian_passes_per_run}\n"
             )
 
     print(table.to_text())

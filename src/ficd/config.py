@@ -94,7 +94,6 @@ CONFIG_SCHEMA: dict[str, tuple[str, object]] = {
     "train.net.layers": ("int", 3),
     "train.net.embed": ("int", 16),
     "bench.repetitions": ("int", 5),
-    "bench.rho": ("float", 0.05),
 }
 
 # Smallest value each of these integer keys accepts.
@@ -468,18 +467,3 @@ class ExperimentConfig:
                 raise ConfigError(f"training dataset is empty: {path}")
             return data
         raise ConfigError(f"unknown train.data.kind {kind!r} (normal, gmm, or file)")
-
-    def verify_suites(self) -> list[str]:
-        from ficd.cli import VERIFY_SUITES  # placed there next to the suite bodies
-
-        raw = [part.strip() for part in self["verify.suites"].split(",") if part.strip()]
-        if not raw:
-            raise ConfigError("verify.suites must name at least one suite")
-        if "all" in raw:
-            return list(VERIFY_SUITES)
-        unknown = [name for name in raw if name not in VERIFY_SUITES]
-        if unknown:
-            raise ConfigError(
-                f"unknown verify suites {unknown}; choose from {sorted(VERIFY_SUITES)} or all"
-            )
-        return raw

@@ -251,11 +251,11 @@ def test_criterion_08_jacobian_free_speedup():
     )
     table = benchmark_steps(
         model,
-        [PosteriorPartStrategy.EXACT, PosteriorPartStrategy.FICD],
-        T=200,
-        n_chains=256,
+        [
+            SamplerConfig(T=200, strategy=s, rho=0.05, n_chains=256, seed=0)
+            for s in (PosteriorPartStrategy.EXACT, PosteriorPartStrategy.FICD)
+        ],
         repetitions=5,
-        seed=0,
     )
     exact = table.row("exact")
     ficd = table.row("ficd")

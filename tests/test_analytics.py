@@ -383,9 +383,10 @@ def test_benchmark_counts_and_table():
     )
     table = benchmark_steps(
         rng_model,
-        [PosteriorPartStrategy.FICD, PosteriorPartStrategy.EXACT],
-        T=T,
-        n_chains=32,
+        [
+            SamplerConfig(T=T, strategy=s, rho=0.05, n_chains=32, seed=0)
+            for s in (PosteriorPartStrategy.FICD, PosteriorPartStrategy.EXACT)
+        ],
         repetitions=3,
     )
     ficd = table.row("ficd")
@@ -398,7 +399,19 @@ def test_benchmark_counts_and_table():
     with pytest.raises(KeyError):
         table.row("nope")
     with pytest.raises(ValueError):
-        benchmark_steps(rng_model, [PosteriorPartStrategy.FICD], T=T + 1, n_chains=4)
+        benchmark_steps(
+            rng_model, [SamplerConfig(T=T + 1, strategy=PosteriorPartStrategy.FICD, n_chains=4)]
+        )
+
+
+def test_benchmark_rows_share_one_chain_count():
+    model = GaussianMixtureScore(
+        GaussianMixture.isotropic([1.0], [[0.0, 0.0]], [1.0]), linear_schedule(4)
+    )
+    with pytest.raises(ValueError, match="one n_chains"):
+        benchmark_steps(model, [SamplerConfig(T=4, n_chains=n) for n in (2, 3)], repetitions=1)
+    with pytest.raises(ValueError, match="non-empty"):
+        benchmark_steps(model, [], repetitions=1)
 
 
 # --- CSV formats -------------------------------------------------------

@@ -1,8 +1,12 @@
-"""Every exported or demo-imported name resolves, so a deletion cannot strand one."""
+"""Every exported or demo-imported name resolves, so a deletion cannot strand one;
+and importing the package stays cheap."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,15 @@ def test_demo_imports_resolve(path):
             module = importlib.import_module(node.module)
             missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
     assert not missing, f"{path.name} imports names ficd does not define: {missing}"
+
+
+def test_import_does_not_load_scipy_stats():
+    """scipy.stats costs about a second to import; only two oracles need it."""
+    src = str(Path(ficd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, ficd; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

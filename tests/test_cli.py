@@ -9,8 +9,11 @@ import hashlib
 import numpy as np
 import pytest
 
+import ficd.analytics
+import ficd.cli
 from ficd.analytics import TRACE_COLUMNS
-from ficd.cli import main
+from ficd.cli import main, verify_suites
+from ficd.config import ConfigError, ExperimentConfig
 from ficd.schedule import linear_schedule
 from ficd.scoremodel import LearnedScoreModel, NetSpec, save_model
 
@@ -225,6 +228,21 @@ def test_verify_sound_suites_pass(tmp_path, capsys):
     assert "ALL PASS" in capsys.readouterr().out
 
 
+def test_verify_suites_selection():
+    assert verify_suites(ExperimentConfig.from_sources()) == [
+        "tweedie",
+        "jacobian-fd",
+        "fisher-bound",
+        "deviation-bound",
+    ]
+    subset = ExperimentConfig.from_sources(overrides=[("verify.suites", "tweedie,fisher-bound")])
+    assert verify_suites(subset) == ["tweedie", "fisher-bound"]
+    with pytest.raises(ConfigError, match="unknown verify suites"):
+        verify_suites(ExperimentConfig.from_sources(overrides=[("verify.suites", "spectral")]))
+    with pytest.raises(ConfigError, match="at least one"):
+        verify_suites(ExperimentConfig.from_sources(overrides=[("verify.suites", " , ")]))
+
+
 def test_verify_deviation_bound_fails_honestly(tmp_path, capsys):
     # The unit-norm gradient meets the sharp ceiling at every step, so the
     # honest verdict is a pass.
@@ -332,6 +350,81 @@ def test_bench_counts_and_ratio(tmp_path, capsys):
     assert rows["exact"][4] == "1" and rows["exact"][6] == "20"  # one pass per step, T per run
     assert rows["ficd"][4] == "0" and rows["ficd"][6] == "0"
     assert "FICD/EXACT median run-time ratio" in capsys.readouterr().out
+
+
+def _spy_on_sample(monkeypatch, module):
+    """Records the SamplerConfig of every sample() call made through ``module``."""
+    seen = []
+    real = module.sample
+
+    def spy(config, *args, **kwargs):
+        seen.append(config)
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(module, "sample", spy)
+    return seen
+
+
+def test_bench_times_the_configured_sampler(tmp_path, monkeypatch):
+    model_path = tmp_path / "m.npz"
+    make_model_file(model_path)  # T = 20
+    # Every sampler.* key must reach both timed runs, as ficd trace runs them.
+    common = (
+        "--preset", "bench-mlp", "--set", f"model.path={model_path}", "--set", "schedule.T=20",
+        "--set", "sampler.n_chains=8",
+        "--set", "sampler.discretization=ddim",
+        "--set", "sampler.ddim_eta=1.0",
+        "--set", "sampler.lam=3.0",
+        "--set", "sampler.time_travel.repeats=1",
+        "--set", "sampler.rho=matched",
+    )
+    benched = _spy_on_sample(monkeypatch, ficd.analytics)
+    assert run("bench", *common, "--set", "bench.repetitions=1", "--out", str(tmp_path / "b")) == 0
+    traced = _spy_on_sample(monkeypatch, ficd.cli)
+    assert run("trace", *common, "--out", str(tmp_path / "t")) == 0
+
+    assert len(benched) == 4 and len(traced) == 2  # warm-up plus one timed run per strategy
+    exact, ficd_run = benched[0], benched[2]
+    assert benched[1] is exact and benched[3] is ficd_run
+    for config in (exact, ficd_run):
+        assert config.discretization.value == "ddim"
+        assert config.ddim_eta == 1.0 and config.lam == 3.0
+        assert config.time_travel.repeats == 1
+        assert np.ndim(config.rho) == 1 and config.rho.size == 20  # matched: one rho_t per step
+    assert (exact.strategy.value, ficd_run.strategy.value) == ("exact", "ficd")
+    assert not np.array_equal(exact.rho, ficd_run.rho)
+    for timed, traced_config in zip((exact, ficd_run), traced):
+        np.testing.assert_array_equal(timed.rho, traced_config.rho)
+        assert timed.strategy is traced_config.strategy
+        assert timed.time_travel == traced_config.time_travel
+
+    rows = {
+        line.split(",")[0]: line.split(",")
+        for line in (tmp_path / "b" / "timing.csv").read_text().splitlines()[1:]
+    }
+    # One re-step per t in the default window [7, 13]: 20 + 7 Jacobian passes.
+    assert int(rows["exact"][6]) == 27 > 20
+    assert rows["ficd"][6] == "0" and rows["ficd"][5] == "27"
+
+
+def test_bench_rho_is_not_a_key(tmp_path, capsys):
+    model_path = tmp_path / "m.npz"
+    make_model_file(model_path)  # a real dump, so only the unknown key can fail the run
+    code = run(
+        "bench",
+        "--preset",
+        "bench-mlp",
+        "--set",
+        f"model.path={model_path}",
+        "--set",
+        "schedule.T=20",
+        "--set",
+        "bench.rho=0.1",
+        "--out",
+        str(tmp_path / "b"),
+    )
+    assert code == 2
+    assert "unknown configuration key 'bench.rho'" in capsys.readouterr().err
 
 
 def test_bench_missing_model_path(tmp_path):

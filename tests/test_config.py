@@ -302,21 +302,6 @@ def test_training_dataset_kinds(tmp_path):
         missing.training_dataset(rng)
 
 
-def test_verify_suites_selection():
-    assert ExperimentConfig.from_sources().verify_suites() == [
-        "tweedie",
-        "jacobian-fd",
-        "fisher-bound",
-        "deviation-bound",
-    ]
-    subset = ExperimentConfig.from_sources(overrides=[("verify.suites", "tweedie,fisher-bound")])
-    assert subset.verify_suites() == ["tweedie", "fisher-bound"]
-    with pytest.raises(ConfigError, match="unknown verify suites"):
-        ExperimentConfig.from_sources(overrides=[("verify.suites", "spectral")]).verify_suites()
-    with pytest.raises(ConfigError, match="at least one"):
-        ExperimentConfig.from_sources(overrides=[("verify.suites", " , ")]).verify_suites()
-
-
 def test_net_spec_validation_wrapped():
     bad = ExperimentConfig.from_sources(overrides=[("train.net.embed", "7")])
     with pytest.raises(ConfigError, match="even"):
