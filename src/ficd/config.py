@@ -275,6 +275,10 @@ class ExperimentConfig:
         for key, least in _MINIMUMS.items():
             if merged[key] < least:
                 raise ConfigError(f"{key} must be >= {least}, got {merged[key]}")
+        if merged["train.learning_rate"] <= 0.0:
+            raise ConfigError(
+                f"train.learning_rate must be > 0, got {merged['train.learning_rate']}"
+            )
         return cls(values=merged)
 
     def __getitem__(self, key: str) -> object:

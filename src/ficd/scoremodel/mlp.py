@@ -5,6 +5,13 @@ the definitional conversion -eps_pred / sqrt(1 - alpha_bar_t). Forward,
 weight gradients, and the input pullback are written out against plain
 numpy so the exact input Jacobian is available without an autodiff
 framework.
+
+One forward body serves every caller. On a pullback path (``score_vjp``,
+``jacobian`` and training) it returns a cache: each linear layer's input
+and each hidden layer's SiLU derivative s (1 + a (1 - s)), formed from
+the same sigmoid s = expit(a) that gave the activation, so the backward
+passes evaluate no sigmoid. The score-only forward keeps nothing: holding
+the sigmoid there costs memory traffic on the sampler's hottest call.
 """
 
 from __future__ import annotations
@@ -57,13 +64,59 @@ def sinusoidal_time_embedding(t01: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(args), np.cos(args)], axis=-1)
 
 
-def _silu(a: np.ndarray) -> np.ndarray:
-    return a * expit(a)
+def _forward(weights, biases, h: np.ndarray, pullback: bool = False):
+    """Run the net on input rows h; returns (eps_pred, cache).
+
+    The cache is None unless ``pullback``; then it holds the input of
+    every linear layer and the SiLU derivative of every hidden layer,
+    which is all ``_backward_input`` and ``_backward_weights`` read.
+    """
+    inputs, derivs = [h], []
+    for W, b in zip(weights[:-1], biases[:-1]):
+        a = h @ W
+        a += b
+        s = expit(a)
+        # Each in-place step is one IEEE operation of s * (1 + a * (1 - s))
+        # or a * s with its operands swapped at most, so the bits match.
+        if pullback:
+            deriv = 1.0 - s
+            deriv *= a
+            deriv += 1.0
+            deriv *= s
+            derivs.append(deriv)
+        s *= a
+        h = s
+        if pullback:
+            inputs.append(h)
+    eps = h @ weights[-1] + biases[-1]
+    return eps, ((inputs, derivs) if pullback else None)
 
 
-def _silu_grad(a: np.ndarray) -> np.ndarray:
-    s = expit(a)
-    return s * (1.0 + a * (1.0 - s))
+def _backward_input(weights, cache, grad_out: np.ndarray) -> np.ndarray:
+    """Pullback of grad_out through the net onto its whole input; leaves the cache intact."""
+    _, derivs = cache
+    g = grad_out @ weights[-1].T
+    for W, deriv in zip(reversed(weights[:-1]), reversed(derivs)):
+        g = (g * deriv) @ W.T
+    return g
+
+
+def _backward_weights(weights, cache, grad_out: np.ndarray):
+    """Gradients of <grad_out, eps_pred> with respect to every weight and bias."""
+    inputs, derivs = cache
+    grads_W = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    g = grad_out
+    grads_W[-1] = inputs[-1].T @ g
+    grads_b[-1] = g.sum(axis=0)
+    g = g @ weights[-1].T
+    for l in range(len(weights) - 2, -1, -1):
+        g *= derivs[l]
+        grads_W[l] = inputs[l].T @ g
+        grads_b[l] = g.sum(axis=0)
+        if l > 0:
+            g = g @ weights[l].T
+    return grads_W, grads_b
 
 
 class LearnedScoreModel(ScoreModel):
@@ -72,6 +125,11 @@ class LearnedScoreModel(ScoreModel):
     Immutable after construction (weight arrays are read-only); safe for
     concurrent evaluation. ``trained`` records whether any optimizer
     steps ran, and ``final_loss`` is the last minibatch objective.
+
+    ``score`` runs the forward with no pullback cache. ``score_vjp`` and
+    ``jacobian`` run it with the cache (layer inputs and SiLU
+    derivatives) and pull back through it without recomputing a sigmoid;
+    ``jacobian`` reuses one cache for all d pullbacks.
     """
 
     def __init__(
@@ -123,47 +181,14 @@ class LearnedScoreModel(ScoreModel):
             emb = np.broadcast_to(emb, (n, emb.size))
         return emb
 
-    def _forward(self, x: np.ndarray, t):
-        """Returns (eps_pred, cache) for x of shape (N, d); t scalar or (N,)."""
-        h = np.concatenate([x, self._embed(t, x.shape[0])], axis=1)
-        pre_acts, hiddens = [], [h]
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = h @ W + b
-            pre_acts.append(a)
-            h = _silu(a)
-            hiddens.append(h)
-        eps = h @ self.weights[-1] + self.biases[-1]
-        return eps, (pre_acts, hiddens)
-
-    def _backward_input(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        """Pullback of grad_out through the net onto the x part of the input."""
-        pre_acts, _ = cache
-        g = grad_out @ self.weights[-1].T
-        for W, a in zip(reversed(self.weights[:-1]), reversed(pre_acts)):
-            g = (g * _silu_grad(a)) @ W.T
-        return g[:, : self._d]
-
-    def _backward_weights(self, cache, grad_out: np.ndarray):
-        pre_acts, hiddens = cache
-        grads_W = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        g = grad_out
-        grads_W[-1] = hiddens[-1].T @ g
-        grads_b[-1] = g.sum(axis=0)
-        g = g @ self.weights[-1].T
-        for l in range(len(self.weights) - 2, -1, -1):
-            g = g * _silu_grad(pre_acts[l])
-            grads_W[l] = hiddens[l].T @ g
-            grads_b[l] = g.sum(axis=0)
-            if l > 0:
-                g = g @ self.weights[l].T
-        return grads_W, grads_b
+    def _net_input(self, x: np.ndarray, t) -> np.ndarray:
+        return np.concatenate([x, self._embed(t, x.shape[0])], axis=1)
 
     # score interface --------------------------------------------------
 
     def eps_pred(self, x: np.ndarray, t) -> np.ndarray:
         x2d = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        eps, _ = self._forward(x2d, t)
+        eps, _ = _forward(self.weights, self.biases, self._net_input(x2d, t))
         return eps[0] if np.asarray(x).ndim == 1 else eps
 
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
@@ -175,8 +200,9 @@ class LearnedScoreModel(ScoreModel):
         single = np.asarray(x).ndim == 1
         x2d = np.atleast_2d(np.asarray(x, dtype=np.float64))
         v2d = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        _, cache = self._forward(x2d, t)
-        out = eps_to_score(self._backward_input(cache, v2d), self.schedule, t)
+        _, cache = _forward(self.weights, self.biases, self._net_input(x2d, t), pullback=True)
+        pulled = _backward_input(self.weights, cache, v2d)[:, : self._d]
+        out = eps_to_score(pulled, self.schedule, t)
         return out[0] if single else out
 
     def jacobian(self, x: np.ndarray, t: int) -> np.ndarray:
@@ -185,12 +211,13 @@ class LearnedScoreModel(ScoreModel):
         single = np.asarray(x).ndim == 1
         x2d = np.atleast_2d(np.asarray(x, dtype=np.float64))
         N, d = x2d.shape
-        _, cache = self._forward(x2d, t)
+        _, cache = _forward(self.weights, self.biases, self._net_input(x2d, t), pullback=True)
         J = np.empty((N, d, d))
         for i in range(d):
             unit = np.zeros((N, d))
             unit[:, i] = 1.0
-            J[:, i, :] = eps_to_score(self._backward_input(cache, unit), self.schedule, t)
+            pulled = _backward_input(self.weights, cache, unit)[:, :d]
+            J[:, i, :] = eps_to_score(pulled, self.schedule, t)
         return J[0] if single else J
 
 
@@ -218,19 +245,26 @@ def train_dsm(
     dataset = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
     if dataset.size == 0:
         raise ValueError("dataset must be non-empty")
-    if not (np.isfinite(learning_rate) and np.isfinite(momentum) and steps >= 0):
-        raise ValueError("hyperparameters must be finite and steps non-negative")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
     n, d = dataset.shape
     rng = np.random.Generator(np.random.Philox(seed))
     model = LearnedScoreModel.init(net_spec, schedule, d, rng)
     if steps == 0:
         return model
 
+    # Momentum SGD in place, in the order v = m*v - lr*g, then w = w + v;
+    # that order fixes the bits of the trained weights.
     weights = [W.copy() for W in model.weights]
     biases = [b.copy() for b in model.biases]
-    vel_W = [np.zeros_like(W) for W in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
-    work = LearnedScoreModel(net_spec, schedule, d, weights, biases)
+    params = weights + biases
+    velocities = [np.zeros_like(p) for p in params]
     loss = math.nan
     for step in range(steps):
         idx = rng.integers(0, n, size=batch_size)
@@ -239,7 +273,7 @@ def train_dsm(
         abar = schedule.alpha_bars[t - 1][:, None]
         x_t = np.sqrt(abar) * dataset[idx] + np.sqrt(1.0 - abar) * eps
 
-        pred, cache = work._forward(x_t, t)
+        pred, cache = _forward(weights, biases, model._net_input(x_t, t), pullback=True)
         residual = pred - eps
         with np.errstate(over="ignore"):
             loss = float(np.mean(np.sum(residual**2, axis=1)))
@@ -249,13 +283,12 @@ def train_dsm(
             )
         if loss_history is not None:
             loss_history.append(loss)
-        grads_W, grads_b = work._backward_weights(cache, 2.0 * residual / batch_size)
-        for l in range(len(weights)):
-            vel_W[l] = momentum * vel_W[l] - learning_rate * grads_W[l]
-            vel_b[l] = momentum * vel_b[l] - learning_rate * grads_b[l]
-            weights[l] = weights[l] + vel_W[l]
-            biases[l] = biases[l] + vel_b[l]
-        work = LearnedScoreModel(net_spec, schedule, d, weights, biases)
+        grads_W, grads_b = _backward_weights(weights, cache, 2.0 * residual / batch_size)
+        for p, v, g in zip(params, velocities, grads_W + grads_b):
+            v *= momentum
+            g *= learning_rate
+            v -= g
+            p += v
     return LearnedScoreModel(
         net_spec, schedule, d, weights, biases, trained=True, final_loss=loss
     )

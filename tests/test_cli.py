@@ -530,6 +530,14 @@ def test_out_of_range_counts_are_config_errors(tmp_path, capsys):
         assert f"configuration error: {key} must be >= " in capsys.readouterr().err, key
 
 
+def test_nonpositive_learning_rate_is_a_config_error(tmp_path, capsys):
+    for lr in ("-0.01", "0"):
+        argv = train_args(tmp_path / lr, "--set", f"train.learning_rate={lr}", "--steps", "3")
+        assert run(*argv) == 2, lr
+        assert "configuration error: train.learning_rate must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / lr / "model.npz").exists()
+
+
 def test_train_score_zero_steps_warns(tmp_path, capsys):
     with pytest.warns(UserWarning, match="untrained"):
         assert run(*train_args(tmp_path / "t0", "--steps", "0")) == 0

@@ -1,5 +1,7 @@
 """Learned noise-prediction net: derivatives, training, and persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from ficd.scoremodel import (
     sinusoidal_time_embedding,
     train_dsm,
 )
+from ficd.scoremodel.mlp import _forward
 
 SCHED = linear_schedule(100)
 SMALL = NetSpec(hidden_width=32, hidden_layers=2, time_embed_dim=16)
@@ -100,6 +103,68 @@ def test_training_is_deterministic_given_seed():
     assert a.final_loss == b.final_loss
     for Wa, Wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(Wa, Wb)
+
+
+def sha256_of(arrays):
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+# Recorded on x86-64 with OpenBLAS (numpy 2.4, scipy 1.17): the pullback
+# cache and the in-place optimizer must reproduce the recomputing forward
+# and the allocating update bit for bit.
+def test_trained_weights_are_pinned():
+    data = np.random.default_rng(8).standard_normal((256, 2))
+    model = train_dsm(data, SMALL, SCHED, steps=50, seed=42)
+    assert sha256_of(model.weights + model.biases) == (
+        "7807bb1a763cadeb476f7f4562a69a25aa2e3cd46801de6b6f48c39a388d235f"
+    )
+
+
+def test_score_outputs_are_pinned():
+    model = fresh_model()
+    rng = np.random.default_rng(21)
+    x, v = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+    assert sha256_of([model.score(x, 37)]) == (
+        "12e0baed14ae0d821d3c09e3fc1c1a4d39d1319e28918ea9173ba7464d03a3b9"
+    )
+    assert sha256_of([model.score_vjp(x, 37, v)]) == (
+        "2c3fa95a034257662b07687520eabdd8c756f0fbd34d6cbc65609c630e72edde"
+    )
+    assert sha256_of([model.jacobian(x, 37)]) == (
+        "038ef185be018fb2d480d9f7eaf2d850da6c099d64e80ce3e44cb1424da64ca3"
+    )
+
+
+def test_score_forward_keeps_no_pullback_cache():
+    model = fresh_model()
+    h = model._net_input(np.random.default_rng(22).normal(size=(3, 2)), 37)
+    eps, cache = _forward(model.weights, model.biases, h)
+    assert cache is None
+    eps_pb, (inputs, derivs) = _forward(model.weights, model.biases, h, pullback=True)
+    np.testing.assert_array_equal(eps, eps_pb)
+    assert len(inputs) == SMALL.hidden_layers + 1 and len(derivs) == SMALL.hidden_layers
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"batch_size": 0}, "batch_size"),
+        ({"learning_rate": -0.01}, "learning_rate"),
+        ({"learning_rate": 0.0}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"momentum": -0.1}, "momentum"),
+        ({"momentum": 1.0}, "momentum"),
+        ({"momentum": float("nan")}, "momentum"),
+        ({"steps": -1}, "steps"),
+    ],
+)
+def test_bad_hyperparameters_name_the_argument(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        train_dsm(np.zeros((4, 2)), SMALL, SCHED, **{"steps": 3, **kwargs})
 
 
 def test_training_reduces_loss_and_diverges_loudly():
