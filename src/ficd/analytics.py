@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ficd.guidance import Condition, EnergyFunction, QuadraticEnergy
-from ficd.posterior import PosteriorPartStrategy, cramer_rao_bound, fisher_information
+from ficd.posterior import (
+    PosteriorPartStrategy,
+    cramer_rao_bound,
+    fisher_information,
+    strategy_name,
+)
 from ficd.sampler import RunTrace, sample, step
 from ficd.schedule import NoiseSchedule, alpha_bar
 from ficd.scoremodel import GaussianMixture
@@ -146,7 +151,6 @@ class BoundReport:
     """Spectral radius of the score Jacobian versus 1 / (1 - alpha_bar_t)."""
 
     t: np.ndarray
-    point_index: np.ndarray
     spectral_radius: np.ndarray
     bound: np.ndarray
     ratio: np.ndarray
@@ -171,20 +175,18 @@ def bound_verification(
     """Checks spectral_radius(I(x_t)) against the information ceiling per (x, t)."""
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=np.float64))
     t_set = [int(t) for t in t_set]
-    rows_t, rows_i, radii, bounds = [], [], [], []
+    rows_t, radii, bounds = [], [], []
     for t in t_set:
         bound = cramer_rao_bound(schedule, t)
-        for i, x in enumerate(x_grid):
+        for x in x_grid:
             info = fisher_information(model, x, t)
             rows_t.append(t)
-            rows_i.append(i)
             radii.append(info.spectral_radius)
             bounds.append(bound)
     radii = np.asarray(radii)
     bounds = np.asarray(bounds)
     return BoundReport(
         t=np.asarray(rows_t, dtype=np.int64),
-        point_index=np.asarray(rows_i, dtype=np.int64),
         spectral_radius=radii,
         bound=bounds,
         ratio=radii / bounds,
@@ -350,10 +352,6 @@ class BenchmarkTable:
         return "\n".join(lines)
 
 
-def _strategy_name(strategy: PosteriorPartStrategy | None) -> str:
-    return "uncond" if strategy is None else strategy.value
-
-
 def benchmark_steps(
     model,
     configs,
@@ -388,7 +386,7 @@ def benchmark_steps(
             step_times.append(float(np.median(trace.step_wall_time_s)))
         rows.append(
             BenchmarkRow(
-                strategy=_strategy_name(config.strategy),
+                strategy=strategy_name(config.strategy),
                 median_run_s=float(np.median(run_times)),
                 median_step_s=float(np.median(step_times)),
                 score_evals_per_step=int(trace.score_evals[0]),

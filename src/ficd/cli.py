@@ -20,7 +20,6 @@ import numpy as np
 
 from ficd.analytics import (
     _fmt,
-    _strategy_name,
     benchmark_steps,
     bound_verification,
     deviation_bound_check,
@@ -30,7 +29,7 @@ from ficd.analytics import (
 )
 from ficd.config import ConfigError, ExperimentConfig
 from ficd.guidance import Condition, DistanceEnergy
-from ficd.posterior import tweedie_posterior_mean
+from ficd.posterior import strategy_name, tweedie_posterior_mean
 from ficd.presets import PRESETS
 from ficd.sampler import ChainFailureError, RunTrace, SamplerConfig, sample
 from ficd.schedule import NoiseSchedule, alpha_bar
@@ -144,7 +143,7 @@ def cmd_sample(config: ExperimentConfig) -> int:
     samples_to_csv(samples, _out_path(config, "samples.csv"))
     trace_to_csv(trace, _out_path(config, "trace.csv"))
     print(
-        f"strategy={_strategy_name(sampler_config.strategy)} T={sampler_config.T} "
+        f"strategy={strategy_name(sampler_config.strategy)} T={sampler_config.T} "
         f"N={sampler_config.n_chains} wall={wall:.2f}s peak_rss={_peak_rss_mb():.1f}MB "
         f"mean_grad_norm={_mean_grad_norm(trace):.6g}"
     )

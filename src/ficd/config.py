@@ -106,15 +106,6 @@ _MINIMUMS = {
     "bench.repetitions": 1,
 }
 
-STRATEGY_NAMES = {
-    "exact": PosteriorPartStrategy.EXACT,
-    "ficd": PosteriorPartStrategy.FICD,
-    "mpgd": PosteriorPartStrategy.MPGD,
-    "unit": PosteriorPartStrategy.UNIT,
-    "uncond": None,
-}
-
-
 def _coerce(key: str, raw: str) -> object:
     kind = CONFIG_SCHEMA[key][0]
     try:
@@ -300,11 +291,14 @@ class ExperimentConfig:
 
     def strategy(self) -> PosteriorPartStrategy | None:
         name = self["sampler.strategy"]
-        if name not in STRATEGY_NAMES:
+        if name == "uncond":
+            return None
+        try:
+            return PosteriorPartStrategy(name)
+        except ValueError:
             raise ConfigError(
                 f"unknown sampler.strategy {name!r} (exact, ficd, mpgd, unit, or uncond)"
-            )
-        return STRATEGY_NAMES[name]
+            ) from None
 
     def build_model(self, schedule: NoiseSchedule | None = None) -> ScoreModel:
         """The score model; a learned one must match the configured schedule."""

@@ -1,9 +1,9 @@
-"""Energy functions on the denoised mean and the assembled guidance gradient.
+"""Energy functions on the denoised mean and the conditions they compare against.
 
 An energy scores how far a denoised estimate sits from the condition;
-its gradient, pushed back through the chosen posterior-part strategy,
-is the conditional term the samplers subtract. Energies accept a single
-point (d,) or a batch (N, d) and return correspondingly shaped values.
+its gradient, pulled back by ``posterior.posterior_pullback``, is the
+conditional term the samplers subtract. Energies accept a single point
+(d,) or a batch (N, d) and return correspondingly shaped values.
 """
 
 from __future__ import annotations
@@ -13,21 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ficd.posterior import (
-    PosteriorPartStrategy,
-    posterior_coefficient,
-    posterior_vjp_exact,
-)
-from ficd.schedule import NoiseSchedule
-from ficd.scoremodel.base import ScoreModel
-
 __all__ = [
     "Condition",
     "EnergyFunction",
     "QuadraticEnergy",
     "DistanceEnergy",
     "LinearMeasurementEnergy",
-    "conditional_term_gradient",
     "guidance_gradient_norm",
 ]
 
@@ -139,31 +130,6 @@ class LinearMeasurementEnergy(EnergyFunction):
 
     def grad(self, x0_hat, c):
         return 2.0 * self._residual(x0_hat, c) @ c.A
-
-
-def conditional_term_gradient(
-    strategy: PosteriorPartStrategy,
-    model: ScoreModel,
-    schedule: NoiseSchedule,
-    energy: EnergyFunction,
-    x: np.ndarray,
-    x0_hat: np.ndarray,
-    t: int,
-    c: Condition,
-    lam: float = 1.0,
-) -> np.ndarray:
-    """Gradient of the conditional term at x_t under the given strategy.
-
-    Takes lam times the energy gradient at x0_hat, the denoised mean of
-    x that the caller computed from its score, and applies the
-    strategy's posterior part: the exact transposed derivative for
-    EXACT, a scalar otherwise. Linear in lam. Non-finite rows pass
-    through unchanged; sample() flags the chains they belong to.
-    """
-    g = lam * energy.grad(x0_hat, c)
-    if strategy is PosteriorPartStrategy.EXACT:
-        return posterior_vjp_exact(model, schedule, x, t, g)
-    return posterior_coefficient(strategy, schedule, t) * g
 
 
 def guidance_gradient_norm(gradient: np.ndarray) -> float | np.ndarray:

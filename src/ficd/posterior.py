@@ -2,9 +2,9 @@
 
 The guided samplers split the conditional score into a measurement part
 and a posterior part. This module owns the posterior side: the
-denoised-mean estimate, the exact derivative of that estimate, the
-cheap scalar surrogates that replace it, and the schedule-only bound
-the surrogate is built from.
+denoised-mean estimate, the pullback of an energy gradient through that
+estimate's derivative (exact, or by the cheap scalar surrogates that
+replace it), and the schedule-only bound the surrogate is built from.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ __all__ = [
     "tweedie_from_score",
     "fisher_information",
     "cramer_rao_bound",
-    "posterior_jacobian_exact",
-    "posterior_vjp_exact",
     "posterior_coefficient",
+    "posterior_pullback",
+    "strategy_name",
 ]
 
 
@@ -52,7 +52,6 @@ class FisherInfo:
 
     matrix: np.ndarray
     spectral_radius: float
-    t: int
 
 
 def tweedie_from_score(x: np.ndarray, score: np.ndarray, abar: float) -> np.ndarray:
@@ -85,7 +84,7 @@ def fisher_information(model: ScoreModel, x: np.ndarray, t: int) -> FisherInfo:
     if not np.all(np.isfinite(J)):
         raise ValueError(f"non-finite score derivative at t={t}")
     radius = float(np.max(np.abs(np.linalg.eigvals(J))))
-    return FisherInfo(matrix=J, spectral_radius=radius, t=t)
+    return FisherInfo(matrix=J, spectral_radius=radius)
 
 
 def cramer_rao_bound(schedule: NoiseSchedule, t: int) -> float:
@@ -97,47 +96,43 @@ def cramer_rao_bound(schedule: NoiseSchedule, t: int) -> float:
     return 1.0 / (1.0 - abar)
 
 
-def posterior_jacobian_exact(
-    model: ScoreModel, schedule: NoiseSchedule, x: np.ndarray, t: int
-) -> np.ndarray:
-    """Derivative of the denoised mean w.r.t. x_t.
-
-    (1 / sqrt(alpha_bar_t)) (I + (1 - alpha_bar_t) J) with J the score
-    Jacobian; (d, d) for a point, (N, d, d) for a batch. Intended for
-    small-d verification; samplers use posterior_vjp_exact instead.
-    """
-    check_step(schedule, t)
-    abar = alpha_bar(schedule, t)
-    x = np.asarray(x, dtype=np.float64)
-    J = model.jacobian(x, t)
-    eye = np.eye(model.dim)
-    return (eye + (1.0 - abar) * J) / math.sqrt(abar)
-
-
-def posterior_vjp_exact(
-    model: ScoreModel, schedule: NoiseSchedule, x: np.ndarray, t: int, v: np.ndarray
-) -> np.ndarray:
-    """Transposed action of the exact posterior derivative on v.
-
-    (1 / sqrt(alpha_bar_t)) (v + (1 - alpha_bar_t) J^T v) without
-    materializing J, which is how the chain rule consumes it.
-    """
-    check_step(schedule, t)
-    abar = alpha_bar(schedule, t)
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return (v + (1.0 - abar) * model.score_vjp(x, t, v)) / math.sqrt(abar)
-
-
 def posterior_coefficient(
     strategy: PosteriorPartStrategy, schedule: NoiseSchedule, t: int
 ) -> float:
     """Scalar stand-in at step t; the MPGD value reads alpha_bar at t - 1."""
     check_step(schedule, t)
     if strategy is PosteriorPartStrategy.EXACT:
-        raise ValueError("EXACT has no scalar coefficient; use posterior_vjp_exact")
+        raise ValueError("EXACT has no scalar coefficient; use posterior_pullback")
     if strategy is PosteriorPartStrategy.FICD:
         return 2.0 / math.sqrt(alpha_bar(schedule, t))
     if strategy is PosteriorPartStrategy.MPGD:
         return math.sqrt(alpha_bar(schedule, t - 1))
     return 1.0
+
+
+def posterior_pullback(
+    strategy: PosteriorPartStrategy,
+    model: ScoreModel,
+    schedule: NoiseSchedule,
+    x: np.ndarray,
+    t: int,
+    g: np.ndarray,
+) -> np.ndarray:
+    """The energy gradient g at the denoised mean, pulled back onto x_t.
+
+    EXACT applies the transposed derivative of the denoised mean,
+    (g + (1 - alpha_bar_t) J^T g) / sqrt(alpha_bar_t), through the
+    model's score_vjp without materializing J; every other strategy
+    scales g by its posterior_coefficient. This is the one place the
+    strategies differ. Non-finite rows pass through unchanged.
+    """
+    if strategy is PosteriorPartStrategy.EXACT:
+        check_step(schedule, t)
+        abar = alpha_bar(schedule, t)
+        return (g + (1.0 - abar) * model.score_vjp(x, t, g)) / math.sqrt(abar)
+    return posterior_coefficient(strategy, schedule, t) * g
+
+
+def strategy_name(strategy: PosteriorPartStrategy | None) -> str:
+    """The configuration name of a strategy; None, unguided, is "uncond"."""
+    return "uncond" if strategy is None else strategy.value

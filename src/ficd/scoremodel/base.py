@@ -36,15 +36,8 @@ class ScoreModel(ABC):
         raise NotImplementedError(f"{type(self).__name__} has no jacobian")
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
-        """Transpose-Jacobian action J(x, t)^T v, shaped like x.
-
-        The default route materializes the full Jacobian; models with a
-        cheaper pullback override this.
-        """
-        J = self.jacobian(x, t)
-        if x.ndim == 1:
-            return J.T @ v
-        return np.einsum("nij,ni->nj", J, v)
+        """Transpose-Jacobian action J(x, t)^T v, shaped like x; the exact pullback."""
+        raise NotImplementedError(f"{type(self).__name__} has no score_vjp")
 
 
 def eps_to_score(eps_pred: np.ndarray, schedule: NoiseSchedule, t: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Every exported or demo-imported name resolves, so a deletion cannot strand one;
-and importing the package stays cheap."""
+importing the package stays cheap; and the module layering holds."""
 
 import ast
 import importlib
@@ -58,3 +58,41 @@ def test_import_does_not_load_scipy_stats():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+PACKAGE = Path(ficd.__file__).resolve().parent
+
+
+def _ficd_imports(tree):
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else ["."]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [n for n in names if n == "." or n.split(".")[0] == "ficd"]
+    return found
+
+
+def test_guidance_imports_no_ficd_module():
+    """Energies and conditions stand alone; the pullback lives in posterior."""
+    tree = ast.parse((PACKAGE / "guidance.py").read_text())
+    assert _ficd_imports(tree) == []
+
+
+def test_only_posterior_pulls_back_through_the_score():
+    """Outside the score models, only posterior.posterior_pullback calls score_vjp."""
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if "scoremodel" in path.relative_to(PACKAGE).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "score_vjp"
+            ):
+                callers.append(path.relative_to(PACKAGE).as_posix())
+    assert sorted(set(callers)) == ["posterior.py"]

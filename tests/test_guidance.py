@@ -1,4 +1,4 @@
-"""Energies, their gradients, and the assembled conditional term."""
+"""Energies, their gradients, and the conditional term they pull back."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,9 @@ from ficd.guidance import (
     EnergyFunction,
     LinearMeasurementEnergy,
     QuadraticEnergy,
-    conditional_term_gradient,
     guidance_gradient_norm,
 )
-from ficd.posterior import PosteriorPartStrategy, tweedie_posterior_mean
+from ficd.posterior import PosteriorPartStrategy, posterior_pullback, tweedie_posterior_mean
 from ficd.sampler import ChainFailureError, SamplerConfig, sample
 from ficd.schedule import NoiseSchedule, linear_schedule
 from ficd.scoremodel import GaussianMixture, GaussianMixtureScore
@@ -31,9 +30,7 @@ EXACT, FICD, MPGD, UNIT = (
 def quadratic_term(strategy, model, sched, x, t, c, lam=1.0):
     """Conditional term of the quadratic energy at the model's own denoised mean."""
     x0_hat = tweedie_posterior_mean(model, sched, x, t)
-    return conditional_term_gradient(
-        strategy, model, sched, QuadraticEnergy(), x, x0_hat, t, c, lam
-    )
+    return posterior_pullback(strategy, model, sched, x, t, lam * QuadraticEnergy().grad(x0_hat, c))
 
 
 class ZeroScore(ScoreModel):
@@ -46,6 +43,9 @@ class ZeroScore(ScoreModel):
         shape = (2, 2) if x.ndim == 1 else (len(x), 2, 2)
         return np.zeros(shape)
 
+    def score_vjp(self, x, t, v):
+        return np.zeros_like(v)
+
 
 class CeilingScore(ZeroScore):
     """Zero score whose derivative is the information ceiling I / (1 - abar)."""
@@ -56,6 +56,9 @@ class CeilingScore(ZeroScore):
 
     def jacobian(self, x, t):
         return np.eye(self.dim) / (1.0 - self.abar)
+
+    def score_vjp(self, x, t, v):
+        return v @ self.jacobian(x, t)  # J is symmetric and shared by every row
 
 
 SCHED_50 = linear_schedule(50)
@@ -290,11 +293,9 @@ def test_non_finite_guidance_aborts():
     c = Condition.target([0.0, 0.0])
     x = np.array([[0.1, 0.1], [0.2, -0.3]])
     # The term itself hands the non-finite rows back to its caller ...
+    g = ExplodingEnergy().grad(tweedie_posterior_mean(model, sched, x, 5), c)
     for strategy in (EXACT, FICD, MPGD, UNIT):
-        term = conditional_term_gradient(
-            strategy, model, sched, ExplodingEnergy(), x,
-            tweedie_posterior_mean(model, sched, x, 5), 5, c, 1.0,
-        )
+        term = posterior_pullback(strategy, model, sched, x, 5, g)
         assert not np.isfinite(term).any(), strategy
     # ... and the guided run flags every chain and aborts.
     config = SamplerConfig(T=10, strategy=FICD, rho=0.5, n_chains=4, seed=0)

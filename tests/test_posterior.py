@@ -8,13 +8,13 @@ from ficd.posterior import (
     cramer_rao_bound,
     fisher_information,
     posterior_coefficient,
-    posterior_jacobian_exact,
-    posterior_vjp_exact,
+    posterior_pullback,
+    strategy_name,
     tweedie_from_score,
     tweedie_posterior_mean,
 )
 from ficd.schedule import NoiseSchedule, linear_schedule
-from ficd.scoremodel import GaussianMixture, GaussianMixtureScore
+from ficd.scoremodel import GaussianMixture, GaussianMixtureScore, LearnedScoreModel, NetSpec
 from ficd.scoremodel.base import ScoreModel
 
 EXACT, FICD, MPGD, UNIT = (
@@ -41,10 +41,20 @@ class ZeroScore(ScoreModel):
             return np.zeros((self._d, self._d))
         return np.zeros((len(x), self._d, self._d))
 
+    def score_vjp(self, x, t, v):
+        return np.zeros_like(v)
+
 
 def gaussian_model(var, sched, d=2):
     gmm = GaussianMixture.isotropic([1.0], [np.zeros(d)], [var])
     return GaussianMixtureScore(gmm, sched)
+
+
+def exact_pullback_matrix(model, sched, x, t):
+    """The derivative P = (I + (1 - alpha_bar_t) J) / sqrt(alpha_bar_t) of the
+    denoised mean, built from pullbacks: row i is P^T e_i, which is row i of P."""
+    eye = np.eye(model.dim)
+    return posterior_pullback(EXACT, model, sched, np.tile(x, (model.dim, 1)), t, eye)
 
 
 def conjugate_posterior_mean(x, mu0, var0, abar):
@@ -138,14 +148,14 @@ def test_gaussian_radius_stays_under_bound_and_saturates():
         assert previous_ratio > 0.999
 
 
-def test_posterior_jacobian_exact_values():
+def test_exact_pullback_values():
     sched = NoiseSchedule([0.5, 0.5])  # alpha_bar_2 = 0.25
     np.testing.assert_allclose(
-        posterior_jacobian_exact(ZeroScore(), sched, np.zeros(2), 2), 2.0 * np.eye(2), rtol=1e-15
+        exact_pullback_matrix(ZeroScore(), sched, np.zeros(2), 2), 2.0 * np.eye(2), rtol=1e-15
     )
     model = gaussian_model(1.0, sched)
     np.testing.assert_allclose(
-        posterior_jacobian_exact(model, sched, np.array([3.0, -1.0]), 2),
+        exact_pullback_matrix(model, sched, np.array([3.0, -1.0]), 2),
         0.5 * np.eye(2),
         rtol=1e-12,
     )
@@ -163,9 +173,12 @@ def test_ficd_substitution_identity_is_exact():
         def jacobian(self, x, t):
             return np.eye(2) / (1.0 - self.abar)
 
+        def score_vjp(self, x, t, v):
+            return v @ self.jacobian(x, t)  # J is symmetric and shared by every row
+
     for abar, exact in ((0.75, True), (0.5, True), (0.9375, True), (0.63, False), (0.123, False)):
         sched = NoiseSchedule([1.0 - abar])
-        got = posterior_jacobian_exact(CeilingScore(abar), sched, np.zeros(2), 1)
+        got = exact_pullback_matrix(CeilingScore(abar), sched, np.zeros(2), 1)
         want = posterior_coefficient(FICD, sched, 1) * np.eye(2)
         if exact:
             np.testing.assert_array_equal(got, want)
@@ -196,6 +209,49 @@ def test_posterior_vjp_matches_materialized_transpose():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(6, 2)) * 2.0
     v = rng.normal(size=(6, 2))
-    P = posterior_jacobian_exact(model, sched, x, 33)
-    expected = np.einsum("nij,ni->nj", P, v)  # symmetric here, transpose folds in
-    np.testing.assert_allclose(posterior_vjp_exact(model, sched, x, 33, v), expected, rtol=1e-10)
+    abar = float(sched.alpha_bars[32])
+    P = (np.eye(2) + (1.0 - abar) * model.jacobian(x, 33)) / np.sqrt(abar)
+    expected = np.einsum("nij,ni->nj", P, v)
+    np.testing.assert_allclose(
+        posterior_pullback(EXACT, model, sched, x, 33, v), expected, rtol=1e-10
+    )
+
+
+def test_exact_pullback_matches_materialized_transpose_on_the_mlp():
+    # The MLP's score Jacobian is not symmetric, so this checks the transpose.
+    sched = linear_schedule(100)
+    spec = NetSpec(hidden_width=32, hidden_layers=2, time_embed_dim=16)
+    model = LearnedScoreModel.init(spec, sched, 3, np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(5, 3))
+    v = rng.normal(size=(5, 3))
+    for t in (1, 33, 100):
+        abar = float(sched.alpha_bars[t - 1])
+        J = model.jacobian(x, t)
+        assert np.abs(J - J.transpose(0, 2, 1)).max() > 1e-6
+        P = (np.eye(3) + (1.0 - abar) * J) / np.sqrt(abar)
+        expected = np.einsum("nij,ni->nj", P, v)
+        np.testing.assert_allclose(
+            posterior_pullback(EXACT, model, sched, x, t, v), expected, rtol=1e-12, atol=1e-14
+        )
+
+
+def test_scalar_pullbacks_scale_by_the_coefficient():
+    sched = linear_schedule(50)
+    model = gaussian_model(1.0, sched)
+    g = np.random.default_rng(9).normal(size=(4, 2))
+    for strategy in (FICD, MPGD, UNIT):
+        for t in (1, 25, 50):
+            np.testing.assert_array_equal(
+                posterior_pullback(strategy, model, sched, g, t, g),
+                posterior_coefficient(strategy, sched, t) * g,
+            )
+    for strategy in (EXACT, FICD):
+        with pytest.raises(IndexError):
+            posterior_pullback(strategy, model, sched, g, 51, g)
+
+
+def test_each_strategy_round_trips_through_its_name():
+    for strategy in PosteriorPartStrategy:
+        assert PosteriorPartStrategy(strategy_name(strategy)) is strategy
+    assert strategy_name(None) == "uncond"

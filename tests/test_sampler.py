@@ -26,7 +26,7 @@ from ficd.sampler import (
     step,
 )
 from ficd.schedule import NoiseSchedule, alpha_bar, linear_schedule
-from ficd.scoremodel import GaussianMixture, GaussianMixtureScore
+from ficd.scoremodel import GaussianMixture, GaussianMixtureScore, ScoreModel
 
 
 ALL_STRATEGIES = [
@@ -166,6 +166,25 @@ def test_guided_step_requires_energy_and_rejects_nonfinite():
         with pytest.raises(ChainFailureError) as err:
             sample(config, model, InfEnergy(), c)
         assert err.value.flagged.tolist() == list(range(8)), strategy
+
+
+def test_exact_step_needs_a_score_vjp():
+    class ScoreOnlyModel(ScoreModel):
+        """Scores as a unit Gaussian does, with neither jacobian nor score_vjp."""
+
+        dim = 2
+        schedule = linear_schedule(10)
+
+        def score(self, x, t):
+            return -np.asarray(x)
+
+    x = np.array([[0.3, -0.2], [1.0, 0.5]])
+    c = Condition.target([1.0, 1.0])
+    args = (ScoreOnlyModel(), QuadraticEnergy(), x, 5, c, 1.0, 1.0, np.zeros_like(x))
+    y, _ = step(PosteriorPartStrategy.FICD, *args)
+    assert np.all(np.isfinite(y))
+    with pytest.raises(NotImplementedError, match="ScoreOnlyModel has no score_vjp"):
+        step(PosteriorPartStrategy.EXACT, *args)
 
 
 def test_ddim_step_matches_hand_formula():
