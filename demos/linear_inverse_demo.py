@@ -45,7 +45,7 @@ print()
 # log-likelihood; matched rho then adapts per strategy.
 lam = 1.0 / (2.0 * noise_var)
 for strategy in PosteriorPartStrategy:
-    rho = resolve_rho("matched", schedule, strategy, lam, noise_var)
+    rho = resolve_rho("matched", schedule, strategy, noise_var)
     config = SamplerConfig(
         T=200, strategy=strategy, rho=rho, lam=lam, n_chains=2000, seed=0
     )

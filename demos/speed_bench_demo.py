@@ -43,5 +43,7 @@ print(table.to_text())
 
 ratio = table.row("ficd").median_run_s / table.row("exact").median_run_s
 print(f"\nficd / exact median run time: {ratio:.3f}")
-print("per step, ficd runs 1 score evaluation and 0 Jacobian passes;")
-print("exact runs 1 score evaluation and 1 Jacobian pass.")
+print("per step, ficd makes 1 score call and 0 Jacobian-pullback calls;")
+print("exact makes 1 score call and 1 pullback call. These count calls, not")
+print("network passes: on this MLP the pullback runs its own forward, so an")
+print("exact step does two forwards and one backward, ficd one forward.")

@@ -41,7 +41,7 @@ print("tilted means:\n", oracle.means.round(3))
 
 # Matched rho keeps the guided chain on the posterior track; two
 # time-travel repeats let probability mass cross between the modes.
-rho = resolve_rho("matched", schedule, PosteriorPartStrategy.FICD, lam, 1.0 / (2.0 * lam))
+rho = resolve_rho("matched", schedule, PosteriorPartStrategy.FICD, 1.0 / (2.0 * lam))
 config = SamplerConfig(
     T=200,
     strategy=PosteriorPartStrategy.FICD,

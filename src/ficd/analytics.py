@@ -10,7 +10,6 @@ state pass or fail per assertion.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass
 
@@ -21,10 +20,11 @@ from ficd.posterior import (
     PosteriorPartStrategy,
     cramer_rao_bound,
     fisher_information,
+    posterior_coefficient,
     strategy_name,
 )
 from ficd.sampler import RunTrace, sample, step
-from ficd.schedule import NoiseSchedule, alpha_bar
+from ficd.schedule import NoiseSchedule, middle_third
 from ficd.scoremodel import GaussianMixture
 
 __all__ = [
@@ -202,11 +202,9 @@ def phase_profile(trace: RunTrace) -> tuple[float, float, float]:
     thirds of the step range (early = largest t)."""
     if trace.t.size == 0:
         raise ValueError("trace is empty")
-    T = int(trace.t.max())
-    hi = (2 * T) // 3
-    lo = T // 3
+    lo, hi = middle_third(int(trace.t.max()))
     early = trace.t > hi
-    late = trace.t <= lo
+    late = trace.t < lo
     mid = ~early & ~late
     return (
         float(np.mean(trace.grad_norm[early])),
@@ -223,16 +221,18 @@ def phase_profile(trace: RunTrace) -> tuple[float, float, float]:
 _DEVIATION_RTOL = 1e-12
 
 
-def deviation_bound(rho: float, kappa: float, abar_t: float, abar_prev: float) -> float:
-    """Sharp per-step ceiling on the FICD/MPGD state gap:
+def deviation_bound(rho: float, kappa: float, schedule: NoiseSchedule, t: int) -> float:
+    """Sharp step-t ceiling on the FICD/MPGD state gap:
     rho * kappa * (2 / sqrt(abar_t) - sqrt(abar_{t-1})).
 
     From the same state, noise, score and g = lam * grad E(x0_hat), the
-    two steps differ only in the scalar pullback, 2 / sqrt(abar_t) for
-    FICD and sqrt(abar_{t-1}) for MPGD, so the gap is
-    rho * (2 / sqrt(abar_t) - sqrt(abar_{t-1})) * |g|; kappa bounds |g|.
+    two steps differ only in the scalar pullback, posterior_coefficient
+    of each strategy, so the gap is rho times the coefficient difference
+    times |g|; kappa bounds |g|.
     """
-    return rho * kappa * (2.0 / math.sqrt(abar_t) - math.sqrt(abar_prev))
+    ficd = posterior_coefficient(PosteriorPartStrategy.FICD, schedule, t)
+    mpgd = posterior_coefficient(PosteriorPartStrategy.MPGD, schedule, t)
+    return rho * kappa * (ficd - mpgd)
 
 
 @dataclass
@@ -300,9 +300,7 @@ def deviation_bound_check(
         x_m, _ = step(PosteriorPartStrategy.MPGD, model, energy, x, t, c, rho, 1.0, noise)
         ts.append(t)
         gaps.append(float(np.linalg.norm(x_f - x_m, axis=1).max()))
-        bounds.append(
-            deviation_bound(rho, kappa, alpha_bar(schedule, t), alpha_bar(schedule, t - 1))
-        )
+        bounds.append(deviation_bound(rho, kappa, schedule, t))
         x = x_f
     return DeviationReport(
         t=np.asarray(ts, dtype=np.int64),

@@ -171,7 +171,6 @@ def resolve_rho(
     spec: str,
     schedule: NoiseSchedule,
     strategy: PosteriorPartStrategy | None,
-    lam: float,
     noise_var: float,
 ) -> float | np.ndarray:
     """Turn a rho spec into the scalar or per-step vector the sampler takes.
@@ -190,18 +189,12 @@ def resolve_rho(
     likelihood weight.
     """
     spec = spec.strip()
-    if spec.startswith("matched"):
-        gain = 1.0
-        if ":" in spec:
-            head, _, tail = spec.partition(":")
-            if head != "matched":
-                raise ConfigError(f"bad rho spec {spec!r}")
-            try:
-                gain = float(tail)
-            except ValueError:
-                raise ConfigError(f"bad matched gain in rho spec {spec!r}") from None
-        elif spec != "matched":
-            raise ConfigError(f"bad rho spec {spec!r}")
+    head, colon, tail = spec.partition(":")
+    if head == "matched":
+        try:
+            gain = float(tail) if colon else 1.0
+        except ValueError:
+            raise ConfigError(f"bad matched gain in rho spec {spec!r}") from None
         if not (math.isfinite(gain) and gain >= 0.0):
             raise ConfigError(f"matched gain must be finite and non-negative, got {gain}")
         if not (math.isfinite(noise_var) and noise_var > 0.0):
@@ -400,7 +393,6 @@ class ExperimentConfig:
             self["sampler.rho"],
             schedule,
             strategy,
-            self["sampler.lam"],
             self.matched_noise_var() if "matched" in self["sampler.rho"] else 1.0,
         )
         disc_name = self["sampler.discretization"]

@@ -9,9 +9,10 @@ step; ``sample`` runs it over blocks and steps.
 
 Noise is streamed: each chain's generator fills its rows of one
 reusable window of tape slots, refilled between steps, so a run holds
-O(N d window) noise rather than the whole O(N T d) tape. Sequential
-draws from one generator concatenate to the same values, so the window
-size never changes a result.
+O(N d window) noise rather than the whole O(N T d) tape. Every read,
+a step's noise or a time-travel re-noise, takes the next slot, and
+sequential draws from one generator concatenate to the same values, so
+the window size never changes a result.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ficd.posterior import (
     posterior_pullback,
     tweedie_from_score,
 )
-from ficd.schedule import NoiseSchedule, alpha_bar, check_step
+from ficd.schedule import NoiseSchedule, alpha_bar, check_step, middle_third
 
 __all__ = [
     "Discretization",
@@ -56,7 +57,7 @@ __all__ = [
 # RSS against 102-103 MB.
 BLOCK_SIZE = 512
 
-# Byte budget of the noise window: it holds max(2, budget // (N d 8))
+# Byte budget of the noise window: it holds max(1, budget // (N d 8))
 # tape slots, so small runs still draw their whole tape at once.
 NOISE_WINDOW_BYTES = 32 * 2**20
 
@@ -95,8 +96,9 @@ class TimeTravel:
             raise ValueError("time-travel repeats must be >= 0")
         if self.repeats == 0:
             return 0, 1, 0
-        lo = self.t_lo if self.t_lo is not None else T // 3 + 1
-        hi = self.t_hi if self.t_hi is not None else (2 * T) // 3
+        mid_lo, mid_hi = middle_third(T)
+        lo = self.t_lo if self.t_lo is not None else mid_lo
+        hi = self.t_hi if self.t_hi is not None else mid_hi
         if not (1 <= lo <= hi <= T):
             raise ValueError(f"time-travel window [{lo}, {hi}] must lie inside [1, {T}]")
         return self.repeats, lo, hi
@@ -143,11 +145,6 @@ class SamplerConfig:
         if not 0.0 <= self.ddim_eta <= 1.0:
             raise ValueError("ddim_eta must lie in [0, 1]")
         self.time_travel.resolve(self.T)  # validates the window
-
-    def resolved_rho(self) -> np.ndarray:
-        """Per-step vector indexed by t - 1."""
-        rho = np.atleast_1d(np.asarray(self.rho, dtype=np.float64))
-        return np.full(self.T, rho[0]) if rho.size == 1 else rho.copy()
 
 
 def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
@@ -230,8 +227,10 @@ class RunTrace:
     ``fisher_spectral_radius`` is probed at the mean chain state when
     enabled and is nan otherwise, or where the score derivative there is
     not finite; the probe is diagnostic and not part of the counted
-    sampling cost. ``score_evals`` and
-    ``jacobian_passes`` are per-chain counts for the step.
+    sampling cost. ``step_wall_time_s`` times the step's block loop; the
+    noise draws and a time-travel re-noise before it are left out.
+    ``score_evals`` and ``jacobian_passes`` are per-chain counts for the
+    step.
     """
 
     t: np.ndarray
@@ -246,35 +245,18 @@ class RunTrace:
     n_chains: int
 
 
-def _plan_entries(T: int, repeats: int, t_lo: int, t_hi: int):
-    """Execution order as (t, renoise_first, tape_slot); slot 0 is the init draw."""
-    entries = []
-    slot = 1
-    for t in range(T, 0, -1):
-        entries.append((t, False, slot))
-        slot += 1
-        if repeats > 0 and t_lo <= t <= t_hi:
-            for _ in range(repeats):
-                entries.append((t, True, slot))
-                slot += 2
-    return entries, slot
+def _plan_entries(T: int, repeats: int, t_lo: int, t_hi: int) -> list[tuple[int, bool]]:
+    """Execution order as (t, renoise) pairs; a re-noise entry re-steps t after re-noising.
 
-
-def _noise_windows(entries, capacity: int) -> list[list[int]]:
-    """Cuts the tape into [first, end) slot windows of at most ``capacity`` slots.
-
-    Windows end on plan-entry boundaries, so the two slots of a re-noise
-    entry never straddle two windows; slot 0, the initial draw, opens
-    the first window. ``capacity`` must be at least 2.
+    The noise tape holds one slot for the initial draw, one per entry, and
+    one more per re-noise.
     """
-    windows = [[0, 1]]
-    for _, renoise, slot in entries:
-        end = slot + (2 if renoise else 1)
-        if end - windows[-1][0] > capacity:
-            windows.append([slot, end])
-        else:
-            windows[-1][1] = end
-    return windows
+    entries = []
+    for t in range(T, 0, -1):
+        entries.append((t, False))
+        if repeats > 0 and t_lo <= t <= t_hi:
+            entries += [(t, True)] * repeats
+    return entries
 
 
 def sample(
@@ -289,13 +271,13 @@ def sample(
     Returns (samples, trace) with samples of shape (n_chains, d). The
     output is a pure function of the configuration, model, energy, and
     condition; the noise window changes only the memory held. Blocks of
-    BLOCK_SIZE chains run in order on the calling thread. Noise is drawn
-    window by window between steps, so memory is O(N d window), not
-    O(N T d). A chain whose state stops being finite is flagged and its
-    row reported as nan; the run aborts with ChainFailureError when more
-    than MAX_FLAGGED_SHARE (1%) of chains are flagged.
-    ``threads`` is an upper bound on worker threads and must be at least
-    1; the sampler uses one, the calling thread.
+    BLOCK_SIZE chains run in order on the calling thread. A step and a
+    re-noise each read one tape slot, drawn window by window before the
+    step timer starts, so noise memory is O(N d window), not O(N T d). A
+    chain whose state stops being finite is flagged and its row reported
+    as nan; the run aborts with ChainFailureError when more than
+    MAX_FLAGGED_SHARE (1%) of chains are flagged. ``threads`` is an upper
+    bound on worker threads and must be at least 1; the sampler uses one.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -306,25 +288,29 @@ def sample(
         raise ValueError("guided sampling needs an energy and a condition")
     d = model.dim
     N = config.n_chains
-    rho = config.resolved_rho()
+    rho = np.broadcast_to(np.asarray(config.rho, dtype=np.float64), (config.T,))
     repeats, t_lo, t_hi = config.time_travel.resolve(config.T)
-    entries, tape_len = _plan_entries(config.T, repeats, t_lo, t_hi)
+    entries = _plan_entries(config.T, repeats, t_lo, t_hi)
+    tape_len = 1 + len(entries) + sum(renoise for _, renoise in entries)
 
-    capacity = min(tape_len, max(2, NOISE_WINDOW_BYTES // (N * d * 8)))
-    windows = iter(_noise_windows(entries, capacity))
+    capacity = min(tape_len, max(1, NOISE_WINDOW_BYTES // (N * d * 8)))
     rngs = [chain_rng(config.seed, ci) for ci in range(N)]
     window = np.empty((N, capacity, d))
+    first = end = slot = 0  # the window holds tape slots [first, end)
 
-    def refill() -> tuple[int, int]:
-        first, end = next(windows)
-        for ci, rng in enumerate(rngs):
-            rng.standard_normal((end - first, d), out=window[ci, : end - first])
-        return first, end
+    def next_slot() -> np.ndarray:  # a view, which the next refill overwrites
+        nonlocal first, end, slot
+        if slot == end:
+            first, end = end, min(end + capacity, tape_len)
+            for ci, rng in enumerate(rngs):
+                rng.standard_normal((end - first, d), out=window[ci, : end - first])
+        slot += 1
+        return window[:, slot - 1 - first]
 
-    first, end = refill()
-    x = window[:, 0].copy()
+    x = next_slot().copy()
     flagged = np.zeros(N, dtype=bool)
 
+    ddim = config.discretization is Discretization.DDIM
     n_steps = len(entries)
     trace = RunTrace(
         t=np.empty(n_steps, dtype=np.int64),
@@ -343,16 +329,13 @@ def sample(
         n_chains=N,
     )
 
-    for si, (t, renoise, slot) in enumerate(entries):
-        if slot >= end:
-            first, end = refill()
-        col = slot - first
+    for si, (t, renoise) in enumerate(entries):
         beta = float(schedule.betas[t - 1])
-        sigma_t = (
-            ddim_sigma(schedule, t, config.ddim_eta)
-            if config.discretization is Discretization.DDIM
-            else 0.0
-        )
+        sigma_t = ddim_sigma(schedule, t, config.ddim_eta) if ddim else 0.0
+        if renoise:  # elementwise, so all rows at once keep every bit; nan rows stay nan
+            x *= math.sqrt(1.0 - beta)
+            x += math.sqrt(beta) * next_slot()
+        noise = next_slot()
         started = time.perf_counter()
         # Per-step sums accrue block by block, in block order.
         grad_sum = 0.0
@@ -362,19 +345,16 @@ def sample(
         for lo in range(0, N, BLOCK_SIZE):
             hi = min(lo + BLOCK_SIZE, N)
             xb = x[lo:hi]
-            noise = window[lo:hi, col]
-            if renoise:
-                xb = math.sqrt(1.0 - beta) * xb + math.sqrt(beta) * noise
-                noise = window[lo:hi, col + 1]
+            noise_b = noise[lo:hi]
             if t == 1 and not config.final_noise:
-                noise = np.zeros_like(noise)
+                noise_b = np.zeros_like(noise_b)
             ok_before = ~flagged[lo:hi]
             if config.trace_fisher:
                 state_sum += xb[ok_before].sum(axis=0)
                 n_before += int(np.sum(ok_before))
             y, cond_norms = step(
                 config.strategy, model, energy, xb, t, condition,
-                float(rho[t - 1]), config.lam, noise,
+                float(rho[t - 1]), config.lam, noise_b,
                 config.discretization, sigma_t,
             )
             ok_now = np.all(np.isfinite(y), axis=1)

@@ -20,6 +20,7 @@ __all__ = [
     "cosine_schedule",
     "alpha_bar",
     "check_step",
+    "middle_third",
 ]
 
 
@@ -117,3 +118,8 @@ def check_step(schedule: NoiseSchedule, t: int) -> None:
     """Raise IndexError unless t is a reverse-step index, 1..T."""
     if not 1 <= t <= schedule.T:
         raise IndexError(f"t must lie in 1..{schedule.T}, got {t}")
+
+
+def middle_third(T: int) -> tuple[int, int]:
+    """First and last step of the middle third of t = 1..T: (T//3 + 1, 2T//3)."""
+    return T // 3 + 1, (2 * T) // 3

@@ -24,7 +24,7 @@ from ficd.analytics import (
 from ficd.guidance import Condition, DistanceEnergy, EnergyFunction, QuadraticEnergy
 from ficd.posterior import PosteriorPartStrategy
 from ficd.sampler import RunTrace, SamplerConfig, sample
-from ficd.schedule import linear_schedule
+from ficd.schedule import NoiseSchedule, linear_schedule
 from ficd.scoremodel import (
     GaussianMixture,
     GaussianMixtureScore,
@@ -321,8 +321,10 @@ def test_phase_profile_rejects_empty():
 
 
 def test_deviation_bound_formula():
-    # 0.1 * 1 * (2 / sqrt(0.25) - sqrt(0.36)) = 0.1 * (4 - 0.6)
-    assert np.isclose(deviation_bound(0.1, 1.0, 0.25, 0.36), 0.34, rtol=1e-12)
+    # alpha_bars 0.36, 0.25; at t = 2: 0.1 * 1 * (2 / sqrt(0.25) - sqrt(0.36)) = 0.1 * (4 - 0.6)
+    schedule = NoiseSchedule(np.array([0.64, 1.0 - 0.25 / 0.36]))
+    np.testing.assert_allclose(schedule.alpha_bars, [0.36, 0.25], rtol=1e-12)
+    assert np.isclose(deviation_bound(0.1, 1.0, schedule, 2), 0.34, rtol=1e-12)
 
 
 def test_deviation_check_zero_gradient_passes():

@@ -1,8 +1,10 @@
-"""Every exported or demo-imported name resolves, so a deletion cannot strand one;
-importing the package stays cheap; and the module layering holds."""
+"""Every exported or demo-imported name resolves, and every demo call of one
+binds to its signature, so a deletion or a signature change cannot strand a
+demo; importing the package stays cheap; and the module layering holds."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -36,16 +38,60 @@ def test_demos_are_found():
     assert DEMOS
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
-def test_demo_imports_resolve(path):
-    """Parses the demo, without running it, and looks up each name it takes from ficd."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    missing = []
+def _names_from_ficd(tree):
+    """(local name -> object for each name the module imports from ficd, missing names)."""
+    found, missing = {}, []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ficd":
             module = importlib.import_module(node.module)
-            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+            for a in node.names:
+                if hasattr(module, a.name):
+                    found[a.asname or a.name] = getattr(module, a.name)
+                else:
+                    missing.append(f"{node.module}.{a.name}")
+    return found, missing
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
+def test_demo_imports_resolve(path):
+    """Parses the demo, without running it, and looks up each name it takes from ficd."""
+    _, missing = _names_from_ficd(ast.parse(path.read_text(), filename=str(path)))
     assert not missing, f"{path.name} imports names ficd does not define: {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
+def test_demo_calls_bind(path):
+    """Binds each demo call of a name taken from ficd, or of an attribute of one
+    (``Condition.target``), to that callable's signature, without running the demo."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names, _ = _names_from_ficd(tree)
+    stale = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            target = names[func.id]
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in names
+        ):
+            target = getattr(names[func.value.id], func.attr, None)
+            if target is None:
+                stale.append(f"line {node.lineno}: ficd defines no {ast.unparse(func)}")
+                continue
+        else:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            continue  # *args or **kwargs: the bound names are not known statically
+        try:
+            inspect.signature(target).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as err:
+            stale.append(f"line {node.lineno}: {ast.unparse(func)}: {err}")
+    assert not stale, f"{path.name} makes calls ficd's signatures reject: {stale}"
 
 
 def test_import_does_not_load_scipy_stats():

@@ -79,11 +79,11 @@ def test_parse_vector_and_matrix():
 
 def test_resolve_rho_scalar_and_list():
     schedule = linear_schedule(4)
-    assert resolve_rho("0.25", schedule, PosteriorPartStrategy.FICD, 1.0, 1.0) == 0.25
-    values = resolve_rho("0.1,0.2,0.3,0.4", schedule, None, 1.0, 1.0)
+    assert resolve_rho("0.25", schedule, PosteriorPartStrategy.FICD, 1.0) == 0.25
+    values = resolve_rho("0.1,0.2,0.3,0.4", schedule, None, 1.0)
     np.testing.assert_allclose(values, [0.1, 0.2, 0.3, 0.4])
     with pytest.raises(ConfigError, match="one value per step"):
-        resolve_rho("0.1,0.2", schedule, None, 1.0, 1.0)
+        resolve_rho("0.1,0.2", schedule, None, 1.0)
 
 
 def test_resolve_rho_matched_per_strategy():
@@ -99,15 +99,15 @@ def test_resolve_rho_matched_per_strategy():
         PosteriorPartStrategy.UNIT: base * np.sqrt(abar),
     }
     for strategy, expected in cases.items():
-        got = resolve_rho("matched", schedule, strategy, 1.0, nv)
+        got = resolve_rho("matched", schedule, strategy, nv)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
-    np.testing.assert_array_equal(resolve_rho("matched", schedule, None, 1.0, nv), np.zeros(6))
+    np.testing.assert_array_equal(resolve_rho("matched", schedule, None, nv), np.zeros(6))
 
 
 def test_resolve_rho_matched_gain_scales_linearly():
     schedule = linear_schedule(5)
-    one = resolve_rho("matched", schedule, PosteriorPartStrategy.EXACT, 1.0, 1.0)
-    scaled = resolve_rho("matched:1.5", schedule, PosteriorPartStrategy.EXACT, 1.0, 1.0)
+    one = resolve_rho("matched", schedule, PosteriorPartStrategy.EXACT, 1.0)
+    scaled = resolve_rho("matched:1.5", schedule, PosteriorPartStrategy.EXACT, 1.0)
     np.testing.assert_allclose(scaled, 1.5 * one, rtol=1e-12)
 
 
@@ -115,13 +115,13 @@ def test_resolve_rho_matched_gain_scales_linearly():
 def test_resolve_rho_bad_specs(spec):
     schedule = linear_schedule(3)
     with pytest.raises(ConfigError):
-        resolve_rho(spec, schedule, PosteriorPartStrategy.FICD, 1.0, 1.0)
+        resolve_rho(spec, schedule, PosteriorPartStrategy.FICD, 1.0)
 
 
 def test_resolve_rho_matched_needs_positive_noise_var():
     schedule = linear_schedule(3)
     with pytest.raises(ConfigError, match="noise variance"):
-        resolve_rho("matched", schedule, PosteriorPartStrategy.FICD, 1.0, 0.0)
+        resolve_rho("matched", schedule, PosteriorPartStrategy.FICD, 0.0)
 
 
 def test_matched_noise_var_rules():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,8 +19,6 @@ from ficd.sampler import (
     Discretization,
     SamplerConfig,
     TimeTravel,
-    _noise_windows,
-    _plan_entries,
     chain_rng,
     ddim_sigma,
     sample,
@@ -439,22 +438,81 @@ def test_initial_state_matches_sampled_trajectory():
 # --- noise window ------------------------------------------------------
 
 
-def test_noise_windows_end_on_entry_boundaries():
-    """Windows tile the tape within capacity and never split a re-noise pair."""
-    entries, tape_len = _plan_entries(12, 2, 5, 8)
-    fixed_cut_would_split = False
-    for capacity in range(2, 9):
-        windows = _noise_windows(entries, capacity)
-        assert windows[0][0] == 0 and windows[-1][1] == tape_len
-        assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
-        assert all(0 < end - first <= capacity for first, end in windows)
-        starts = {first for first, _ in windows}
-        for _, renoise, slot in entries:
-            if renoise:
-                assert slot + 1 not in starts, (capacity, slot)
-                fixed_cut_would_split |= (slot + 1) % capacity == 0
-    # Some pair sits where windows of a fixed slot count would split it.
-    assert fixed_cut_would_split
+def _run_at_window(config, model, energy, c, slots):
+    """sample() with a noise window of ``slots`` tape slots (None: the whole tape)."""
+    budget = 2**40 if slots is None else slots * config.n_chains * model.dim * 8
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "NOISE_WINDOW_BYTES", budget)
+        return sample(config, model, energy, c)
+
+
+@pytest.mark.parametrize("slots", [2, 4])
+def test_renoise_and_its_step_may_read_two_windows(slots):
+    """T = 6 with one repeat over t = 3..4 reads an 11-slot tape: init, t = 6, 5, 4,
+    re-noise (slot 4) + step (slot 5) at t = 4, t = 3, re-noise (slot 7) + step
+    (slot 8) at t = 3, t = 2, 1. At 4 slots a window, slot 7 ends the second
+    window and slot 8 opens the third; at 2, slot 8 opens a full window whose
+    refill overwrites slot 7's column. Either way the run gives the whole-tape
+    bits."""
+    T = 6
+    model = bimodal_model(T)
+    energy, c = QuadraticEnergy(), Condition.target(np.array([1.0, 0.0]))
+    config = SamplerConfig(
+        T=T, strategy=PosteriorPartStrategy.FICD, rho=0.1, n_chains=600, seed=4,
+        time_travel=TimeTravel(repeats=1), final_noise=True, trace_fisher=True,
+    )
+    split, split_trace = _run_at_window(config, model, energy, c, slots)
+    whole, trace = _run_at_window(config, model, energy, c, None)
+    assert split_trace.t.tolist() == [6, 5, 4, 4, 3, 3, 2, 1]
+    assert np.array_equal(split, whole)
+    for name in ("t", "grad_norm", "fisher_spectral_radius", "cr_bound", "coefficient_used",
+                 "flagged_chains"):
+        np.testing.assert_array_equal(getattr(split_trace, name), getattr(trace, name))
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3, 7, None])
+def test_each_chain_draws_exactly_its_tape(monkeypatch, slots):
+    """After sample() every chain's generator sits tape_len = 11 slots in (T = 6,
+    one repeat over t = 3..4), whatever the window: no slot is skipped or over-drawn."""
+    T, N, d, tape_len = 6, 3, 2, 11
+    rngs = []
+
+    def recording_rng(seed, chain_index):
+        rngs.append(chain_rng(seed, chain_index))
+        return rngs[-1]
+
+    monkeypatch.setattr(sampler, "chain_rng", recording_rng)
+    config = SamplerConfig(
+        T=T, strategy=None, n_chains=N, seed=6, time_travel=TimeTravel(repeats=1)
+    )
+    _run_at_window(config, unit_gaussian_model(T, d=d), None, None, slots)
+    assert len(rngs) == N
+    for ci, rng in enumerate(rngs):
+        fresh = chain_rng(6, ci)
+        fresh.standard_normal((tape_len, d))
+        assert np.array_equal(rng.standard_normal(3), fresh.standard_normal(3)), ci
+
+
+def test_step_time_leaves_out_noise_draws(monkeypatch):
+    """Every draw sleeps 0.2 s and the window holds 1 slot, so a refill comes
+    before each step and each re-noise; no step_wall_time_s reaches 0.1 s."""
+
+    class SlowRng:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *args, **kwargs):
+            time.sleep(0.2)
+            return self.rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "chain_rng", lambda seed, ci: SlowRng(chain_rng(seed, ci)))
+    T = 4
+    config = SamplerConfig(
+        T=T, strategy=None, n_chains=1, seed=0, time_travel=TimeTravel(repeats=1)
+    )
+    _, trace = _run_at_window(config, unit_gaussian_model(T), None, None, 1)
+    assert trace.t.tolist() == [4, 3, 2, 2, 1]
+    assert np.all(trace.step_wall_time_s < 0.1), trace.step_wall_time_s
 
 
 @settings(max_examples=10, deadline=None)
@@ -466,7 +524,7 @@ def test_noise_windows_end_on_entry_boundaries():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_noise_window_does_not_move_a_bit(slots, repeats, discretization, threads, seed):
-    """A window of 1-5 slots (at least 2 are kept) gives the whole-tape bits."""
+    """A window of 1-5 slots gives the whole-tape bits."""
     T, N, d = 12, 600, 2  # two blocks, the second one partial
     model = bimodal_model(T)
     c = Condition.target(np.array([1.0, 0.0]))
