@@ -44,7 +44,7 @@ from ficd.sampler import (
     TimeTravel,
     sample,
 )
-from ficd.schedule import NoiseSchedule, cosine_schedule, linear_schedule
+from ficd.schedule import NoiseSchedule, linear_schedule
 from ficd.scoremodel import (
     GaussianMixture,
     GaussianMixtureScore,
@@ -89,7 +89,6 @@ __all__ = [
     "TimeTravel",
     "sample",
     "NoiseSchedule",
-    "cosine_schedule",
     "linear_schedule",
     "GaussianMixture",
     "GaussianMixtureScore",

@@ -206,6 +206,8 @@ def phase_profile(trace: RunTrace) -> tuple[float, float, float]:
     early = trace.t > hi
     late = trace.t < lo
     mid = ~early & ~late
+    if not (early.any() and mid.any() and late.any()):
+        raise ValueError("trace is too short for three phases; it needs at least 3 steps")
     return (
         float(np.mean(trace.grad_norm[early])),
         float(np.mean(trace.grad_norm[mid])),

@@ -27,7 +27,7 @@ from ficd.analytics import (
     samples_to_csv,
     trace_to_csv,
 )
-from ficd.config import ConfigError, ExperimentConfig
+from ficd.config import ConfigError, ExperimentConfig, parse_config_text
 from ficd.guidance import Condition, DistanceEnergy
 from ficd.posterior import strategy_name, tweedie_posterior_mean
 from ficd.presets import PRESETS
@@ -304,6 +304,9 @@ def _paired_configs(
 
 
 def cmd_trace(config: ExperimentConfig) -> int:
+    T = config["schedule.T"]
+    if T < 3:
+        raise ConfigError(f"trace needs schedule.T >= 3 for its three phases, got {T}")
     model = config.build_model(config.schedule())
     energy, condition = config.build_energy()
 
@@ -411,12 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from(args: argparse.Namespace) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
-    for item in args.set:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        pairs.append((key.strip(), value.strip()))
+    """The --set items, read as config-file lines, then the shorthand flags."""
+    pairs = list(parse_config_text("\n".join(args.set)).items())
     flag_map = [
         ("seed", "seed"),
         ("out", "out.dir"),

@@ -25,7 +25,7 @@ from ficd.guidance import (
     QuadraticEnergy,
 )
 from ficd.sampler import Discretization, SamplerConfig, TimeTravel
-from ficd.schedule import NoiseSchedule, cosine_schedule, linear_schedule
+from ficd.schedule import NoiseSchedule, linear_schedule
 from ficd.scoremodel import (
     GaussianMixture,
     GaussianMixtureScore,
@@ -56,7 +56,6 @@ CONFIG_SCHEMA: dict[str, tuple[str, object]] = {
     "seed": ("int", 0),
     "threads": ("int", 1),
     "out.dir": ("str", "out"),
-    "schedule.kind": ("str", "linear"),
     "schedule.T": ("int", 200),
     "schedule.beta_start": ("float", 1e-4),
     "schedule.beta_end": ("float", 0.02),
@@ -271,16 +270,12 @@ class ExperimentConfig:
     # -- builders --------------------------------------------------------
 
     def schedule(self) -> NoiseSchedule:
-        kind = self["schedule.kind"]
-        T = self["schedule.T"]
         try:
-            if kind == "linear":
-                return linear_schedule(T, self["schedule.beta_start"], self["schedule.beta_end"])
-            if kind == "cosine":
-                return cosine_schedule(T, self["schedule.beta_end"])
+            return linear_schedule(
+                self["schedule.T"], self["schedule.beta_start"], self["schedule.beta_end"]
+            )
         except ValueError as err:
             raise ConfigError(f"bad schedule: {err}") from None
-        raise ConfigError(f"unknown schedule.kind {kind!r} (linear or cosine)")
 
     def strategy(self) -> PosteriorPartStrategy | None:
         name = self["sampler.strategy"]

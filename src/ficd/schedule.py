@@ -3,13 +3,14 @@
 A schedule is its beta vector: everything downstream (samplers, bounds,
 benchmarks) reads beta_t and the running product alpha_bar_t of
 1 - beta_t from here, and a learned model's dump stores the betas
-themselves. Steps are indexed t = 1..T, and alpha_bar(0) = 1 by
-convention (the empty product, i.e. clean data).
+themselves. The configured schedule is always ``linear_schedule``; any
+other beta vector enters as a ``NoiseSchedule`` directly. Steps are
+indexed t = 1..T, and alpha_bar(0) = 1 by convention (the empty
+product, i.e. clean data).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,6 @@ import numpy as np
 __all__ = [
     "NoiseSchedule",
     "linear_schedule",
-    "cosine_schedule",
     "alpha_bar",
     "check_step",
     "middle_third",
@@ -85,24 +85,6 @@ def linear_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> N
         return NoiseSchedule(np.array([beta_min], dtype=np.float64))
     t = np.arange(1, T + 1, dtype=np.float64)
     return NoiseSchedule(beta_min + (t - 1.0) * ((beta_max - beta_min) / (T - 1)))
-
-
-def cosine_schedule(T: int, beta_max: float = 0.999) -> NoiseSchedule:
-    """Squared-cosine alpha_bar profile with per-step betas clipped at beta_max.
-
-    Uses f(t) = cos((t / T + s) / (1 + s) * pi / 2) ** 2 with the usual
-    offset s = 0.008 and beta_t = min(1 - f(t) / f(t - 1), beta_max).
-    Offered as a configuration option; the linear rule is the default
-    everywhere.
-    """
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError(f"T must be a positive integer, got {T!r}")
-    if not (0.0 < beta_max < 1.0):
-        raise ValueError("beta_max must lie strictly inside (0, 1)")
-    s = 0.008
-    grid = np.arange(0, T + 1, dtype=np.float64)
-    f = np.cos((grid / T + s) / (1.0 + s) * (math.pi / 2.0)) ** 2
-    return NoiseSchedule(np.minimum(1.0 - f[1:] / f[:-1], beta_max))
 
 
 def alpha_bar(schedule: NoiseSchedule, t: int) -> float:

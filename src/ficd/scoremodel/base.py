@@ -15,6 +15,8 @@ __all__ = ["ScoreModel", "eps_to_score", "finite_diff_jacobian"]
 class ScoreModel(ABC):
     """A score oracle s(x, t) approximating the gradient of log p(x_t).
 
+    A model implements ``score`` and ``score_vjp``; ``jacobian`` is
+    derived from ``score_vjp`` unless the model has a closed form.
     Evaluation is deterministic for fixed (x, t) and instances are
     immutable once built, so one model may serve many sampling chains
     concurrently. ``x`` may be a single point of shape (d,) or a batch
@@ -32,8 +34,17 @@ class ScoreModel(ABC):
         """Score s(x, t) with the same leading shape as x."""
 
     def jacobian(self, x: np.ndarray, t: int) -> np.ndarray:
-        """Derivative of the score w.r.t. x: (d, d), or (N, d, d) for a batch."""
-        raise NotImplementedError(f"{type(self).__name__} has no jacobian")
+        """Derivative of the score w.r.t. x: (d, d), or (N, d, d) for a batch.
+
+        Row i is score_vjp(x, t, e_i), the pullback of the i-th unit
+        vector; a model with a closed form overrides this.
+        """
+        rows = []
+        for i in range(self.dim):
+            unit = np.zeros_like(x, dtype=np.float64)
+            unit[..., i] = 1.0
+            rows.append(self.score_vjp(x, t, unit))
+        return np.stack(rows, axis=-2)
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
         """Transpose-Jacobian action J(x, t)^T v, shaped like x; the exact pullback."""

@@ -6,8 +6,8 @@ weight gradients, and the input pullback are written out against plain
 numpy so the exact input Jacobian is available without an autodiff
 framework.
 
-One forward body serves every caller. On a pullback path (``score_vjp``,
-``jacobian`` and training) it returns a cache: each linear layer's input
+One forward body serves every caller. On a pullback path (``score_vjp``
+and training) it returns a cache: each linear layer's input
 and each hidden layer's SiLU derivative s (1 + a (1 - s)), formed from
 the same sigmoid s = expit(a) that gave the activation, so the backward
 passes evaluate no sigmoid. The score-only forward keeps nothing: holding
@@ -126,10 +126,10 @@ class LearnedScoreModel(ScoreModel):
     concurrent evaluation. ``trained`` records whether any optimizer
     steps ran, and ``final_loss`` is the last minibatch objective.
 
-    ``score`` runs the forward with no pullback cache. ``score_vjp`` and
-    ``jacobian`` run it with the cache (layer inputs and SiLU
-    derivatives) and pull back through it without recomputing a sigmoid;
-    ``jacobian`` reuses one cache for all d pullbacks.
+    ``score`` runs the forward with no pullback cache. ``score_vjp`` runs
+    it with the cache (layer inputs and SiLU derivatives) and pulls back
+    through it without recomputing a sigmoid; ``jacobian`` is the base
+    class's, one ``score_vjp`` per output row.
     """
 
     def __init__(
@@ -186,14 +186,11 @@ class LearnedScoreModel(ScoreModel):
 
     # score interface --------------------------------------------------
 
-    def eps_pred(self, x: np.ndarray, t) -> np.ndarray:
-        x2d = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        eps, _ = _forward(self.weights, self.biases, self._net_input(x2d, t))
-        return eps[0] if np.asarray(x).ndim == 1 else eps
-
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
         check_step(self.schedule, t)
-        return eps_to_score(self.eps_pred(x, t), self.schedule, t)
+        x2d = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        eps, _ = _forward(self.weights, self.biases, self._net_input(x2d, t))
+        return eps_to_score(eps[0] if np.asarray(x).ndim == 1 else eps, self.schedule, t)
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
         check_step(self.schedule, t)
@@ -204,21 +201,6 @@ class LearnedScoreModel(ScoreModel):
         pulled = _backward_input(self.weights, cache, v2d)[:, : self._d]
         out = eps_to_score(pulled, self.schedule, t)
         return out[0] if single else out
-
-    def jacobian(self, x: np.ndarray, t: int) -> np.ndarray:
-        """Exact input Jacobian of the score, one pullback per output row."""
-        check_step(self.schedule, t)
-        single = np.asarray(x).ndim == 1
-        x2d = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        N, d = x2d.shape
-        _, cache = _forward(self.weights, self.biases, self._net_input(x2d, t), pullback=True)
-        J = np.empty((N, d, d))
-        for i in range(d):
-            unit = np.zeros((N, d))
-            unit[:, i] = 1.0
-            pulled = _backward_input(self.weights, cache, unit)[:, :d]
-            J[:, i, :] = eps_to_score(pulled, self.schedule, t)
-        return J[0] if single else J
 
 
 def train_dsm(

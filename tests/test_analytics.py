@@ -315,6 +315,11 @@ def test_phase_profile_rejects_empty():
     trace.t = np.empty(0, dtype=np.int64)
     with pytest.raises(ValueError):
         phase_profile(trace)
+    # Fewer than 3 steps leave a third empty; 3 steps fill one step each.
+    for T in (1, 2):
+        with pytest.raises(ValueError, match="three phases"):
+            phase_profile(constant_trace(T))
+    assert phase_profile(constant_trace(3)) == (1.0, 1.0, 1.0)
 
 
 # --- strategy-gap reports ----------------------------------------------

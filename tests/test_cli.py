@@ -90,6 +90,14 @@ def test_sample_zero_rho_strategies_agree(tmp_path):
     ).read_bytes()
 
 
+def timing_free_sha256(path):
+    """sha256 of a trace CSV with its step_wall_time_s column removed."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    col = rows[0].index("step_wall_time_s")
+    text = "\n".join(",".join(row[:col] + row[col + 1:]) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 # samples.csv sha256 of every preset and strategy at T = 40 with 64 chains.
 # A refactor leaves them unchanged; a change that moves the samples on
 # purpose updates them and says why.
@@ -117,14 +125,42 @@ PINNED_SAMPLES_SHA256 = {
 }
 
 
+# sha256 of the same runs' trace.csv with the step_wall_time_s column
+# removed; the runs keep the Fisher probe on, so its column is pinned too.
+PINNED_TRACE_SHA256 = {
+    ("gaussian-point", "exact"): "6f398bf2e840a372c83d64d1611eb4a9f4d5743701621822b96484fbec5536ed",
+    ("gaussian-point", "ficd"): "93271782412413e1bfe715f3c1457184c5b9b3169757c8b9ab26446180867f20",
+    ("gaussian-point", "mpgd"): "2e24308654b3c28d98bd3ac24a148ba30451d3a3bbd3660394ebd686b959b2f8",
+    ("gaussian-point", "unit"): "4267fafdf3cc041b1f272f0ff25cc324950a5237ed7d7333f30bfad8923f418f",
+    ("gaussian-point", "uncond"): "f4c6f3d658898ebc2be429be6f2c3563457b6f5d6ef33bbec4bb14e1dbab29fc",
+    ("gmm-tilt", "exact"): "ae58eeb972e4b6fbd2d7766e2b75374d6f4e16416dc2bcee7f729a24dc98d03b",
+    ("gmm-tilt", "ficd"): "402fefdd57543c9ad09170a174d602e545de6f288ce95d0430fa6b659ca3c9bd",
+    ("gmm-tilt", "mpgd"): "e23daf0e909b439f61fb82aa67807f23b917b5bb186b64c46455a5c138001546",
+    ("gmm-tilt", "unit"): "d9f711ca9efbeeaa4dbe6b064f6c4b135c94bf7d8ac2b073aa5f113931dc7531",
+    ("gmm-tilt", "uncond"): "8768bd8a346963a0bbddc98f9871058b92f34a934de7720a04253cf4058e5c19",
+    ("linear-inverse", "exact"): "7bc383cab9163cf6cf7aa8d7c46df3286547facf2ce6e6021e943d90dd1561d2",
+    ("linear-inverse", "ficd"): "4d85ab8194aa93a2c20399d6f9d7b2a9d5c9a7673d0d4458d5362780adf52d2c",
+    ("linear-inverse", "mpgd"): "93d502d9c9383338a46640c5b966a9708fecb88473fa55e1f5bb131fb3af438e",
+    ("linear-inverse", "unit"): "618e988b4065056d08073e91de1441a6b5fd9d3d33f0d13859d01f55179b6b3e",
+    ("linear-inverse", "uncond"): "f4c6f3d658898ebc2be429be6f2c3563457b6f5d6ef33bbec4bb14e1dbab29fc",
+    ("gmm-style-analog", "exact"): "76336951002869bb077d8aaa0cc4f46e1de2437a17a6d7a481d4cf3bca70a59b",
+    ("gmm-style-analog", "ficd"): "b600947f303beacf54d723d369ea1fb19c79c94a6a9bc8bf2dc242048c410172",
+    ("gmm-style-analog", "mpgd"): "b2dd9d71a0f45ca3763d28e91f51a2a14c2ea2c4b962a55ba89c2a5fe64e4215",
+    ("gmm-style-analog", "unit"): "f20fc8779cb989ae037227e20266b7f21894c4064f347f51c4c82d05bf906ea1",
+    ("gmm-style-analog", "uncond"): "4113aa66cb04577ac11d9208d6ca566c56c295ccfdf8dc0956366d49afa4ce14",
+}
+
+
 @pytest.mark.parametrize("preset,strategy", sorted(PINNED_SAMPLES_SHA256))
 def test_sample_output_is_pinned(tmp_path, preset, strategy):
     out = tmp_path / "run"
     argv = ["sample", "--preset", preset, "--T", "40", "--strategy", strategy,
-            "--set", "sampler.n_chains=64", "--out", str(out)]
+            "--set", "sampler.n_chains=64", "--set", "sampler.trace_fisher=true",
+            "--out", str(out)]
     assert run(*argv) == 0
     digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
     assert digest == PINNED_SAMPLES_SHA256[preset, strategy]
+    assert timing_free_sha256(out / "trace.csv") == PINNED_TRACE_SHA256[preset, strategy]
 
 
 def test_sample_uncond_needs_no_energy(tmp_path):
@@ -182,8 +218,13 @@ def test_sample_exit_codes(tmp_path, capsys):
     assert run(*sample_args(tmp_path / "t0", "--threads", "0")) == 2
     assert run(*sample_args(tmp_path / "tneg", "--threads", "-4")) == 2
     assert run(*sample_args(tmp_path / "dse", "--set", "sampler.double_score_eval=true")) == 2
+    assert run(*sample_args(tmp_path / "bare", "--set", "foo")) == 2
+    # The retired schedule.kind is an unknown key, whatever its value.
+    for kind in ("cosine", "linear"):
+        assert run(*sample_args(tmp_path / kind, "--set", f"schedule.kind={kind}")) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
+    assert "'foo'" in err and err.count("unknown configuration key 'schedule.kind'") == 2
     assert "ddim_eta" in err and "threads" in err
     assert "sde_euler" in err and "repeats = 0" in err
     failing = run(
@@ -199,6 +240,16 @@ def test_sample_exit_codes(tmp_path, capsys):
     )
     assert failing == 3
     assert "chain failure" in capsys.readouterr().err
+
+
+def test_set_items_are_read_as_config_lines(tmp_path, capsys):
+    # '#' starts a comment, a later --set wins, and the --T flag beats --set.
+    argv = sample_args(
+        tmp_path / "c", "--set", "sampler.n_chains=16 # fewer chains", "--set", "schedule.T=7"
+    )
+    assert run(*argv) == 0
+    out = capsys.readouterr().out
+    assert "N=16" in out and "T=30" in out
 
 
 def test_unknown_preset_is_an_argparse_error(tmp_path):
@@ -226,6 +277,17 @@ def test_verify_sound_suites_pass(tmp_path, capsys):
     assert "[tweedie] PASS" in report
     assert "measured only" in report  # multimodal numbers shown, never gating
     assert "ALL PASS" in capsys.readouterr().out
+
+
+# sha256 of report.txt from every suite at the default T = 200: it prints
+# the closed-form mixture Jacobian's gaps and ratios to many digits.
+PINNED_REPORT_SHA256 = "1ac8525d475cb0de8593c8dd4246322954c801b7500782f555ef8b81957809d1"
+
+
+def test_verify_all_report_is_pinned(tmp_path):
+    assert run("verify", "--suite", "all", "--out", str(tmp_path / "v")) == 0
+    digest = hashlib.sha256((tmp_path / "v" / "report.txt").read_bytes()).hexdigest()
+    assert digest == PINNED_REPORT_SHA256
 
 
 def test_verify_suites_selection():
@@ -306,6 +368,14 @@ def test_trace_three_steps_gives_singleton_terciles(tmp_path, capsys):
     assert code == 0
     assert len((tmp_path / "tr3" / "compare.csv").read_text().splitlines()) == 4
     assert "early=" in capsys.readouterr().out
+
+
+def test_trace_too_short_for_three_phases_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "tr2"
+    argv = ("trace", "--preset", "gmm-tilt", "--T", "2", "--set", "sampler.n_chains=16")
+    assert run(*argv, "--out", str(out)) == 2
+    assert "schedule.T >= 3" in capsys.readouterr().err
+    assert not out.exists()  # neither strategy ran
 
 
 # -- bench --------------------------------------------------------------

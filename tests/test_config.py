@@ -146,14 +146,11 @@ def test_matched_noise_var_rules():
 def test_schedule_builder_kinds_and_errors():
     linear = ExperimentConfig.from_sources(overrides=[("schedule.T", "10")]).schedule()
     assert linear.T == 10
-    cosine = ExperimentConfig.from_sources(
-        overrides=[("schedule.kind", "cosine"), ("schedule.T", "10"), ("schedule.beta_end", "0.9")]
-    ).schedule()
-    assert cosine.T == 10
     with pytest.raises(ConfigError, match="bad schedule"):
         ExperimentConfig.from_sources(overrides=[("schedule.beta_end", "1.5")]).schedule()
-    with pytest.raises(ConfigError, match="unknown schedule.kind"):
-        ExperimentConfig.from_sources(overrides=[("schedule.kind", "quadratic")]).schedule()
+    # The linear rule is the only one; the retired schedule.kind is an unknown key.
+    with pytest.raises(ConfigError, match="unknown configuration key 'schedule.kind'"):
+        ExperimentConfig.from_sources(overrides=[("schedule.kind", "linear")])
 
 
 def test_gmm_builder_isotropic_and_diagonal():

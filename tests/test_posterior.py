@@ -124,6 +124,37 @@ def test_fisher_information_rejects_non_finite():
         fisher_information(BadScore(), np.zeros(2), 1)
 
 
+class VjpOnlyScore(ScoreModel):
+    """score(x) = x A^T - x^3 / 3 with only its pullback written out, so
+    the Jacobian A - diag(x^2) comes from the base class."""
+
+    dim = 3
+    A = np.array([[1.0, 2.0, 0.0], [-0.5, 0.3, 4.0], [0.0, -1.0, 0.7]])
+
+    def score(self, x, t):
+        return x @ self.A.T - x**3 / 3.0
+
+    def score_vjp(self, x, t, v):
+        return v @ self.A - v * x**2
+
+
+def test_jacobian_is_derived_from_score_vjp():
+    model = VjpOnlyScore()
+    x = np.random.default_rng(5).normal(size=(4, 3))
+    by_hand = np.stack([model.A - np.diag(row**2) for row in x])
+    np.testing.assert_array_equal(model.jacobian(x, 1), by_hand)
+    np.testing.assert_array_equal(model.jacobian(x[2], 1), by_hand[2])
+
+    class ScoreOnly(ScoreModel):
+        dim = 2
+
+        def score(self, x, t):
+            return -x
+
+    with pytest.raises(NotImplementedError, match="ScoreOnly has no score_vjp"):
+        ScoreOnly().jacobian(np.zeros(2), 1)
+
+
 def test_cramer_rao_bound_values():
     assert cramer_rao_bound(NoiseSchedule([0.5]), 1) == pytest.approx(2.0)
     assert cramer_rao_bound(NoiseSchedule([0.25]), 1) == pytest.approx(4.0)

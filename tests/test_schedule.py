@@ -6,7 +6,6 @@ import pytest
 from ficd.schedule import (
     NoiseSchedule,
     alpha_bar,
-    cosine_schedule,
     linear_schedule,
 )
 
@@ -43,7 +42,7 @@ def test_alpha_bars_are_the_running_product_of_betas():
 
 
 def test_alpha_bars_strictly_decreasing():
-    for sched in (linear_schedule(200, 1e-4, 0.02), cosine_schedule(200)):
+    for sched in (linear_schedule(200, 1e-4, 0.02), linear_schedule(20, 0.05, 0.9)):
         assert np.all(np.diff(sched.alpha_bars) < 0)
         assert 0.0 < alpha_bar(sched, sched.T) < alpha_bar(sched, 1) < 1.0
 
