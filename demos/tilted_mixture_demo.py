@@ -18,7 +18,6 @@ from ficd import (
     QuadraticEnergy,
     SamplerConfig,
     PosteriorPartStrategy,
-    TimeTravel,
     linear_schedule,
     sample,
     sliced_wasserstein,
@@ -47,7 +46,7 @@ config = SamplerConfig(
     strategy=PosteriorPartStrategy.FICD,
     rho=rho,
     lam=lam,
-    time_travel=TimeTravel(repeats=2),
+    time_travel_repeats=2,
     n_chains=2000,
     seed=0,
 )

@@ -41,7 +41,6 @@ from ficd.sampler import (
     Discretization,
     RunTrace,
     SamplerConfig,
-    TimeTravel,
     sample,
 )
 from ficd.schedule import NoiseSchedule, linear_schedule
@@ -86,7 +85,6 @@ __all__ = [
     "Discretization",
     "RunTrace",
     "SamplerConfig",
-    "TimeTravel",
     "sample",
     "NoiseSchedule",
     "linear_schedule",

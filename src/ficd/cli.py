@@ -255,28 +255,12 @@ _SUITE_FNS = {
 }
 
 
-def verify_suites(config: ExperimentConfig) -> list[str]:
-    """The suites verify.suites names: a comma list of suite names, or all."""
-    raw = [part.strip() for part in config["verify.suites"].split(",") if part.strip()]
-    if not raw:
-        raise ConfigError("verify.suites must name at least one suite")
-    if "all" in raw:
-        return list(_SUITE_FNS)
-    unknown = [name for name in raw if name not in _SUITE_FNS]
-    if unknown:
-        raise ConfigError(
-            f"unknown verify suites {unknown}; choose from {sorted(_SUITE_FNS)} or all"
-        )
-    return raw
-
-
 def cmd_verify(config: ExperimentConfig) -> int:
     schedule = config.schedule()
-    suites = verify_suites(config)
     report_lines = []
     all_passed = True
-    for name in suites:
-        passed, lines = _SUITE_FNS[name](schedule)
+    for name, suite in _SUITE_FNS.items():
+        passed, lines = suite(schedule)
         all_passed = all_passed and passed
         report_lines.append(f"[{name}] {'PASS' if passed else 'FAIL'}")
         report_lines.extend(f"  {line}" for line in lines)
@@ -400,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, help="number of diffusion steps")
     p.add_argument("--rho", help="guidance step size: float, comma list, or matched[:gain]")
 
-    p = sub.add_parser("verify", help="run verification suites and write report.txt")
+    p = sub.add_parser("verify", help="run every verification suite and write report.txt")
     _add_common(p)
-    p.add_argument("--suite", help="comma list of suites or all (shorthand for verify.suites)")
 
     p = sub.add_parser("trace", help="paired exact/ficd runs with the comparison CSV")
     _add_common(p)
@@ -413,9 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_lines(text: str, source: str) -> list[tuple[str, str]]:
+    """parse_config_text's pairs; an error names the source of the lines."""
+    try:
+        return list(parse_config_text(text).items())
+    except ConfigError as err:
+        raise ConfigError(f"{source}, {err}") from None
+
+
 def _overrides_from(args: argparse.Namespace) -> list[tuple[str, str]]:
-    """The --set items, read as config-file lines, then the shorthand flags."""
-    pairs = list(parse_config_text("\n".join(args.set)).items())
+    """The --set items, read as config-file lines (item i is line i), then the shorthand flags."""
+    pairs = _read_lines("\n".join(args.set), "--set items")
     flag_map = [
         ("seed", "seed"),
         ("out", "out.dir"),
@@ -424,7 +415,6 @@ def _overrides_from(args: argparse.Namespace) -> list[tuple[str, str]]:
         ("T", "schedule.T"),
         ("rho", "sampler.rho"),
         ("steps", "train.steps"),
-        ("suite", "verify.suites"),
     ]
     for attr, key in flag_map:
         value = getattr(args, attr, None)
@@ -435,13 +425,14 @@ def _overrides_from(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     preset = PRESETS[args.preset] if args.preset else None
-    file_text = None
+    pairs = []
     if args.config:
         if not os.path.exists(args.config):
             raise ConfigError(f"config file does not exist: {args.config}")
         with open(args.config) as fh:
-            file_text = fh.read()
-    return ExperimentConfig.from_sources(preset, file_text, _overrides_from(args))
+            pairs = _read_lines(fh.read(), args.config)
+    # The file's pairs come first, so --set and the flags still override them.
+    return ExperimentConfig.from_sources(preset, overrides=pairs + _overrides_from(args))
 
 
 _COMMANDS = {

@@ -24,7 +24,7 @@ from ficd.guidance import (
     LinearMeasurementEnergy,
     QuadraticEnergy,
 )
-from ficd.sampler import Discretization, SamplerConfig, TimeTravel
+from ficd.sampler import Discretization, SamplerConfig
 from ficd.schedule import NoiseSchedule, linear_schedule
 from ficd.scoremodel import (
     GaussianMixture,
@@ -76,12 +76,8 @@ CONFIG_SCHEMA: dict[str, tuple[str, object]] = {
     "sampler.discretization": ("str", "sde_euler"),
     "sampler.ddim_eta": ("float", 0.0),
     "sampler.n_chains": ("int", 256),
-    "sampler.final_noise": ("bool", False),
     "sampler.trace_fisher": ("bool", False),
     "sampler.time_travel.repeats": ("int", 0),
-    "sampler.time_travel.t_lo": ("str", ""),
-    "sampler.time_travel.t_hi": ("str", ""),
-    "verify.suites": ("str", "all"),
     "train.data.kind": ("str", "normal"),
     "train.data.path": ("str", ""),
     "train.data.count": ("int", 4096),
@@ -141,7 +137,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, _, value = body.partition("=")
         key = key.strip()
         if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"unknown configuration key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         out[key] = value.strip()
     return out
 
@@ -364,22 +360,6 @@ class ExperimentConfig:
             raise ConfigError("matched rho with a non-linear energy needs sampler.lam > 0")
         return 1.0 / (2.0 * lam)
 
-    def time_travel(self) -> TimeTravel:
-        def window_edge(key: str) -> int | None:
-            raw = self[key]
-            if not raw:
-                return None
-            try:
-                return int(raw)
-            except ValueError:
-                raise ConfigError(f"bad value for {key}: {raw!r} (expected int)") from None
-
-        return TimeTravel(
-            repeats=self["sampler.time_travel.repeats"],
-            t_lo=window_edge("sampler.time_travel.t_lo"),
-            t_hi=window_edge("sampler.time_travel.t_hi"),
-        )
-
     def sampler_config(self, schedule: NoiseSchedule | None = None) -> SamplerConfig:
         if schedule is None:
             schedule = self.schedule()
@@ -397,15 +377,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown sampler.discretization {disc_name!r} (sde_euler or ddim)"
             ) from None
-        # Settings the run would ignore are errors, not silent no-ops.
-        if discretization is Discretization.SDE_EULER and self["sampler.ddim_eta"] != 0.0:
-            raise ConfigError("sampler.ddim_eta is a DDIM setting; sde_euler needs it at 0")
-        if self["sampler.time_travel.repeats"] == 0 and (
-            self["sampler.time_travel.t_lo"] or self["sampler.time_travel.t_hi"]
-        ):
-            raise ConfigError(
-                "sampler.time_travel.t_lo/t_hi set while sampler.time_travel.repeats = 0"
-            )
         try:
             return SamplerConfig(
                 T=schedule.T,
@@ -414,10 +385,9 @@ class ExperimentConfig:
                 lam=self["sampler.lam"],
                 discretization=discretization,
                 ddim_eta=self["sampler.ddim_eta"],
-                time_travel=self.time_travel(),
+                time_travel_repeats=self["sampler.time_travel.repeats"],
                 n_chains=self["sampler.n_chains"],
                 seed=self["seed"],
-                final_noise=self["sampler.final_noise"],
                 trace_fisher=self["sampler.trace_fisher"],
             )
         except ValueError as err:

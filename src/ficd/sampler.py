@@ -1,5 +1,9 @@
 """Reverse-process sampling: plain, guided, DDIM, and time-travel loops.
 
+Time travel re-noises and re-steps each t of the middle third of the
+steps, where guidance is known to matter most; the step at t = 1 adds
+no noise, so a run ends on a clean sample.
+
 Every chain owns a counter-based random stream keyed by (seed, chain
 index), and the chain population is cut into fixed-size blocks that run
 as batches, one after another on the calling thread. The block
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -37,7 +41,6 @@ from ficd.schedule import NoiseSchedule, alpha_bar, check_step, middle_third
 
 __all__ = [
     "Discretization",
-    "TimeTravel",
     "SamplerConfig",
     "RunTrace",
     "ChainFailureError",
@@ -79,41 +82,15 @@ class ChainFailureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TimeTravel:
-    """Re-noising repeats applied inside an active step window.
-
-    ``repeats = 0`` disables the mechanism. A window of None selects the
-    middle third of the steps, where guidance is known to matter most.
-    """
-
-    repeats: int = 0
-    t_lo: int | None = None
-    t_hi: int | None = None
-
-    def resolve(self, T: int) -> tuple[int, int, int]:
-        """Returns (repeats, t_lo, t_hi) with defaults filled in for T steps."""
-        if self.repeats < 0:
-            raise ValueError("time-travel repeats must be >= 0")
-        if self.repeats == 0:
-            return 0, 1, 0
-        mid_lo, mid_hi = middle_third(T)
-        lo = self.t_lo if self.t_lo is not None else mid_lo
-        hi = self.t_hi if self.t_hi is not None else mid_hi
-        if not (1 <= lo <= hi <= T):
-            raise ValueError(f"time-travel window [{lo}, {hi}] must lie inside [1, {T}]")
-        return self.repeats, lo, hi
-
-
-@dataclass(frozen=True)
 class SamplerConfig:
     """Everything a sampling run depends on besides the model and energy.
 
     ``strategy = None`` runs unconditionally (no energy consulted).
     ``rho`` is a constant or a length-T vector of per-step guidance
     weights. ``ddim_eta`` lies in [0, 1], which keeps sigma_t**2 within
-    1 - alpha_bar_{t-1}. ``final_noise`` keeps the noise injection at
-    t = 1, which is suppressed by default to return a clean terminal
-    sample.
+    1 - alpha_bar_{t-1}, and is a DDIM setting: an Euler run needs it at
+    0. ``time_travel_repeats`` re-steps each t of the middle third that
+    many times; 0 disables time travel.
     """
 
     T: int
@@ -122,10 +99,9 @@ class SamplerConfig:
     lam: float = 1.0
     discretization: Discretization = Discretization.SDE_EULER
     ddim_eta: float = 0.0
-    time_travel: TimeTravel = field(default_factory=TimeTravel)
+    time_travel_repeats: int = 0
     n_chains: int = 1
     seed: int = 0
-    final_noise: bool = False
     trace_fisher: bool = False
 
     def __post_init__(self) -> None:
@@ -144,7 +120,12 @@ class SamplerConfig:
             raise ValueError("lambda must be finite")
         if not 0.0 <= self.ddim_eta <= 1.0:
             raise ValueError("ddim_eta must lie in [0, 1]")
-        self.time_travel.resolve(self.T)  # validates the window
+        if self.discretization is Discretization.SDE_EULER and self.ddim_eta != 0.0:
+            raise ValueError("ddim_eta is a DDIM setting; sde_euler needs it at 0")
+        if self.time_travel_repeats < 0:
+            raise ValueError("time_travel_repeats must be >= 0")
+        if self.time_travel_repeats > 0 and self.T < 2:
+            raise ValueError("time travel needs T >= 2: T = 1 has no middle third")
 
 
 def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
@@ -245,16 +226,19 @@ class RunTrace:
     n_chains: int
 
 
-def _plan_entries(T: int, repeats: int, t_lo: int, t_hi: int) -> list[tuple[int, bool]]:
+def _plan_entries(T: int, repeats: int) -> list[tuple[int, bool]]:
     """Execution order as (t, renoise) pairs; a re-noise entry re-steps t after re-noising.
+
+    Each t of the middle third is re-stepped ``repeats`` times.
 
     The noise tape holds one slot for the initial draw, one per entry, and
     one more per re-noise.
     """
+    t_lo, t_hi = middle_third(T)
     entries = []
     for t in range(T, 0, -1):
         entries.append((t, False))
-        if repeats > 0 and t_lo <= t <= t_hi:
+        if t_lo <= t <= t_hi:
             entries += [(t, True)] * repeats
     return entries
 
@@ -289,8 +273,7 @@ def sample(
     d = model.dim
     N = config.n_chains
     rho = np.broadcast_to(np.asarray(config.rho, dtype=np.float64), (config.T,))
-    repeats, t_lo, t_hi = config.time_travel.resolve(config.T)
-    entries = _plan_entries(config.T, repeats, t_lo, t_hi)
+    entries = _plan_entries(config.T, config.time_travel_repeats)
     tape_len = 1 + len(entries) + sum(renoise for _, renoise in entries)
 
     capacity = min(tape_len, max(1, NOISE_WINDOW_BYTES // (N * d * 8)))
@@ -346,7 +329,7 @@ def sample(
             hi = min(lo + BLOCK_SIZE, N)
             xb = x[lo:hi]
             noise_b = noise[lo:hi]
-            if t == 1 and not config.final_noise:
+            if t == 1:
                 noise_b = np.zeros_like(noise_b)
             ok_before = ~flagged[lo:hi]
             if config.trace_fisher:

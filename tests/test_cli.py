@@ -12,8 +12,7 @@ import pytest
 import ficd.analytics
 import ficd.cli
 from ficd.analytics import TRACE_COLUMNS
-from ficd.cli import main, verify_suites
-from ficd.config import ConfigError, ExperimentConfig
+from ficd.cli import main
 from ficd.schedule import linear_schedule
 from ficd.scoremodel import LearnedScoreModel, NetSpec, save_model
 
@@ -211,10 +210,8 @@ def test_sample_exit_codes(tmp_path, capsys):
     assert run(*sample_args(
         tmp_path / "eta", "--set", "sampler.discretization=ddim", "--set", "sampler.ddim_eta=3.0"
     )) == 2
-    # Settings the run would ignore: eta on an Euler run, a window without repeats.
+    # A setting the run would ignore: eta on an Euler run.
     assert run(*sample_args(tmp_path / "eta_euler", "--set", "sampler.ddim_eta=0.7")) == 2
-    assert run(*sample_args(tmp_path / "tt_lo", "--set", "sampler.time_travel.t_lo=5")) == 2
-    assert run(*sample_args(tmp_path / "tt_hi", "--set", "sampler.time_travel.t_hi=9")) == 2
     assert run(*sample_args(tmp_path / "t0", "--threads", "0")) == 2
     assert run(*sample_args(tmp_path / "tneg", "--threads", "-4")) == 2
     assert run(*sample_args(tmp_path / "dse", "--set", "sampler.double_score_eval=true")) == 2
@@ -226,7 +223,7 @@ def test_sample_exit_codes(tmp_path, capsys):
     assert "configuration error" in err
     assert "'foo'" in err and err.count("unknown configuration key 'schedule.kind'") == 2
     assert "ddim_eta" in err and "threads" in err
-    assert "sde_euler" in err and "repeats = 0" in err
+    assert "sde_euler" in err
     failing = run(
         "sample",
         "--preset",
@@ -240,6 +237,40 @@ def test_sample_exit_codes(tmp_path, capsys):
     )
     assert failing == 3
     assert "chain failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        "sampler.time_travel.t_lo=5",
+        "sampler.time_travel.t_hi=9",
+        "sampler.final_noise=true",
+        "verify.suites=tweedie",
+    ],
+)
+def test_retired_keys_are_unknown(tmp_path, capsys, item):
+    assert run(*sample_args(tmp_path / "r", "--set", item)) == 2
+    key = item.partition("=")[0]
+    assert f"unknown configuration key '{key}'" in capsys.readouterr().err
+
+
+def test_negative_time_travel_repeats_is_a_config_error(tmp_path, capsys):
+    assert run(*sample_args(tmp_path / "r", "--set", "sampler.time_travel.repeats=-1")) == 2
+    assert "time_travel_repeats must be >= 0" in capsys.readouterr().err
+
+
+def test_config_errors_name_their_source(tmp_path, capsys):
+    # sample_args holds one --set item, so 'foo' is the third.
+    assert run(*sample_args(tmp_path / "s", "--set", "seed=1", "--set", "foo")) == 2
+    assert "--set items, line 3: expected 'key = value', got 'foo'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    for body, message in [
+        ("schedule.T = 40\nfoo\n", "line 2: expected 'key = value', got 'foo'"),
+        ("# comment\nbogus.key = 1\n", "line 2: unknown configuration key 'bogus.key'"),
+    ]:
+        cfg.write_text(body)
+        assert run(*sample_args(tmp_path / "c", "--config", str(cfg))) == 2
+        assert f"{cfg}, {message}" in capsys.readouterr().err
 
 
 def test_set_items_are_read_as_config_lines(tmp_path, capsys):
@@ -264,8 +295,6 @@ def test_unknown_preset_is_an_argparse_error(tmp_path):
 def test_verify_sound_suites_pass(tmp_path, capsys):
     code = run(
         "verify",
-        "--suite",
-        "tweedie,jacobian-fd,fisher-bound",
         "--set",
         "schedule.T=50",
         "--out",
@@ -285,24 +314,15 @@ PINNED_REPORT_SHA256 = "1ac8525d475cb0de8593c8dd4246322954c801b7500782f555ef8b81
 
 
 def test_verify_all_report_is_pinned(tmp_path):
-    assert run("verify", "--suite", "all", "--out", str(tmp_path / "v")) == 0
+    assert run("verify", "--out", str(tmp_path / "v")) == 0
     digest = hashlib.sha256((tmp_path / "v" / "report.txt").read_bytes()).hexdigest()
     assert digest == PINNED_REPORT_SHA256
 
 
-def test_verify_suites_selection():
-    assert verify_suites(ExperimentConfig.from_sources()) == [
-        "tweedie",
-        "jacobian-fd",
-        "fisher-bound",
-        "deviation-bound",
-    ]
-    subset = ExperimentConfig.from_sources(overrides=[("verify.suites", "tweedie,fisher-bound")])
-    assert verify_suites(subset) == ["tweedie", "fisher-bound"]
-    with pytest.raises(ConfigError, match="unknown verify suites"):
-        verify_suites(ExperimentConfig.from_sources(overrides=[("verify.suites", "spectral")]))
-    with pytest.raises(ConfigError, match="at least one"):
-        verify_suites(ExperimentConfig.from_sources(overrides=[("verify.suites", " , ")]))
+def test_verify_has_no_suite_flag():
+    with pytest.raises(SystemExit) as exc:
+        run("verify", "--suite", "all")
+    assert exc.value.code == 2
 
 
 def test_verify_deviation_bound_fails_honestly(tmp_path, capsys):
@@ -310,8 +330,6 @@ def test_verify_deviation_bound_fails_honestly(tmp_path, capsys):
     # honest verdict is a pass.
     code = run(
         "verify",
-        "--suite",
-        "deviation-bound",
         "--set",
         "schedule.T=40",
         "--out",
@@ -351,6 +369,28 @@ def test_trace_writes_pair_and_comparison(tmp_path, capsys):
     assert first.startswith("30,")
     out = capsys.readouterr().out
     assert "exact tercile means" in out and "ficd tercile means" in out
+
+
+# sha256 of the gmm-tilt trace at T = 40 with 64 chains: the preset's two
+# time-travel repeats and a matched rho per strategy; the trace CSVs with
+# their step_wall_time_s column removed.
+PINNED_TRACE_RUN_SHA256 = {
+    "compare.csv": "dc89d423eb7a47c3872e72b73786234eaf18c2827b30707b66a1442b8e4f0320",
+    "trace_exact.csv": "b183d75063ef713efd42abba2e75946a78bfdcd5ac8f0ad25a76b14d64d09103",
+    "trace_ficd.csv": "f57daa55d97eb9c55e54d5343f916ee0d8691e98a8322fc78958328df6c80b62",
+}
+
+
+def test_trace_output_is_pinned(tmp_path):
+    out = tmp_path / "tr"
+    argv = ("trace", "--preset", "gmm-tilt", "--T", "40", "--set", "sampler.n_chains=64")
+    assert run(*argv, "--out", str(out)) == 0
+    got = {
+        "compare.csv": hashlib.sha256((out / "compare.csv").read_bytes()).hexdigest(),
+        "trace_exact.csv": timing_free_sha256(out / "trace_exact.csv"),
+        "trace_ficd.csv": timing_free_sha256(out / "trace_ficd.csv"),
+    }
+    assert got == PINNED_TRACE_RUN_SHA256
 
 
 def test_trace_three_steps_gives_singleton_terciles(tmp_path, capsys):
@@ -459,20 +499,20 @@ def test_bench_times_the_configured_sampler(tmp_path, monkeypatch):
     for config in (exact, ficd_run):
         assert config.discretization.value == "ddim"
         assert config.ddim_eta == 1.0 and config.lam == 3.0
-        assert config.time_travel.repeats == 1
+        assert config.time_travel_repeats == 1
         assert np.ndim(config.rho) == 1 and config.rho.size == 20  # matched: one rho_t per step
     assert (exact.strategy.value, ficd_run.strategy.value) == ("exact", "ficd")
     assert not np.array_equal(exact.rho, ficd_run.rho)
     for timed, traced_config in zip((exact, ficd_run), traced):
         np.testing.assert_array_equal(timed.rho, traced_config.rho)
         assert timed.strategy is traced_config.strategy
-        assert timed.time_travel == traced_config.time_travel
+        assert timed.time_travel_repeats == traced_config.time_travel_repeats
 
     rows = {
         line.split(",")[0]: line.split(",")
         for line in (tmp_path / "b" / "timing.csv").read_text().splitlines()[1:]
     }
-    # One re-step per t in the default window [7, 13]: 20 + 7 Jacobian passes.
+    # One re-step per t in the middle third [7, 13]: 20 + 7 Jacobian passes.
     assert int(rows["exact"][6]) == 27 > 20
     assert rows["ficd"][6] == "0" and rows["ficd"][5] == "27"
 

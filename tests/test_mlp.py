@@ -94,6 +94,12 @@ def test_vjp_is_transpose_jacobian_action(d, t, shape, seed):
     got = model.score_vjp(x, t, v)
     assert got.shape == x.shape
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+    # jacobian is built from score_vjp, so central differences are the
+    # independent reference for the pullback itself.
+    xs, vs = np.broadcast_arrays(np.atleast_2d(x), np.atleast_2d(v))
+    for xi, vi, gi in zip(xs, vs, np.atleast_2d(got)):
+        fd = finite_diff_jacobian(model, xi, t).T @ vi
+        assert np.linalg.norm(gi - fd) / np.linalg.norm(fd) < 1e-5
 
 
 def test_training_is_deterministic_given_seed():

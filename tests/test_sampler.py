@@ -18,7 +18,6 @@ from ficd.sampler import (
     ChainFailureError,
     Discretization,
     SamplerConfig,
-    TimeTravel,
     chain_rng,
     ddim_sigma,
     sample,
@@ -243,7 +242,7 @@ def test_ddim_sigma_rule():
 def test_time_travel_renoise_matches_hand_formula():
     """Tape slots run init, step, step, re-noise, step, step.
 
-    One repeat at t = 2 of a T = 3 run: the repeat re-noises with the
+    One repeat at t = 2, the middle third of a T = 3 run: the repeat re-noises with the
     one-step forward kernel sqrt(1 - beta_t) x + sqrt(beta_t) eps and
     steps again, each with its own tape slot.
     """
@@ -254,7 +253,7 @@ def test_time_travel_renoise_matches_hand_formula():
     tape = chain_rng(seed, 0).standard_normal((6, 1))
     config = SamplerConfig(
         T=T, strategy=None, n_chains=1, seed=seed,
-        time_travel=TimeTravel(repeats=1, t_lo=2, t_hi=2),
+        time_travel_repeats=1,
     )
     samples, trace = sample(config, model)
     assert trace.t.tolist() == [3, 2, 2, 1]
@@ -277,10 +276,10 @@ def test_time_travel_adds_trace_rows():
     T = 12
     model = bimodal_model(T)
     config = SamplerConfig(
-        T=T, strategy=None, n_chains=8, seed=5, time_travel=TimeTravel(repeats=1)
+        T=T, strategy=None, n_chains=8, seed=5, time_travel_repeats=1
     )
     _, trace = sample(config, model)
-    # Default window is the middle third: t in [5, 8] for T = 12.
+    # The window is the middle third: t in [5, 8] for T = 12.
     expected_t = [12, 11, 10, 9, 8, 8, 7, 7, 6, 6, 5, 5, 4, 3, 2, 1]
     assert trace.t.tolist() == expected_t
 
@@ -298,7 +297,10 @@ def test_rho_zero_matches_unconditional_bitwise(strategy, discretization, seed, 
     T = 20
     model = bimodal_model(T)
     c = Condition.target(np.array([1.0, 1.0]))
-    common = dict(T=T, n_chains=64, seed=seed, discretization=discretization, ddim_eta=0.5)
+    common = dict(
+        T=T, n_chains=64, seed=seed, discretization=discretization,
+        ddim_eta=0.5 if discretization is Discretization.DDIM else 0.0,
+    )
     base, _ = sample(SamplerConfig(strategy=None, **common), model)
     rho = np.zeros(T) if vector_rho else 0.0
     got, _ = sample(
@@ -428,12 +430,6 @@ def test_initial_state_matches_sampled_trajectory():
     expected = (1.0 + 0.5 * beta) * tape[0] + beta * -tape[0]
     assert np.array_equal(samples[0], expected)
 
-    with_noise, _ = sample(
-        SamplerConfig(T=T, strategy=None, n_chains=1, seed=seed, final_noise=True), model
-    )
-    expected_noisy = expected + math.sqrt(beta) * tape[1]
-    assert np.array_equal(with_noise[0], expected_noisy)
-
 
 # --- noise window ------------------------------------------------------
 
@@ -459,7 +455,7 @@ def test_renoise_and_its_step_may_read_two_windows(slots):
     energy, c = QuadraticEnergy(), Condition.target(np.array([1.0, 0.0]))
     config = SamplerConfig(
         T=T, strategy=PosteriorPartStrategy.FICD, rho=0.1, n_chains=600, seed=4,
-        time_travel=TimeTravel(repeats=1), final_noise=True, trace_fisher=True,
+        time_travel_repeats=1, trace_fisher=True,
     )
     split, split_trace = _run_at_window(config, model, energy, c, slots)
     whole, trace = _run_at_window(config, model, energy, c, None)
@@ -483,7 +479,7 @@ def test_each_chain_draws_exactly_its_tape(monkeypatch, slots):
 
     monkeypatch.setattr(sampler, "chain_rng", recording_rng)
     config = SamplerConfig(
-        T=T, strategy=None, n_chains=N, seed=6, time_travel=TimeTravel(repeats=1)
+        T=T, strategy=None, n_chains=N, seed=6, time_travel_repeats=1
     )
     _run_at_window(config, unit_gaussian_model(T, d=d), None, None, slots)
     assert len(rngs) == N
@@ -508,7 +504,7 @@ def test_step_time_leaves_out_noise_draws(monkeypatch):
     monkeypatch.setattr(sampler, "chain_rng", lambda seed, ci: SlowRng(chain_rng(seed, ci)))
     T = 4
     config = SamplerConfig(
-        T=T, strategy=None, n_chains=1, seed=0, time_travel=TimeTravel(repeats=1)
+        T=T, strategy=None, n_chains=1, seed=0, time_travel_repeats=1
     )
     _, trace = _run_at_window(config, unit_gaussian_model(T), None, None, 1)
     assert trace.t.tolist() == [4, 3, 2, 2, 1]
@@ -532,7 +528,7 @@ def test_noise_window_does_not_move_a_bit(slots, repeats, discretization, thread
         T=T, strategy=PosteriorPartStrategy.FICD, rho=0.1, n_chains=N, seed=seed,
         discretization=discretization,
         ddim_eta=0.5 if discretization is Discretization.DDIM else 0.0,
-        time_travel=TimeTravel(repeats=repeats), final_noise=True,
+        time_travel_repeats=repeats,
     )
     runs = []
     for budget in (slots * N * d * 8, 2**30):
@@ -670,12 +666,21 @@ def test_config_validation_errors():
         SamplerConfig(T=10, seed=-1)
     with pytest.raises(ValueError):
         SamplerConfig(T=10, n_chains=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(T=10, time_travel=TimeTravel(repeats=1, t_lo=8, t_hi=4))
+    with pytest.raises(ValueError, match="time_travel_repeats"):
+        SamplerConfig(T=10, time_travel_repeats=-1)
+    with pytest.raises(ValueError, match="middle third"):
+        SamplerConfig(T=1, time_travel_repeats=1)
     with pytest.raises(ValueError):
         SamplerConfig(T=10, ddim_eta=-0.1)
     with pytest.raises(ValueError):
         SamplerConfig(T=10, ddim_eta=1.5)
+
+
+def test_euler_rejects_ddim_eta():
+    """eta is a DDIM setting: an Euler config that sets it would ignore it."""
+    with pytest.raises(ValueError, match="ddim_eta.*sde_euler"):
+        SamplerConfig(T=10, ddim_eta=0.7)
+    SamplerConfig(T=10, discretization=Discretization.DDIM, ddim_eta=0.7)
 
 
 def test_sample_rejects_nonpositive_threads():
