@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -391,7 +392,17 @@ class ExperimentConfig:
                 trace_fisher=self["sampler.trace_fisher"],
             )
         except ValueError as err:
-            raise ConfigError(str(err)) from None
+            # Name the key that was set, not the SamplerConfig field.
+            keys = {
+                "n_chains": "sampler.n_chains",
+                "time_travel_repeats": "sampler.time_travel.repeats",
+                "ddim_eta": "sampler.ddim_eta",
+                "rho": "sampler.rho",
+                "lambda": "sampler.lam",
+            }
+            raise ConfigError(
+                re.sub(r"\w+", lambda m: keys.get(m[0], m[0]), str(err))
+            ) from None
 
     def net_spec(self) -> NetSpec:
         try:

@@ -8,7 +8,7 @@ tuned settings the acceptance checks run against.
 
 from __future__ import annotations
 
-__all__ = ["PRESETS", "preset_layer"]
+__all__ = ["PRESETS"]
 
 
 PRESETS: dict[str, dict[str, str]] = {
@@ -108,8 +108,3 @@ PRESETS: dict[str, dict[str, str]] = {
     },
 }
 
-
-def preset_layer(name: str) -> dict[str, str]:
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    return PRESETS[name]

@@ -4,19 +4,17 @@ Time travel re-noises and re-steps each t of the middle third of the
 steps, where guidance is known to matter most; the step at t = 1 adds
 no noise, so a run ends on a clean sample.
 
-Every chain owns a counter-based random stream keyed by (seed, chain
-index), and the chain population is cut into fixed-size blocks that run
-as batches, one after another on the calling thread. The block
-partition and every reduction order are fixed by the configuration, so
-a run is a pure function of it. ``step`` is the one body of a reverse
-step; ``sample`` runs it over blocks and steps.
-
-Noise is streamed: each chain's generator fills its rows of one
-reusable window of tape slots, refilled between steps, so a run holds
-O(N d window) noise rather than the whole O(N T d) tape. Every read,
-a step's noise or a time-travel re-noise, takes the next slot, and
-sequential draws from one generator concatenate to the same values, so
-the window size never changes a result.
+Noise comes from a tape of slots, one for the initial state, one per
+step and one per re-noise: slot k is one random stream keyed by (seed,
+k), drawn for all chains at once just before it is read, and chain i
+reads row i of it. Sequential draws concatenate, so a chain's noise
+depends on neither the chain count nor the block partition, and a run
+holds one slot of O(N d) noise at a time, not the O(N T d) tape. The
+chain population is cut into fixed-size blocks that run as batches, one
+after another on the calling thread. The block partition and every
+reduction order are fixed by the configuration, so a run is a pure
+function of it. ``step`` is the one body of a reverse step; ``sample``
+runs it over blocks and steps.
 """
 
 from __future__ import annotations
@@ -44,8 +42,8 @@ __all__ = [
     "SamplerConfig",
     "RunTrace",
     "ChainFailureError",
-    "chain_rng",
     "ddim_sigma",
+    "slot_rng",
     "step",
     "sample",
 ]
@@ -59,10 +57,6 @@ __all__ = [
 # 3.75-3.99 s per median run against 2.06-2.80 s, and peaked at 113-115 MB
 # RSS against 102-103 MB.
 BLOCK_SIZE = 512
-
-# Byte budget of the noise window: it holds max(1, budget // (N d 8))
-# tape slots, so small runs still draw their whole tape at once.
-NOISE_WINDOW_BYTES = 32 * 2**20
 
 # Largest share of chains that may be flagged before sample() aborts.
 MAX_FLAGGED_SHARE = 0.01
@@ -115,7 +109,7 @@ class SamplerConfig:
         if rho.size not in (1, self.T):
             raise ValueError(f"rho must be a scalar or a vector of {self.T} values")
         if not np.all(np.isfinite(rho)) or np.any(rho < 0.0):
-            raise ValueError("every rho_t must be finite and >= 0")
+            raise ValueError("every rho value must be finite and >= 0")
         if not math.isfinite(self.lam):
             raise ValueError("lambda must be finite")
         if not 0.0 <= self.ddim_eta <= 1.0:
@@ -128,9 +122,9 @@ class SamplerConfig:
             raise ValueError("time travel needs T >= 2: T = 1 has no middle third")
 
 
-def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
-    """The chain's counter-based stream; pure function of (seed, index)."""
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(chain_index)]))
+def slot_rng(seed: int, k: int) -> np.random.Generator:
+    """Tape slot k's stream, shared by every chain; pure function of (seed, k)."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([int(seed), int(k)])))
 
 
 def ddim_sigma(schedule: NoiseSchedule, t: int, eta: float) -> float:
@@ -254,14 +248,15 @@ def sample(
 
     Returns (samples, trace) with samples of shape (n_chains, d). The
     output is a pure function of the configuration, model, energy, and
-    condition; the noise window changes only the memory held. Blocks of
-    BLOCK_SIZE chains run in order on the calling thread. A step and a
-    re-noise each read one tape slot, drawn window by window before the
-    step timer starts, so noise memory is O(N d window), not O(N T d). A
-    chain whose state stops being finite is flagged and its row reported
-    as nan; the run aborts with ChainFailureError when more than
-    MAX_FLAGGED_SHARE (1%) of chains are flagged. ``threads`` is an upper
-    bound on worker threads and must be at least 1; the sampler uses one.
+    condition. Blocks of BLOCK_SIZE chains run in order on the calling
+    thread. The initial state, each step and each re-noise read the next
+    tape slot, slot_rng(seed, k) drawn as one (N, d) array before the step
+    timer starts; the t = 1 step adds no noise, so its slot is skipped
+    without a draw. A chain whose state stops being finite is flagged and
+    its row reported as nan; the run aborts with ChainFailureError when
+    more than MAX_FLAGGED_SHARE (1%) of chains are flagged. ``threads`` is
+    an upper bound on worker threads and must be at least 1; the sampler
+    uses one.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -274,23 +269,16 @@ def sample(
     N = config.n_chains
     rho = np.broadcast_to(np.asarray(config.rho, dtype=np.float64), (config.T,))
     entries = _plan_entries(config.T, config.time_travel_repeats)
-    tape_len = 1 + len(entries) + sum(renoise for _, renoise in entries)
+    slot = 0
 
-    capacity = min(tape_len, max(1, NOISE_WINDOW_BYTES // (N * d * 8)))
-    rngs = [chain_rng(config.seed, ci) for ci in range(N)]
-    window = np.empty((N, capacity, d))
-    first = end = slot = 0  # the window holds tape slots [first, end)
-
-    def next_slot() -> np.ndarray:  # a view, which the next refill overwrites
-        nonlocal first, end, slot
-        if slot == end:
-            first, end = end, min(end + capacity, tape_len)
-            for ci, rng in enumerate(rngs):
-                rng.standard_normal((end - first, d), out=window[ci, : end - first])
+    def next_slot(draw: bool = True) -> np.ndarray:
+        nonlocal slot
         slot += 1
-        return window[:, slot - 1 - first]
+        if not draw:  # the slot of a noiseless step is skipped, not drawn
+            return np.broadcast_to(0.0, (N, d))
+        return slot_rng(config.seed, slot - 1).standard_normal((N, d))
 
-    x = next_slot().copy()
+    x = next_slot()
     flagged = np.zeros(N, dtype=bool)
 
     ddim = config.discretization is Discretization.DDIM
@@ -318,7 +306,7 @@ def sample(
         if renoise:  # elementwise, so all rows at once keep every bit; nan rows stay nan
             x *= math.sqrt(1.0 - beta)
             x += math.sqrt(beta) * next_slot()
-        noise = next_slot()
+        noise = next_slot(draw=t > 1)
         started = time.perf_counter()
         # Per-step sums accrue block by block, in block order.
         grad_sum = 0.0
@@ -328,16 +316,13 @@ def sample(
         for lo in range(0, N, BLOCK_SIZE):
             hi = min(lo + BLOCK_SIZE, N)
             xb = x[lo:hi]
-            noise_b = noise[lo:hi]
-            if t == 1:
-                noise_b = np.zeros_like(noise_b)
             ok_before = ~flagged[lo:hi]
             if config.trace_fisher:
                 state_sum += xb[ok_before].sum(axis=0)
                 n_before += int(np.sum(ok_before))
             y, cond_norms = step(
                 config.strategy, model, energy, xb, t, condition,
-                float(rho[t - 1]), config.lam, noise_b,
+                float(rho[t - 1]), config.lam, noise[lo:hi],
                 config.discretization, sigma_t,
             )
             ok_now = np.all(np.isfinite(y), axis=1)

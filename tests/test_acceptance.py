@@ -30,7 +30,7 @@ from ficd.posterior import (
     fisher_information,
     tweedie_posterior_mean,
 )
-from ficd.presets import preset_layer
+from ficd.presets import PRESETS
 from ficd.sampler import SamplerConfig, sample
 from ficd.schedule import alpha_bar, linear_schedule
 from ficd.scoremodel import (
@@ -54,7 +54,7 @@ def unit_gaussian(schedule, variance=1.0):
 
 
 def preset_config(name, **extra_keys):
-    layer = dict(preset_layer(name))
+    layer = dict(PRESETS[name])
     layer.update({key: str(value) for key, value in extra_keys.items()})
     return ExperimentConfig.from_sources(preset=layer)
 

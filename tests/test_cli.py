@@ -101,52 +101,52 @@ def timing_free_sha256(path):
 # A refactor leaves them unchanged; a change that moves the samples on
 # purpose updates them and says why.
 PINNED_SAMPLES_SHA256 = {
-    ("gaussian-point", "exact"): "91fb16f4d904a35c96b4535789a4d955bdadd302b6cf5b57fe7885cce55b7101",
-    ("gaussian-point", "ficd"): "86242849811a4b155c5784009acdd19991a86c071785647092bb6dd6a831d0ea",
-    ("gaussian-point", "mpgd"): "37868eb4c2ced1e6e736696aade2db6bfe1be09006aa41c48fff64f14b9feb94",
-    ("gaussian-point", "unit"): "eb787f66fa300725415dac4e5c417da758763d19bda2c94a40ce6a35fcfc72f4",
-    ("gaussian-point", "uncond"): "b4e4c51de4c982a2ef4a045af8b7fec4a570e90c51b1f3a9fc9122288ec577d1",
-    ("gmm-tilt", "exact"): "9ddedb7a5fe299919b6aeecc8e37ecae223b3e3a2928da51f4fccb0fe0d84db8",
-    ("gmm-tilt", "ficd"): "e33ad469dbd1e2b0301286010e5608bafa8c0ca0e66c3c14c6babe691e94d904",
-    ("gmm-tilt", "mpgd"): "8c2260518c9f792bc9cd788db21776e216e4024f40e9fe3caeed7ca8ab170d9c",
-    ("gmm-tilt", "unit"): "288cc0c713214f868df269e4fc0771c164ba7e6137edf9074a88702ebb646a05",
-    ("gmm-tilt", "uncond"): "bb8fa5c064bae4464281ef625f41b357631d3254471822af11f830d1cc9d1ecc",
-    ("linear-inverse", "exact"): "fc70db468be194cb85194eacb7266feb79ed5e08691f51a70345594c7dff8e88",
-    ("linear-inverse", "ficd"): "34c9bbb65a5097b014b47fd56406cc4fa4adb36644f306d8a58c47d7efa4e03b",
-    ("linear-inverse", "mpgd"): "0ea9763abaedf5d25ff1df54cd25991a9cdd2f20b9b9a4408b4e1e05c5874580",
-    ("linear-inverse", "unit"): "fdf8691aa892f07fb7016316cf5c086acdf0f9923c50adaf547e74b5d2f02f4d",
-    ("linear-inverse", "uncond"): "b4e4c51de4c982a2ef4a045af8b7fec4a570e90c51b1f3a9fc9122288ec577d1",
-    ("gmm-style-analog", "exact"): "4a36e8a86c26987a499f0bc8257fff1516f6cc98c8cc989ae91456d484f1dc92",
-    ("gmm-style-analog", "ficd"): "2537f91c925c29def9955afdfd6a0abe87d64fbd82c4d1f814c138b593421e26",
-    ("gmm-style-analog", "mpgd"): "764304bc6c3da64c055dfc8ddb563fd4dffda4b8a38c5964ec0ade20f4d799cf",
-    ("gmm-style-analog", "unit"): "612329f02184707d75ebd6c3153d268713fd81d238a40dd6f9a3774966998ee1",
-    ("gmm-style-analog", "uncond"): "ecb5da055a072fc2f61cbb42572f5d736ce70844f8094c25d513e1433b177624",
+    ("gaussian-point", "exact"): "7e81368ec0b9f553b6b22050e073a653b0c52835566ba5a40d408dece2aeaf8a",
+    ("gaussian-point", "ficd"): "7270934268a2bfa3c92d88e367df8394b929ebc7847bf08d403857562b6f06e1",
+    ("gaussian-point", "mpgd"): "5e672ee7bf489673bd578a80f9855ef7ef4fa28813114181311512e69e81975c",
+    ("gaussian-point", "unit"): "1770d36ec1860850de1ca5f1fc59bd3b23df0cd696fa17a8ec5c873a80d5ccea",
+    ("gaussian-point", "uncond"): "c7f226feb4db6ccf255d33ebc5d73f38248fdf8af6d4f511865571baa714b4cf",
+    ("gmm-tilt", "exact"): "f8fbee8d3a914e712f3140da961e3f190083f702c3dc8be2eb870af63298f3cb",
+    ("gmm-tilt", "ficd"): "236607b3af5eda0db35f1c5f0dbe1ec090fd8ab5e98e6f60a8be6c3f71fdefef",
+    ("gmm-tilt", "mpgd"): "dea3ed57e6956587fe28d6f21ff6352d069d799322718ca3d02a5aa68e673dec",
+    ("gmm-tilt", "unit"): "64da49dab4949bc4d7633d5b7958e423e9269223cc87cb540321d2db2f8df843",
+    ("gmm-tilt", "uncond"): "06ad7746258a32dc5a00d480270249b7baf21cb201f501453c3ee7267aa25706",
+    ("linear-inverse", "exact"): "4e7c9f7de9e99538a9c8c6bb7a47e578abeee999d1f6f03ee6a018ed640e8f63",
+    ("linear-inverse", "ficd"): "47a3f32c04feccc087061a1ca0e9f170e84e8f65fd22021b2fdf40ad4da9daec",
+    ("linear-inverse", "mpgd"): "abcfd95ffac648083555945fdd3777973169205111363a2911b050462208653c",
+    ("linear-inverse", "unit"): "9d889bdfd1e9d828532d7e85d803a8ec0fd3602d05decf84ed50c7353ebccd0d",
+    ("linear-inverse", "uncond"): "c7f226feb4db6ccf255d33ebc5d73f38248fdf8af6d4f511865571baa714b4cf",
+    ("gmm-style-analog", "exact"): "955c766bfa1e4dc54dec62c123ce79a9253431c9d84cb38e15f260814be9b4ec",
+    ("gmm-style-analog", "ficd"): "1d8695252a00b14249f7974918b39c42fc91e492f3cd645919ea413d102a0c9d",
+    ("gmm-style-analog", "mpgd"): "8fce849d4c3fde29aae9d0a97680346c6e12dd49d3ae915c885d8c1ef0263dae",
+    ("gmm-style-analog", "unit"): "4a842c88f38135a74e8240547803b1823932ebb4d63043ee1159724913b62426",
+    ("gmm-style-analog", "uncond"): "50094fb41bfdb6765a23d73472551cf5f7f39f1aabad943ed5089c35adcfa61f",
 }
 
 
 # sha256 of the same runs' trace.csv with the step_wall_time_s column
 # removed; the runs keep the Fisher probe on, so its column is pinned too.
 PINNED_TRACE_SHA256 = {
-    ("gaussian-point", "exact"): "6f398bf2e840a372c83d64d1611eb4a9f4d5743701621822b96484fbec5536ed",
-    ("gaussian-point", "ficd"): "93271782412413e1bfe715f3c1457184c5b9b3169757c8b9ab26446180867f20",
-    ("gaussian-point", "mpgd"): "2e24308654b3c28d98bd3ac24a148ba30451d3a3bbd3660394ebd686b959b2f8",
+    ("gaussian-point", "exact"): "2fc96f4c2cee78025cbcf7af374392e69c208849cdf15b021b686052cc15af16",
+    ("gaussian-point", "ficd"): "31e42223443d1bbc35c0d24b0d5d34a011bfda18f9b17fe8c1ae7c209ffa2713",
+    ("gaussian-point", "mpgd"): "ce20d0543f1e55a875ff2a4985fb66230839dbd7eee7a8adc6885dc65d2e483a",
     ("gaussian-point", "unit"): "4267fafdf3cc041b1f272f0ff25cc324950a5237ed7d7333f30bfad8923f418f",
     ("gaussian-point", "uncond"): "f4c6f3d658898ebc2be429be6f2c3563457b6f5d6ef33bbec4bb14e1dbab29fc",
-    ("gmm-tilt", "exact"): "ae58eeb972e4b6fbd2d7766e2b75374d6f4e16416dc2bcee7f729a24dc98d03b",
-    ("gmm-tilt", "ficd"): "402fefdd57543c9ad09170a174d602e545de6f288ce95d0430fa6b659ca3c9bd",
-    ("gmm-tilt", "mpgd"): "e23daf0e909b439f61fb82aa67807f23b917b5bb186b64c46455a5c138001546",
-    ("gmm-tilt", "unit"): "d9f711ca9efbeeaa4dbe6b064f6c4b135c94bf7d8ac2b073aa5f113931dc7531",
-    ("gmm-tilt", "uncond"): "8768bd8a346963a0bbddc98f9871058b92f34a934de7720a04253cf4058e5c19",
-    ("linear-inverse", "exact"): "7bc383cab9163cf6cf7aa8d7c46df3286547facf2ce6e6021e943d90dd1561d2",
-    ("linear-inverse", "ficd"): "4d85ab8194aa93a2c20399d6f9d7b2a9d5c9a7673d0d4458d5362780adf52d2c",
-    ("linear-inverse", "mpgd"): "93d502d9c9383338a46640c5b966a9708fecb88473fa55e1f5bb131fb3af438e",
-    ("linear-inverse", "unit"): "618e988b4065056d08073e91de1441a6b5fd9d3d33f0d13859d01f55179b6b3e",
+    ("gmm-tilt", "exact"): "286312226756122ed735e7c84f7b481df3fe5cd586fbe4518f9ae94096641c9b",
+    ("gmm-tilt", "ficd"): "9a85762d359c101bac794b950f82b93a603a6f65ad6fd66e3880370cf0f80e1c",
+    ("gmm-tilt", "mpgd"): "60efced98905fc271d3a25dde05749ebe03cf9ba4f97b0b5fcad0f23ac1fd0eb",
+    ("gmm-tilt", "unit"): "1ecf310bb6b686d255efb3fecf21f0baa1a562a15b46c230d85e166f791bc78a",
+    ("gmm-tilt", "uncond"): "bc94423573edc554d1101800f69a98d5cdef095fd7fbf406ac14c203982b1cc0",
+    ("linear-inverse", "exact"): "9e97917d07148d365eea4655cb9a1b7405897ad3219aaac8e2957b7c6c1e3608",
+    ("linear-inverse", "ficd"): "53630dce0b8efe4dbf134f09c2a5409fb8787d0935dddc9a43761c882824dbbe",
+    ("linear-inverse", "mpgd"): "bd9fe75c914bd1316df5297fe4c0c9ecebdcfb6a7bd6842801b62db85f706b0f",
+    ("linear-inverse", "unit"): "b94c28df9f6b0a91d2a89767c8ffb99174930e29c51e86c406b98ca5dbe98a8d",
     ("linear-inverse", "uncond"): "f4c6f3d658898ebc2be429be6f2c3563457b6f5d6ef33bbec4bb14e1dbab29fc",
-    ("gmm-style-analog", "exact"): "76336951002869bb077d8aaa0cc4f46e1de2437a17a6d7a481d4cf3bca70a59b",
-    ("gmm-style-analog", "ficd"): "b600947f303beacf54d723d369ea1fb19c79c94a6a9bc8bf2dc242048c410172",
-    ("gmm-style-analog", "mpgd"): "b2dd9d71a0f45ca3763d28e91f51a2a14c2ea2c4b962a55ba89c2a5fe64e4215",
-    ("gmm-style-analog", "unit"): "f20fc8779cb989ae037227e20266b7f21894c4064f347f51c4c82d05bf906ea1",
-    ("gmm-style-analog", "uncond"): "4113aa66cb04577ac11d9208d6ca566c56c295ccfdf8dc0956366d49afa4ce14",
+    ("gmm-style-analog", "exact"): "4f279965a399567405418f70e0f6da1e9aa45a1d56d5eac3a236868fc7bb92b4",
+    ("gmm-style-analog", "ficd"): "ea328863e127fe31afefb1f29b97b0f9514c731bf5c18d0926b2b85a1212452d",
+    ("gmm-style-analog", "mpgd"): "095980080b338d7283f48cdf4b6af34928ebfbdc2da097decfef36b1de1ee4b7",
+    ("gmm-style-analog", "unit"): "6703ac0c0c9a086c7b1ff182614517cc5be0856966b5a77bdc671947c41bcaba",
+    ("gmm-style-analog", "uncond"): "69fc4b8d189191253fe50b59143fa937333a9f6ef3a76afe92d5000306c283d3",
 }
 
 
@@ -256,7 +256,19 @@ def test_retired_keys_are_unknown(tmp_path, capsys, item):
 
 def test_negative_time_travel_repeats_is_a_config_error(tmp_path, capsys):
     assert run(*sample_args(tmp_path / "r", "--set", "sampler.time_travel.repeats=-1")) == 2
-    assert "time_travel_repeats must be >= 0" in capsys.readouterr().err
+    assert "sampler.time_travel.repeats must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "item,message",
+    [
+        ("sampler.n_chains=0", "sampler.n_chains must be positive"),
+        ("sampler.rho=-1", "every sampler.rho value must be finite and >= 0"),
+    ],
+)
+def test_forwarded_sampler_errors_name_the_key(tmp_path, capsys, item, message):
+    assert run(*sample_args(tmp_path / "r", "--set", item)) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 def test_config_errors_name_their_source(tmp_path, capsys):
@@ -283,10 +295,11 @@ def test_set_items_are_read_as_config_lines(tmp_path, capsys):
     assert "N=16" in out and "T=30" in out
 
 
-def test_unknown_preset_is_an_argparse_error(tmp_path):
+def test_unknown_preset_is_an_argparse_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run("sample", "--preset", "giant-run")
     assert exc.value.code == 2
+    assert "argument --preset: invalid choice: 'giant-run'" in capsys.readouterr().err
 
 
 # -- verify -------------------------------------------------------------
@@ -375,9 +388,9 @@ def test_trace_writes_pair_and_comparison(tmp_path, capsys):
 # time-travel repeats and a matched rho per strategy; the trace CSVs with
 # their step_wall_time_s column removed.
 PINNED_TRACE_RUN_SHA256 = {
-    "compare.csv": "dc89d423eb7a47c3872e72b73786234eaf18c2827b30707b66a1442b8e4f0320",
-    "trace_exact.csv": "b183d75063ef713efd42abba2e75946a78bfdcd5ac8f0ad25a76b14d64d09103",
-    "trace_ficd.csv": "f57daa55d97eb9c55e54d5343f916ee0d8691e98a8322fc78958328df6c80b62",
+    "compare.csv": "7a7a63229c10f3e0ec84509fc1da10dfdc83ddec95f69bf09ec301885a35b7b1",
+    "trace_exact.csv": "e75bee006ad3af23d249c3945f63301ecc847acbc0c013afe6e9b97694d6b040",
+    "trace_ficd.csv": "fd0076ab1438bac3c849c696db6fa175795b507aa12c9a5af82d835c2ba3483a",
 }
 
 

@@ -12,7 +12,7 @@ from ficd.config import (
     resolve_rho,
 )
 from ficd.posterior import PosteriorPartStrategy
-from ficd.presets import PRESETS, preset_layer
+from ficd.presets import PRESETS
 from ficd.sampler import Discretization
 from ficd.schedule import linear_schedule
 
@@ -240,7 +240,8 @@ def test_sampler_config_uncond_and_errors():
         ExperimentConfig.from_sources(
             overrides=[("sampler.discretization", "heun")]
         ).sampler_config()
-    with pytest.raises(ConfigError, match="time_travel_repeats"):  # forwarded from the sampler
+    # Forwarded from the sampler, under the key's name.
+    with pytest.raises(ConfigError, match="sampler.time_travel.repeats must be >= 0"):
         ExperimentConfig.from_sources(
             overrides=[("sampler.time_travel.repeats", "-1")]
         ).sampler_config()
@@ -296,11 +297,9 @@ def test_net_spec_validation_wrapped():
 
 def test_presets_all_build():
     for name in PRESETS:
-        config = ExperimentConfig.from_sources(preset=preset_layer(name))
+        config = ExperimentConfig.from_sources(preset=PRESETS[name])
         schedule = config.schedule()
         config.sampler_config(schedule)
         config.build_energy()
         if config["model.kind"] == "gmm":
             config.build_model(schedule)
-    with pytest.raises(KeyError, match="unknown preset"):
-        preset_layer("giant-run")

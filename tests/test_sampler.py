@@ -18,9 +18,9 @@ from ficd.sampler import (
     ChainFailureError,
     Discretization,
     SamplerConfig,
-    chain_rng,
     ddim_sigma,
     sample,
+    slot_rng,
     step,
 )
 from ficd.schedule import NoiseSchedule, alpha_bar, linear_schedule
@@ -244,13 +244,13 @@ def test_time_travel_renoise_matches_hand_formula():
 
     One repeat at t = 2, the middle third of a T = 3 run: the repeat re-noises with the
     one-step forward kernel sqrt(1 - beta_t) x + sqrt(beta_t) eps and
-    steps again, each with its own tape slot.
+    steps again, each with its own tape slot. The t = 1 step's slot 5 adds no noise.
     """
     T = 3
     model = unit_gaussian_model(T, d=1)
     sched = model.schedule
     seed = 31
-    tape = chain_rng(seed, 0).standard_normal((6, 1))
+    tape = np.concatenate([slot_rng(seed, k).standard_normal((1, 1)) for k in range(5)])
     config = SamplerConfig(
         T=T, strategy=None, n_chains=1, seed=seed,
         time_travel_repeats=1,
@@ -424,74 +424,44 @@ def test_initial_state_matches_sampled_trajectory():
     sched = model.schedule
     beta = float(sched.betas[0])
     seed = 99
-    tape = chain_rng(seed, 0).standard_normal((2, 1))
+    tape = slot_rng(seed, 0).standard_normal((1, 1))
 
     samples, _ = sample(SamplerConfig(T=T, strategy=None, n_chains=1, seed=seed), model)
     expected = (1.0 + 0.5 * beta) * tape[0] + beta * -tape[0]
     assert np.array_equal(samples[0], expected)
 
 
-# --- noise window ------------------------------------------------------
+# --- noise tape --------------------------------------------------------
 
 
-def _run_at_window(config, model, energy, c, slots):
-    """sample() with a noise window of ``slots`` tape slots (None: the whole tape)."""
-    budget = 2**40 if slots is None else slots * config.n_chains * model.dim * 8
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "NOISE_WINDOW_BYTES", budget)
-        return sample(config, model, energy, c)
-
-
-@pytest.mark.parametrize("slots", [2, 4])
-def test_renoise_and_its_step_may_read_two_windows(slots):
+@pytest.mark.parametrize("block_size", [1, 2, 3, 7, None])
+def test_each_chain_draws_exactly_its_tape(monkeypatch, block_size):
     """T = 6 with one repeat over t = 3..4 reads an 11-slot tape: init, t = 6, 5, 4,
-    re-noise (slot 4) + step (slot 5) at t = 4, t = 3, re-noise (slot 7) + step
-    (slot 8) at t = 3, t = 2, 1. At 4 slots a window, slot 7 ends the second
-    window and slot 8 opens the third; at 2, slot 8 opens a full window whose
-    refill overwrites slot 7's column. Either way the run gives the whole-tape
-    bits."""
-    T = 6
-    model = bimodal_model(T)
-    energy, c = QuadraticEnergy(), Condition.target(np.array([1.0, 0.0]))
-    config = SamplerConfig(
-        T=T, strategy=PosteriorPartStrategy.FICD, rho=0.1, n_chains=600, seed=4,
-        time_travel_repeats=1, trace_fisher=True,
-    )
-    split, split_trace = _run_at_window(config, model, energy, c, slots)
-    whole, trace = _run_at_window(config, model, energy, c, None)
-    assert split_trace.t.tolist() == [6, 5, 4, 4, 3, 3, 2, 1]
-    assert np.array_equal(split, whole)
-    for name in ("t", "grad_norm", "fisher_spectral_radius", "cr_bound", "coefficient_used",
-                 "flagged_chains"):
-        np.testing.assert_array_equal(getattr(split_trace, name), getattr(trace, name))
+    re-noise + step at t = 4, t = 3, re-noise + step at t = 3, t = 2, 1. Slots 0..9
+    are each drawn once, as one (N, d) array, whatever the block partition
+    (None: BLOCK_SIZE); slot 10 belongs to the noiseless t = 1 step and is never drawn."""
+    T, N, d = 6, 3, 2
+    if block_size is not None:
+        monkeypatch.setattr(sampler, "BLOCK_SIZE", block_size)
+    drawn = []
 
+    def recording_rng(seed, slot):
+        drawn.append((slot, slot_rng(seed, slot)))
+        return drawn[-1][1]
 
-@pytest.mark.parametrize("slots", [1, 2, 3, 7, None])
-def test_each_chain_draws_exactly_its_tape(monkeypatch, slots):
-    """After sample() every chain's generator sits tape_len = 11 slots in (T = 6,
-    one repeat over t = 3..4), whatever the window: no slot is skipped or over-drawn."""
-    T, N, d, tape_len = 6, 3, 2, 11
-    rngs = []
-
-    def recording_rng(seed, chain_index):
-        rngs.append(chain_rng(seed, chain_index))
-        return rngs[-1]
-
-    monkeypatch.setattr(sampler, "chain_rng", recording_rng)
-    config = SamplerConfig(
-        T=T, strategy=None, n_chains=N, seed=6, time_travel_repeats=1
-    )
-    _run_at_window(config, unit_gaussian_model(T, d=d), None, None, slots)
-    assert len(rngs) == N
-    for ci, rng in enumerate(rngs):
-        fresh = chain_rng(6, ci)
-        fresh.standard_normal((tape_len, d))
-        assert np.array_equal(rng.standard_normal(3), fresh.standard_normal(3)), ci
+    monkeypatch.setattr(sampler, "slot_rng", recording_rng)
+    config = SamplerConfig(T=T, strategy=None, n_chains=N, seed=6, time_travel_repeats=1)
+    sample(config, unit_gaussian_model(T, d=d))
+    assert [k for k, _ in drawn] == list(range(10))
+    for k, rng in drawn:
+        fresh = slot_rng(6, k)
+        fresh.standard_normal((N, d))
+        assert np.array_equal(rng.standard_normal(3), fresh.standard_normal(3)), k
 
 
 def test_step_time_leaves_out_noise_draws(monkeypatch):
-    """Every draw sleeps 0.2 s and the window holds 1 slot, so a refill comes
-    before each step and each re-noise; no step_wall_time_s reaches 0.1 s."""
+    """Every draw sleeps 0.2 s, and one comes before each step and each
+    re-noise; no step_wall_time_s reaches 0.1 s."""
 
     class SlowRng:
         def __init__(self, rng):
@@ -501,50 +471,39 @@ def test_step_time_leaves_out_noise_draws(monkeypatch):
             time.sleep(0.2)
             return self.rng.standard_normal(*args, **kwargs)
 
-    monkeypatch.setattr(sampler, "chain_rng", lambda seed, ci: SlowRng(chain_rng(seed, ci)))
+    monkeypatch.setattr(sampler, "slot_rng", lambda seed, k: SlowRng(slot_rng(seed, k)))
     T = 4
     config = SamplerConfig(
         T=T, strategy=None, n_chains=1, seed=0, time_travel_repeats=1
     )
-    _, trace = _run_at_window(config, unit_gaussian_model(T), None, None, 1)
+    _, trace = sample(config, unit_gaussian_model(T))
     assert trace.t.tolist() == [4, 3, 2, 2, 1]
     assert np.all(trace.step_wall_time_s < 0.1), trace.step_wall_time_s
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    slots=st.integers(min_value=1, max_value=5),
-    repeats=st.integers(min_value=0, max_value=2),
-    discretization=st.sampled_from(list(Discretization)),
-    threads=st.sampled_from([1, 2]),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_noise_window_does_not_move_a_bit(slots, repeats, discretization, threads, seed):
-    """A window of 1-5 slots gives the whole-tape bits."""
-    T, N, d = 12, 600, 2  # two blocks, the second one partial
+@pytest.mark.parametrize("discretization", list(Discretization))
+def test_chain_does_not_depend_on_the_chains_after_it(discretization):
+    """A chain reads row i of every slot, so the first block's samples keep
+    every bit whether 512 or 1100 chains run."""
+    T = 12
     model = bimodal_model(T)
-    c = Condition.target(np.array([1.0, 0.0]))
     config = SamplerConfig(
-        T=T, strategy=PosteriorPartStrategy.FICD, rho=0.1, n_chains=N, seed=seed,
+        T=T, strategy=PosteriorPartStrategy.FICD, rho=0.1, seed=17,
         discretization=discretization,
         ddim_eta=0.5 if discretization is Discretization.DDIM else 0.0,
-        time_travel_repeats=repeats,
+        time_travel_repeats=1,
     )
-    runs = []
-    for budget in (slots * N * d * 8, 2**30):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampler, "NOISE_WINDOW_BYTES", budget)
-            runs.append(sample(config, model, QuadraticEnergy(), c, threads=threads))
-    (windowed, wtrace), (whole, trace) = runs
-    assert np.array_equal(windowed, whole)
-    for name in ("t", "grad_norm", "cr_bound", "coefficient_used", "flagged_chains"):
-        np.testing.assert_array_equal(getattr(wtrace, name), getattr(trace, name))
+    c = Condition.target(np.array([1.0, 0.0]))
+    small, _ = sample(dataclasses.replace(config, n_chains=512), model, QuadraticEnergy(), c)
+    large, _ = sample(dataclasses.replace(config, n_chains=1100), model, QuadraticEnergy(), c)
+    assert np.array_equal(small[: sampler.BLOCK_SIZE], large[: sampler.BLOCK_SIZE])
 
 
-def test_noise_memory_does_not_grow_with_T(monkeypatch):
-    """Peak traced memory is set by the window, not by the T + 1 slot tape."""
+def test_noise_memory_does_not_grow_with_T():
+    """Noise is drawn one (N, d) slot at a time, so the peak traced memory
+    stays a few N d arrays (the state, a slot, block temporaries), however
+    long the O(N T d) tape: 41 slots at T = 40, 321 at T = 320."""
     N, d = 1024, 8
-    monkeypatch.setattr(sampler, "NOISE_WINDOW_BYTES", 8 * N * d * 8)
     peaks = {}
     for T in (40, 320):
         model = unit_gaussian_model(T, d=d)
@@ -556,6 +515,7 @@ def test_noise_memory_does_not_grow_with_T(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[320] < 1.5 * peaks[40], peaks
+    assert peaks[320] < 8 * N * d * 8, peaks
 
 
 # --- costs -------------------------------------------------------------
