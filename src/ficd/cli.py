@@ -126,13 +126,24 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
-def cmd_sample(config: ExperimentConfig) -> int:
+def _build_run(config: ExperimentConfig, guided: bool = True):
+    """Model, energy and condition of a run, the condition as wide as the model."""
     model = config.build_model(config.schedule())
-    schedule = model.schedule
-    sampler_config = config.sampler_config(schedule)
-    energy = condition = None
-    if sampler_config.strategy is not None:
-        energy, condition = config.build_energy()
+    if not guided:
+        return model, None, None
+    energy, condition = config.build_energy()
+    if condition.kind == "measurement":
+        key, width = "energy.A", condition.A.shape[1]
+    else:
+        key, width = "energy.target", condition.y.size
+    if width != model.dim:
+        raise ConfigError(f"{key} has width {width}, but the model has dimension {model.dim}")
+    return model, energy, condition
+
+
+def cmd_sample(config: ExperimentConfig) -> int:
+    model, energy, condition = _build_run(config, guided=config.strategy() is not None)
+    sampler_config = config.sampler_config(model.schedule)
 
     start = time.perf_counter()
     samples, trace = sample(
@@ -291,8 +302,7 @@ def cmd_trace(config: ExperimentConfig) -> int:
     T = config["schedule.T"]
     if T < 3:
         raise ConfigError(f"trace needs schedule.T >= 3 for its three phases, got {T}")
-    model = config.build_model(config.schedule())
-    energy, condition = config.build_energy()
+    model, energy, condition = _build_run(config)
 
     traces: dict[str, RunTrace] = {}
     for name, sampler_config in _paired_configs(config, model.schedule).items():
@@ -317,8 +327,7 @@ def cmd_trace(config: ExperimentConfig) -> int:
 
 
 def cmd_bench(config: ExperimentConfig) -> int:
-    model = config.build_model(config.schedule())
-    energy, condition = config.build_energy()
+    model, energy, condition = _build_run(config)
     table = benchmark_steps(
         model,
         _paired_configs(config, model.schedule).values(),

@@ -104,22 +104,17 @@ _MINIMUMS = {
 
 def _coerce(key: str, raw: str) -> object:
     kind = CONFIG_SCHEMA[key][0]
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError
-            return value
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "false"):
-                return lowered == "true"
-            raise ValueError
+    if kind == "str":
         return raw
-    except ValueError:
+    try:
+        if kind == "bool":
+            return {"true": True, "false": False}[raw.strip().lower()]
+        value = int(raw) if kind == "int" else float(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value for {key}: {raw!r} (expected {kind})") from None
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"bad value for {key}: {raw!r} (must be finite)")
+    return value
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -255,6 +250,8 @@ class ExperimentConfig:
         for key, least in _MINIMUMS.items():
             if merged[key] < least:
                 raise ConfigError(f"{key} must be >= {least}, got {merged[key]}")
+        if not 0 <= merged["seed"] < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {merged['seed']}")
         if merged["train.learning_rate"] <= 0.0:
             raise ConfigError(
                 f"train.learning_rate must be > 0, got {merged['train.learning_rate']}"

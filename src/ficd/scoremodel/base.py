@@ -16,7 +16,7 @@ class ScoreModel(ABC):
     """A score oracle s(x, t) approximating the gradient of log p(x_t).
 
     A model implements ``score`` and ``score_vjp``; ``jacobian`` is
-    derived from ``score_vjp`` unless the model has a closed form.
+    derived from ``score_vjp``, so each model states its derivative once.
     Evaluation is deterministic for fixed (x, t) and instances are
     immutable once built, so one model may serve many sampling chains
     concurrently. ``x`` may be a single point of shape (d,) or a batch
@@ -37,14 +37,13 @@ class ScoreModel(ABC):
         """Derivative of the score w.r.t. x: (d, d), or (N, d, d) for a batch.
 
         Row i is score_vjp(x, t, e_i), the pullback of the i-th unit
-        vector; a model with a closed form overrides this.
+        vector. All rows come from one score_vjp call: each point is
+        repeated d times against the d unit vectors.
         """
-        rows = []
-        for i in range(self.dim):
-            unit = np.zeros_like(x, dtype=np.float64)
-            unit[..., i] = 1.0
-            rows.append(self.score_vjp(x, t, unit))
-        return np.stack(rows, axis=-2)
+        d = self.dim
+        points = np.repeat(np.atleast_2d(x), d, axis=0)
+        units = np.tile(np.eye(d), (len(points) // d, 1))
+        return self.score_vjp(points, t, units).reshape(np.shape(x)[:-1] + (d, d))
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
         """Transpose-Jacobian action J(x, t)^T v, shaped like x; the exact pullback."""

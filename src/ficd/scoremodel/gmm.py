@@ -3,8 +3,8 @@
 The variance-preserving marginal of a mixture is again a mixture with
 means sqrt(alpha_bar_t) mu_i and covariances
 alpha_bar_t Sigma_i + (1 - alpha_bar_t) I, so the score and its
-derivative are available exactly at every noise level. These are the
-reference models every approximation in the package is checked against.
+derivative, stated once as ``score_vjp``, are exact at every noise level.
+These are the reference models every approximation is checked against.
 
 Evaluation is arithmetic only: each step's marginal is factored once,
 the solves call LAPACK potrs directly, and a one-component mixture
@@ -120,7 +120,7 @@ class _Factored(NamedTuple):
     means: np.ndarray  # (K, d)
     cholesky: np.ndarray  # (K, d, d) lower factors
     log_dets: np.ndarray  # (K,)
-    inv_covs: np.ndarray  # (K, d, d), read by the Jacobian and its action
+    inv_covs: np.ndarray  # (K, d, d), read by score_vjp as one matmul
 
 
 def _solve(cholesky: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,7 +198,7 @@ class GaussianMixtureScore(ScoreModel):
 
     Construction factors the marginal of every step 1..T once: Cholesky
     factors, log-determinants and inverse covariances, 2 T K d^2 floats.
-    Evaluation then runs triangular solves only. With K = 1 the
+    Evaluation then runs solves and products only. With K = 1 the
     normalizer is the component's own log density, equal bit for bit to
     what logsumexp returns, nan and inf rows of flagged chains included.
     """
@@ -227,32 +227,24 @@ class GaussianMixtureScore(ScoreModel):
         s = np.einsum("kn,knd->nd", r, g)
         return s[0] if single else s
 
-    def jacobian(self, x: np.ndarray, t: int) -> np.ndarray:
-        """Second derivative of the step-t log density.
-
-        sum_i r_i (-Sigma_i^{-1}) plus the responsibility-weighted covariance
-        of the g_i vectors, which is sum_i r_i g_i g_i^T - s s^T. Symmetric by
-        construction.
-        """
-        factored = self._at(t)
-        x, single = _as_batch(x, self.dim)
-        r, g, _ = _responsibilities(factored, x)
-        s = np.einsum("kn,knd->nd", r, g)
-        J = -np.einsum("kn,kde->nde", r, factored.inv_covs)
-        J += np.einsum("kn,knd,kne->nde", r, g, g)
-        J -= np.einsum("nd,ne->nde", s, s)
-        return J[0] if single else J
-
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
-        """Jacobian-vector product J v without forming J (J is symmetric here)."""
+        """J v without forming J, the step-t log density's second derivative.
+
+        J is sum_i r_i (-Sigma_i^{-1}) plus the responsibility-weighted
+        covariance of the g_i vectors, sum_i r_i g_i g_i^T - s s^T; it is
+        symmetric, so J v is also the pullback J^T v. A nan or inf row of v
+        comes out as a nan row, silently.
+        """
         factored = self._at(t)
         x, single = _as_batch(x, self.dim)
         v, _ = _as_batch(v, self.dim)
         if v.shape[0] == 1 and x.shape[0] > 1:
             v = np.broadcast_to(v, x.shape)
         r, g, _ = _responsibilities(factored, x)
-        s = np.einsum("kn,knd->nd", r, g)
-        out = -np.einsum("kn,kde,ne->nd", r, factored.inv_covs, v)
-        out += np.einsum("kn,knd,kne,ne->nd", r, g, g, v)
-        out -= s * np.einsum("nd,nd->n", s, v)[:, None]
+        with np.errstate(invalid="ignore"):
+            s = np.einsum("kn,knd->nd", r, g)
+            gv = np.einsum("knd,nd->kn", g, v)
+            out = -np.einsum("kn,knd->nd", r, v @ factored.inv_covs)
+            out += np.einsum("kn,knd->nd", r * gv, g)
+            out -= s * np.einsum("nd,nd->n", s, v)[:, None]
         return out[0] if single else out

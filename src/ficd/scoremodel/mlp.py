@@ -129,7 +129,7 @@ class LearnedScoreModel(ScoreModel):
     ``score`` runs the forward with no pullback cache. ``score_vjp`` runs
     it with the cache (layer inputs and SiLU derivatives) and pulls back
     through it without recomputing a sigmoid; ``jacobian`` is the base
-    class's, one ``score_vjp`` per output row.
+    class's, one ``score_vjp`` call for every output row.
     """
 
     def __init__(

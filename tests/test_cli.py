@@ -101,12 +101,12 @@ def timing_free_sha256(path):
 # A refactor leaves them unchanged; a change that moves the samples on
 # purpose updates them and says why.
 PINNED_SAMPLES_SHA256 = {
-    ("gaussian-point", "exact"): "7e81368ec0b9f553b6b22050e073a653b0c52835566ba5a40d408dece2aeaf8a",
+    ("gaussian-point", "exact"): "e93332cc52cd4c96bdb79c4c9296eb780fa67ff44427f0173ffcbd46ba33d9f7",
     ("gaussian-point", "ficd"): "7270934268a2bfa3c92d88e367df8394b929ebc7847bf08d403857562b6f06e1",
     ("gaussian-point", "mpgd"): "5e672ee7bf489673bd578a80f9855ef7ef4fa28813114181311512e69e81975c",
     ("gaussian-point", "unit"): "1770d36ec1860850de1ca5f1fc59bd3b23df0cd696fa17a8ec5c873a80d5ccea",
     ("gaussian-point", "uncond"): "c7f226feb4db6ccf255d33ebc5d73f38248fdf8af6d4f511865571baa714b4cf",
-    ("gmm-tilt", "exact"): "f8fbee8d3a914e712f3140da961e3f190083f702c3dc8be2eb870af63298f3cb",
+    ("gmm-tilt", "exact"): "0b24bf6abf72cb6b20531906d8f3b43f0073760edbf5bb93dec56e10b1927cfe",
     ("gmm-tilt", "ficd"): "236607b3af5eda0db35f1c5f0dbe1ec090fd8ab5e98e6f60a8be6c3f71fdefef",
     ("gmm-tilt", "mpgd"): "dea3ed57e6956587fe28d6f21ff6352d069d799322718ca3d02a5aa68e673dec",
     ("gmm-tilt", "unit"): "64da49dab4949bc4d7633d5b7958e423e9269223cc87cb540321d2db2f8df843",
@@ -116,7 +116,7 @@ PINNED_SAMPLES_SHA256 = {
     ("linear-inverse", "mpgd"): "abcfd95ffac648083555945fdd3777973169205111363a2911b050462208653c",
     ("linear-inverse", "unit"): "9d889bdfd1e9d828532d7e85d803a8ec0fd3602d05decf84ed50c7353ebccd0d",
     ("linear-inverse", "uncond"): "c7f226feb4db6ccf255d33ebc5d73f38248fdf8af6d4f511865571baa714b4cf",
-    ("gmm-style-analog", "exact"): "955c766bfa1e4dc54dec62c123ce79a9253431c9d84cb38e15f260814be9b4ec",
+    ("gmm-style-analog", "exact"): "10f35d2f33c41f4020445d2fe911a3b0665a9f04a046f545bd56831317f1a4ce",
     ("gmm-style-analog", "ficd"): "1d8695252a00b14249f7974918b39c42fc91e492f3cd645919ea413d102a0c9d",
     ("gmm-style-analog", "mpgd"): "8fce849d4c3fde29aae9d0a97680346c6e12dd49d3ae915c885d8c1ef0263dae",
     ("gmm-style-analog", "unit"): "4a842c88f38135a74e8240547803b1823932ebb4d63043ee1159724913b62426",
@@ -127,22 +127,22 @@ PINNED_SAMPLES_SHA256 = {
 # sha256 of the same runs' trace.csv with the step_wall_time_s column
 # removed; the runs keep the Fisher probe on, so its column is pinned too.
 PINNED_TRACE_SHA256 = {
-    ("gaussian-point", "exact"): "2fc96f4c2cee78025cbcf7af374392e69c208849cdf15b021b686052cc15af16",
+    ("gaussian-point", "exact"): "460fc2e364304b9deb09240029d6afc0a0bf05348951ad46166fdf0ffdeb8d4d",
     ("gaussian-point", "ficd"): "31e42223443d1bbc35c0d24b0d5d34a011bfda18f9b17fe8c1ae7c209ffa2713",
     ("gaussian-point", "mpgd"): "ce20d0543f1e55a875ff2a4985fb66230839dbd7eee7a8adc6885dc65d2e483a",
     ("gaussian-point", "unit"): "4267fafdf3cc041b1f272f0ff25cc324950a5237ed7d7333f30bfad8923f418f",
     ("gaussian-point", "uncond"): "f4c6f3d658898ebc2be429be6f2c3563457b6f5d6ef33bbec4bb14e1dbab29fc",
-    ("gmm-tilt", "exact"): "286312226756122ed735e7c84f7b481df3fe5cd586fbe4518f9ae94096641c9b",
+    ("gmm-tilt", "exact"): "761ebc165303175be3c827e49a1ad26651905f30c985489f4680378aa9f7b6fc",
     ("gmm-tilt", "ficd"): "9a85762d359c101bac794b950f82b93a603a6f65ad6fd66e3880370cf0f80e1c",
     ("gmm-tilt", "mpgd"): "60efced98905fc271d3a25dde05749ebe03cf9ba4f97b0b5fcad0f23ac1fd0eb",
     ("gmm-tilt", "unit"): "1ecf310bb6b686d255efb3fecf21f0baa1a562a15b46c230d85e166f791bc78a",
     ("gmm-tilt", "uncond"): "bc94423573edc554d1101800f69a98d5cdef095fd7fbf406ac14c203982b1cc0",
-    ("linear-inverse", "exact"): "9e97917d07148d365eea4655cb9a1b7405897ad3219aaac8e2957b7c6c1e3608",
+    ("linear-inverse", "exact"): "87093b38b02093b0b3276cb7caf4109ee71196b47488f69ab8f5d8be4de26cd6",
     ("linear-inverse", "ficd"): "53630dce0b8efe4dbf134f09c2a5409fb8787d0935dddc9a43761c882824dbbe",
     ("linear-inverse", "mpgd"): "bd9fe75c914bd1316df5297fe4c0c9ecebdcfb6a7bd6842801b62db85f706b0f",
     ("linear-inverse", "unit"): "b94c28df9f6b0a91d2a89767c8ffb99174930e29c51e86c406b98ca5dbe98a8d",
     ("linear-inverse", "uncond"): "f4c6f3d658898ebc2be429be6f2c3563457b6f5d6ef33bbec4bb14e1dbab29fc",
-    ("gmm-style-analog", "exact"): "4f279965a399567405418f70e0f6da1e9aa45a1d56d5eac3a236868fc7bb92b4",
+    ("gmm-style-analog", "exact"): "e30cc3a1bce26ec549e3276e6399084c62659cc2406fde9b458e82187037d880",
     ("gmm-style-analog", "ficd"): "ea328863e127fe31afefb1f29b97b0f9514c731bf5c18d0926b2b85a1212452d",
     ("gmm-style-analog", "mpgd"): "095980080b338d7283f48cdf4b6af34928ebfbdc2da097decfef36b1de1ee4b7",
     ("gmm-style-analog", "unit"): "6703ac0c0c9a086c7b1ff182614517cc5be0856966b5a77bdc671947c41bcaba",
@@ -271,6 +271,27 @@ def test_forwarded_sampler_errors_name_the_key(tmp_path, capsys, item, message):
     assert f"configuration error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sample", "trace", "bench"])
+@pytest.mark.parametrize(
+    "preset,item,key",
+    [
+        ("gaussian-point", "energy.target=1,2,3", "energy.target"),
+        ("linear-inverse", "energy.A=1,0,0;0,1,0", "energy.A"),
+    ],
+)
+def test_condition_width_must_match_the_model(tmp_path, capsys, command, preset, item, key):
+    argv = (command, "--preset", preset, "--set", "schedule.T=5", "--set", item)
+    assert run(*argv, "--out", str(tmp_path / "r")) == 2
+    message = f"configuration error: {key} has width 3, but the model has dimension 2"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
+    assert run(*train_args(tmp_path / "t", "--seed", seed)) == 2
+    assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
 def test_config_errors_name_their_source(tmp_path, capsys):
     # sample_args holds one --set item, so 'foo' is the third.
     assert run(*sample_args(tmp_path / "s", "--set", "seed=1", "--set", "foo")) == 2
@@ -388,8 +409,8 @@ def test_trace_writes_pair_and_comparison(tmp_path, capsys):
 # time-travel repeats and a matched rho per strategy; the trace CSVs with
 # their step_wall_time_s column removed.
 PINNED_TRACE_RUN_SHA256 = {
-    "compare.csv": "7a7a63229c10f3e0ec84509fc1da10dfdc83ddec95f69bf09ec301885a35b7b1",
-    "trace_exact.csv": "e75bee006ad3af23d249c3945f63301ecc847acbc0c013afe6e9b97694d6b040",
+    "compare.csv": "97786b8a3b6d1bca102901a2ca42ed9bb02a87afd7f49d99894c2469970e391b",
+    "trace_exact.csv": "99099ca45a1438b7ab4ddd2990111a436a45ed5b1b9d8fc514c22c7e29439a7d",
     "trace_ficd.csv": "fd0076ab1438bac3c849c696db6fa175795b507aa12c9a5af82d835c2ba3483a",
 }
 

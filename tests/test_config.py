@@ -60,6 +60,12 @@ def test_bad_typed_values(key, raw):
         ExperimentConfig.from_sources(overrides=[(key, raw)])
 
 
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+def test_non_finite_floats_are_named_as_such(raw):
+    with pytest.raises(ConfigError, match=rf"sampler\.lam: '{raw}' \(must be finite\)"):
+        ExperimentConfig.from_sources(overrides=[("sampler.lam", raw)])
+
+
 def test_unknown_override_key():
     with pytest.raises(ConfigError, match="unknown configuration key"):
         ExperimentConfig.from_sources(overrides=[("sampler.speed", "11")])

@@ -115,6 +115,21 @@ def random_mixture(rng, K, d):
 SCHED_100 = linear_schedule(100)
 
 
+def reference_jacobian(model, x, t):
+    """The step-t mixture's second derivative in closed form: sum_i r_i
+    (-Sigma_i^{-1}) plus the responsibility-weighted covariance of the g_i,
+    sum_i r_i g_i g_i^T - s s^T; (d, d) for a point, (N, d, d) for a batch.
+    Responsibilities come from reference_responsibilities below and the
+    inverses from np.linalg.inv of the marginal covariances."""
+    mix = marginal_mixture(model.gmm, float(model.schedule.alpha_bars[t - 1]))
+    r, g, _ = reference_responsibilities(model._factored[t - 1], np.atleast_2d(x))
+    s = np.einsum("kn,knd->nd", r, g)
+    J = -np.einsum("kn,kde->nde", r, np.linalg.inv(mix.covariances))
+    J += np.einsum("kn,knd,kne->nde", r, g, g)
+    J -= np.einsum("nd,ne->nde", s, s)
+    return J.reshape(np.shape(x)[:-1] + J.shape[1:])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     K=st.integers(min_value=1, max_value=3),
@@ -128,7 +143,8 @@ def test_vjp_agrees_with_materialized_jacobian(K, d, t, shape, seed):
     model = GaussianMixtureScore(random_mixture(rng, K, d), SCHED_100)
     x = rng.normal(size=d if shape == "point" else (5, d)) * 2.0
     v = rng.normal(size=(5, d) if shape == "batch" else d)
-    J = model.jacobian(x, t)
+    J = reference_jacobian(model, x, t)
+    np.testing.assert_allclose(model.jacobian(x, t), J, rtol=1e-10, atol=1e-10)
     direct = np.einsum("...ij,...i->...j", J, v)
     got = model.score_vjp(x, t, v)
     assert got.shape == x.shape
@@ -240,9 +256,10 @@ def evaluate_all(model, x, t, v):
         min_size=1,
         max_size=6,
     ),
+    v_edge=st.sampled_from(["nan", "+inf", "-inf"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_direct_solve_and_closed_form_keep_every_bit(K, d, t, rows, seed):
+def test_direct_solve_and_closed_form_keep_every_bit(K, d, t, rows, v_edge, seed):
     rng = np.random.default_rng(seed)
     model = GaussianMixtureScore(random_mixture(rng, K, d), SCHED_100)
     x = rng.normal(size=(len(rows), d)) * 2.0
@@ -260,6 +277,16 @@ def test_direct_solve_and_closed_form_keep_every_bit(K, d, t, rows, seed):
     for i in range(K):
         inv = cho_solve((factored.cholesky[i], True), np.eye(d))
         assert factored.inv_covs[i].tobytes() == inv.tobytes()
+    # A nan or inf row of v comes out of score_vjp as a nan row, silently,
+    # and leaves the other rows' bits alone.
+    x = rng.normal(size=x.shape) * 2.0
+    bad = v.copy()
+    bad[-1] = EDGE_VALUES[v_edge]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = model.score_vjp(x, t, bad)
+    assert np.all(np.isnan(out[-1]))
+    np.testing.assert_array_equal(out[:-1], model.score_vjp(x, t, v)[:-1])
 
 
 def test_batched_and_single_point_paths_agree():

@@ -126,15 +126,20 @@ def test_fisher_information_rejects_non_finite():
 
 class VjpOnlyScore(ScoreModel):
     """score(x) = x A^T - x^3 / 3 with only its pullback written out, so
-    the Jacobian A - diag(x^2) comes from the base class."""
+    the Jacobian A - diag(x^2) comes from the base class. Counts its
+    score_vjp calls."""
 
     dim = 3
     A = np.array([[1.0, 2.0, 0.0], [-0.5, 0.3, 4.0], [0.0, -1.0, 0.7]])
+
+    def __init__(self):
+        self.vjp_calls = 0
 
     def score(self, x, t):
         return x @ self.A.T - x**3 / 3.0
 
     def score_vjp(self, x, t, v):
+        self.vjp_calls += 1
         return v @ self.A - v * x**2
 
 
@@ -143,7 +148,9 @@ def test_jacobian_is_derived_from_score_vjp():
     x = np.random.default_rng(5).normal(size=(4, 3))
     by_hand = np.stack([model.A - np.diag(row**2) for row in x])
     np.testing.assert_array_equal(model.jacobian(x, 1), by_hand)
+    assert model.vjp_calls == 1  # all 4 x 3 rows in one pullback
     np.testing.assert_array_equal(model.jacobian(x[2], 1), by_hand[2])
+    assert model.vjp_calls == 2
 
     class ScoreOnly(ScoreModel):
         dim = 2
