@@ -6,9 +6,10 @@ alpha_bar_t Sigma_i + (1 - alpha_bar_t) I, so the score and its
 derivative, stated once as ``score_vjp``, are exact at every noise level.
 These are the reference models every approximation is checked against.
 
-Evaluation is arithmetic only: each step's marginal is factored once,
-the solves call LAPACK potrs directly, and a one-component mixture
-skips the log-sum-exp normalizer, whose value it has in closed form.
+Evaluation is arithmetic only: each step's marginal is factored and
+inverted once, every component is evaluated with one product against
+its stored inverse covariance, and a one-component mixture skips the
+log densities and their normalizer, since its responsibility is 1.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
 from ficd.schedule import NoiseSchedule, alpha_bar, check_step
@@ -114,66 +114,61 @@ def marginal_mixture(gmm: GaussianMixture, abar: float) -> GaussianMixture:
 
 
 class _Factored(NamedTuple):
-    """A mixture with every factorization done: evaluation only solves."""
+    """A mixture with every factorization done: evaluation only multiplies."""
 
     log_weights: np.ndarray  # (K,)
     means: np.ndarray  # (K, d)
-    cholesky: np.ndarray  # (K, d, d) lower factors
     log_dets: np.ndarray  # (K,)
-    inv_covs: np.ndarray  # (K, d, d), read by score_vjp as one matmul
-
-
-def _solve(cholesky: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b for a lower Cholesky factor L.
-
-    LAPACK potrs with the arguments ``cho_solve`` passes it, without that
-    wrapper's batching and checks: no finiteness check, so nan rows
-    (flagged chains) pass through as nan.
-    """
-    x, info = dpotrs(cholesky, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return x
+    inv_covs: np.ndarray  # (K, d, d)
 
 
 def _factor(mix: GaussianMixture) -> _Factored:
     K, d = mix.K, mix.d
-    cholesky = np.empty((K, d, d))
     log_dets = np.empty(K)
     inv_covs = np.empty((K, d, d))
     for i in range(K):
-        cholesky[i] = cho_factor(mix.covariances[i], lower=True)[0]
-        log_dets[i] = 2.0 * float(np.sum(np.log(np.diag(cholesky[i]))))
-        inv_covs[i] = _solve(cholesky[i], np.eye(d))
+        factor = cho_factor(mix.covariances[i], lower=True)
+        log_dets[i] = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+        inv_covs[i] = cho_solve(factor, np.eye(d))
     log_weights = np.log(np.maximum(mix.weights, 1e-300))
-    return _Factored(log_weights, mix.means, cholesky, log_dets, inv_covs)
+    return _Factored(log_weights, mix.means, log_dets, inv_covs)
+
+
+def _components(factored: _Factored, x: np.ndarray):
+    """Score terms g_i = -(x - mu_i) Sigma_i^{-1} (K, N, d) and quadratic
+    forms -(x - mu_i) . g_i (K, N), from one product with each stored
+    inverse; non-finite rows of x (flagged chains) pass through silently."""
+    K, d = factored.means.shape
+    g = np.empty((K, len(x), d))
+    quad = np.empty((K, len(x)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(K):
+            diff = x - factored.means[i]
+            g[i] = -(diff @ factored.inv_covs[i])
+            quad[i] = -np.einsum("nj,nj->n", diff, g[i])
+    return g, quad
+
+
+def _log_joint(factored: _Factored, quad: np.ndarray) -> np.ndarray:
+    """log w_i + log N(x; mu_i, Sigma_i) per component, (K, N)."""
+    d = factored.means.shape[1]
+    return factored.log_weights[:, None] - 0.5 * (
+        quad + factored.log_dets[:, None] + d * np.log(2.0 * np.pi)
+    )
 
 
 def _responsibilities(factored: _Factored, x: np.ndarray):
-    """Per-component responsibilities r (K, N), score terms g (K, N, d),
-    and the mixture log-density (N,)."""
-    K, d = factored.means.shape
-    N = x.shape[0]
-    g = np.empty((K, N, d))
-    log_joint = np.empty((K, N))
-    for i in range(K):
-        diff = x - factored.means[i]
-        solved = _solve(factored.cholesky[i], diff.T).T
-        g[i] = -solved
-        quad = np.einsum("nj,nj->n", diff, solved)
-        log_joint[i] = factored.log_weights[i] - 0.5 * (
-            quad + factored.log_dets[i] + d * np.log(2.0 * np.pi)
-        )
-    if K == 1:
-        # logsumexp over one term, in closed form with the same bits: a + 0.0
-        # where finite, log(exp(a)) for +-inf and nan rows.
-        a = log_joint[0]
-        with np.errstate(divide="ignore", over="ignore"):
-            log_norm = np.where(np.isfinite(a), a + 0.0, np.log(np.exp(a)))
-    else:
-        log_norm = logsumexp(log_joint, axis=0)
-    r = np.exp(log_joint - log_norm)
-    return r, g, log_norm
+    """Responsibilities r (K, N) and score terms g (K, N, d). A row whose
+    quadratic forms are all non-finite has nan responsibilities, silently;
+    with K = 1, r is 1, no log density is formed, and the row of g is nan."""
+    g, quad = _components(factored, x)
+    if len(g) == 1:
+        g[0, ~np.isfinite(quad[0])] = np.nan
+        return np.ones_like(quad), g
+    log_joint = _log_joint(factored, quad)
+    with np.errstate(invalid="ignore"):
+        r = np.exp(log_joint - logsumexp(log_joint, axis=0))
+    return r, g
 
 
 def _as_batch(x: np.ndarray, d: int):
@@ -189,18 +184,20 @@ def _as_batch(x: np.ndarray, d: int):
 
 def mixture_logpdf(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
     x, single = _as_batch(x, mix.d)
-    _, _, log_norm = _responsibilities(_factor(mix), x)
+    factored = _factor(mix)
+    _, quad = _components(factored, x)
+    log_norm = logsumexp(_log_joint(factored, quad), axis=0)
     return float(log_norm[0]) if single else log_norm
 
 
 class GaussianMixtureScore(ScoreModel):
     """Closed-form score of a mixture prior under the forward noising process.
 
-    Construction factors the marginal of every step 1..T once: Cholesky
-    factors, log-determinants and inverse covariances, 2 T K d^2 floats.
-    Evaluation then runs solves and products only. With K = 1 the
-    normalizer is the component's own log density, equal bit for bit to
-    what logsumexp returns, nan and inf rows of flagged chains included.
+    Construction factors the marginal of every step 1..T once and keeps
+    log-determinants and inverse covariances, T K d^2 floats; evaluation
+    runs products only. With K = 1 the score is -(x - mu) Sigma^{-1}. A
+    row whose quadratic form is not finite (a flagged chain, or one near
+    |x| = 1e200) comes out as a nan row, silently, for every K.
     """
 
     def __init__(self, gmm: GaussianMixture, schedule: NoiseSchedule):
@@ -223,8 +220,8 @@ class GaussianMixtureScore(ScoreModel):
         """Gradient of the step-t log density: sum_i r_i(x) g_i(x), g_i = -Sigma_i^{-1}(x - mu_i)."""
         factored = self._at(t)
         x, single = _as_batch(x, self.dim)
-        r, g, _ = _responsibilities(factored, x)
-        s = np.einsum("kn,knd->nd", r, g)
+        r, g = _responsibilities(factored, x)
+        s = g[0] if len(g) == 1 else np.einsum("kn,knd->nd", r, g)
         return s[0] if single else s
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
@@ -240,7 +237,7 @@ class GaussianMixtureScore(ScoreModel):
         v, _ = _as_batch(v, self.dim)
         if v.shape[0] == 1 and x.shape[0] > 1:
             v = np.broadcast_to(v, x.shape)
-        r, g, _ = _responsibilities(factored, x)
+        r, g = _responsibilities(factored, x)
         with np.errstate(invalid="ignore"):
             s = np.einsum("kn,knd->nd", r, g)
             gv = np.einsum("knd,nd->kn", g, v)

@@ -106,21 +106,21 @@ PINNED_SAMPLES_SHA256 = {
     ("gaussian-point", "mpgd"): "5e672ee7bf489673bd578a80f9855ef7ef4fa28813114181311512e69e81975c",
     ("gaussian-point", "unit"): "1770d36ec1860850de1ca5f1fc59bd3b23df0cd696fa17a8ec5c873a80d5ccea",
     ("gaussian-point", "uncond"): "c7f226feb4db6ccf255d33ebc5d73f38248fdf8af6d4f511865571baa714b4cf",
-    ("gmm-tilt", "exact"): "0b24bf6abf72cb6b20531906d8f3b43f0073760edbf5bb93dec56e10b1927cfe",
-    ("gmm-tilt", "ficd"): "236607b3af5eda0db35f1c5f0dbe1ec090fd8ab5e98e6f60a8be6c3f71fdefef",
-    ("gmm-tilt", "mpgd"): "dea3ed57e6956587fe28d6f21ff6352d069d799322718ca3d02a5aa68e673dec",
-    ("gmm-tilt", "unit"): "64da49dab4949bc4d7633d5b7958e423e9269223cc87cb540321d2db2f8df843",
-    ("gmm-tilt", "uncond"): "06ad7746258a32dc5a00d480270249b7baf21cb201f501453c3ee7267aa25706",
+    ("gmm-tilt", "exact"): "c6ae2ea92a5aeaa895ff46624281c24cb221d5c67445767188d73f683369d295",
+    ("gmm-tilt", "ficd"): "65b13ac38d4211ea06cec890e541537821155db6e34561a3c43bdea4a648d494",
+    ("gmm-tilt", "mpgd"): "b344bf4048f8b586b8269c62616456b3dd572f1cdb086c7f4c0fb5e18325143b",
+    ("gmm-tilt", "unit"): "9a1de09de51d3d1106c51a75fa8feb1074299cf071751bef3612510f88281ef0",
+    ("gmm-tilt", "uncond"): "6ab2420b2079041ae38f40c94558fedaa314b5a2c94e2f84924f4c943ee3f8fd",
     ("linear-inverse", "exact"): "4e7c9f7de9e99538a9c8c6bb7a47e578abeee999d1f6f03ee6a018ed640e8f63",
     ("linear-inverse", "ficd"): "47a3f32c04feccc087061a1ca0e9f170e84e8f65fd22021b2fdf40ad4da9daec",
     ("linear-inverse", "mpgd"): "abcfd95ffac648083555945fdd3777973169205111363a2911b050462208653c",
     ("linear-inverse", "unit"): "9d889bdfd1e9d828532d7e85d803a8ec0fd3602d05decf84ed50c7353ebccd0d",
     ("linear-inverse", "uncond"): "c7f226feb4db6ccf255d33ebc5d73f38248fdf8af6d4f511865571baa714b4cf",
-    ("gmm-style-analog", "exact"): "10f35d2f33c41f4020445d2fe911a3b0665a9f04a046f545bd56831317f1a4ce",
-    ("gmm-style-analog", "ficd"): "1d8695252a00b14249f7974918b39c42fc91e492f3cd645919ea413d102a0c9d",
-    ("gmm-style-analog", "mpgd"): "8fce849d4c3fde29aae9d0a97680346c6e12dd49d3ae915c885d8c1ef0263dae",
-    ("gmm-style-analog", "unit"): "4a842c88f38135a74e8240547803b1823932ebb4d63043ee1159724913b62426",
-    ("gmm-style-analog", "uncond"): "50094fb41bfdb6765a23d73472551cf5f7f39f1aabad943ed5089c35adcfa61f",
+    ("gmm-style-analog", "exact"): "0849be3fd53902d5c397e1a407d531826137180a98feca8ecfe9e513ab9a4b3a",
+    ("gmm-style-analog", "ficd"): "3c9c339f1b53543ca9b3657686f232d2118c13d841f50b75bdaa867839aa42bb",
+    ("gmm-style-analog", "mpgd"): "89f4dfe93c67a885294cd04f752648083e42afb1dca844b25df14a912a696410",
+    ("gmm-style-analog", "unit"): "590b6f652570fd8fa110d4533790c64caf2639c2fb7feda56e060715a5da4686",
+    ("gmm-style-analog", "uncond"): "f3f247fb02a297402c22ce431cb1725972a665a6142b2f0825c25356126536db",
 }
 
 
@@ -132,21 +132,21 @@ PINNED_TRACE_SHA256 = {
     ("gaussian-point", "mpgd"): "ce20d0543f1e55a875ff2a4985fb66230839dbd7eee7a8adc6885dc65d2e483a",
     ("gaussian-point", "unit"): "4267fafdf3cc041b1f272f0ff25cc324950a5237ed7d7333f30bfad8923f418f",
     ("gaussian-point", "uncond"): "f4c6f3d658898ebc2be429be6f2c3563457b6f5d6ef33bbec4bb14e1dbab29fc",
-    ("gmm-tilt", "exact"): "761ebc165303175be3c827e49a1ad26651905f30c985489f4680378aa9f7b6fc",
-    ("gmm-tilt", "ficd"): "9a85762d359c101bac794b950f82b93a603a6f65ad6fd66e3880370cf0f80e1c",
-    ("gmm-tilt", "mpgd"): "60efced98905fc271d3a25dde05749ebe03cf9ba4f97b0b5fcad0f23ac1fd0eb",
-    ("gmm-tilt", "unit"): "1ecf310bb6b686d255efb3fecf21f0baa1a562a15b46c230d85e166f791bc78a",
-    ("gmm-tilt", "uncond"): "bc94423573edc554d1101800f69a98d5cdef095fd7fbf406ac14c203982b1cc0",
+    ("gmm-tilt", "exact"): "d423bc3ed685c1b9d50243ad23d8074e3c99e1fddee2eb7b5a12c8401a28f8ab",
+    ("gmm-tilt", "ficd"): "215513ff7d590fea51fbd27ad393abb7c2885f74657c27e6a78d9774a12e6c5f",
+    ("gmm-tilt", "mpgd"): "96bb9a2561d4e0f0ad539ae5335efccd76ab2211cccc1d67848dd01ebe6ab16c",
+    ("gmm-tilt", "unit"): "a0df585ca380b89f9ea08eb97d583b2a3af4be2b6ed1bb35197cf1c2ad3d70b8",
+    ("gmm-tilt", "uncond"): "25fed054ae49f52c1678ca1146f791102e7d1004abb671e774bf1ea0ca95e70f",
     ("linear-inverse", "exact"): "87093b38b02093b0b3276cb7caf4109ee71196b47488f69ab8f5d8be4de26cd6",
     ("linear-inverse", "ficd"): "53630dce0b8efe4dbf134f09c2a5409fb8787d0935dddc9a43761c882824dbbe",
     ("linear-inverse", "mpgd"): "bd9fe75c914bd1316df5297fe4c0c9ecebdcfb6a7bd6842801b62db85f706b0f",
     ("linear-inverse", "unit"): "b94c28df9f6b0a91d2a89767c8ffb99174930e29c51e86c406b98ca5dbe98a8d",
     ("linear-inverse", "uncond"): "f4c6f3d658898ebc2be429be6f2c3563457b6f5d6ef33bbec4bb14e1dbab29fc",
-    ("gmm-style-analog", "exact"): "e30cc3a1bce26ec549e3276e6399084c62659cc2406fde9b458e82187037d880",
-    ("gmm-style-analog", "ficd"): "ea328863e127fe31afefb1f29b97b0f9514c731bf5c18d0926b2b85a1212452d",
-    ("gmm-style-analog", "mpgd"): "095980080b338d7283f48cdf4b6af34928ebfbdc2da097decfef36b1de1ee4b7",
-    ("gmm-style-analog", "unit"): "6703ac0c0c9a086c7b1ff182614517cc5be0856966b5a77bdc671947c41bcaba",
-    ("gmm-style-analog", "uncond"): "69fc4b8d189191253fe50b59143fa937333a9f6ef3a76afe92d5000306c283d3",
+    ("gmm-style-analog", "exact"): "906e7abf1ad416d90eca1013e6915965dfe116fd20a625fb0ab642eed1b098ab",
+    ("gmm-style-analog", "ficd"): "6df1bd2b1f428fbfd1160677309ccdb20fe4e52f3dfca2db027ea3e89c3d5e08",
+    ("gmm-style-analog", "mpgd"): "1be1f0efc4df50f0565f51747c3aa9d4da1854b2de7b78a19857c50d3a3a56f8",
+    ("gmm-style-analog", "unit"): "8ed105ce0496ca7f9df7a496c1e462be6119840c204e03635f18069c038d270e",
+    ("gmm-style-analog", "uncond"): "561f7b22b82d73e2828aaa8fae4ebf14fb959bc614770b14c67811bb38683683",
 }
 
 
@@ -409,9 +409,9 @@ def test_trace_writes_pair_and_comparison(tmp_path, capsys):
 # time-travel repeats and a matched rho per strategy; the trace CSVs with
 # their step_wall_time_s column removed.
 PINNED_TRACE_RUN_SHA256 = {
-    "compare.csv": "97786b8a3b6d1bca102901a2ca42ed9bb02a87afd7f49d99894c2469970e391b",
-    "trace_exact.csv": "99099ca45a1438b7ab4ddd2990111a436a45ed5b1b9d8fc514c22c7e29439a7d",
-    "trace_ficd.csv": "fd0076ab1438bac3c849c696db6fa175795b507aa12c9a5af82d835c2ba3483a",
+    "compare.csv": "2450b78da5eb2b79a143a338a6fbb2b020a0713bb502199fc757d82218ca1d05",
+    "trace_exact.csv": "51069ad3c50c92690ca0bf3533cc8d3cff70a0c80296f806e15095f2d2a68f3b",
+    "trace_ficd.csv": "d8a10c53db02efe1916834aeb05ea0b3b83581843b3165bbc5d5440f34fcc0c3",
 }
 
 

@@ -1,13 +1,12 @@
 """Closed-form mixture scores, their derivatives, and the difference oracle."""
 
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
@@ -115,14 +114,18 @@ def random_mixture(rng, K, d):
 SCHED_100 = linear_schedule(100)
 
 
+def marginal_at(model, t):
+    return marginal_mixture(model.gmm, float(model.schedule.alpha_bars[t - 1]))
+
+
 def reference_jacobian(model, x, t):
     """The step-t mixture's second derivative in closed form: sum_i r_i
     (-Sigma_i^{-1}) plus the responsibility-weighted covariance of the g_i,
     sum_i r_i g_i g_i^T - s s^T; (d, d) for a point, (N, d, d) for a batch.
     Responsibilities come from reference_responsibilities below and the
     inverses from np.linalg.inv of the marginal covariances."""
-    mix = marginal_mixture(model.gmm, float(model.schedule.alpha_bars[t - 1]))
-    r, g, _ = reference_responsibilities(model._factored[t - 1], np.atleast_2d(x))
+    mix = marginal_at(model, t)
+    r, g, _ = reference_responsibilities(mix, np.atleast_2d(x))
     s = np.einsum("kn,knd->nd", r, g)
     J = -np.einsum("kn,kde->nde", r, np.linalg.inv(mix.covariances))
     J += np.einsum("kn,knd,kne->nde", r, g, g)
@@ -184,8 +187,8 @@ def test_evaluation_factors_nothing(monkeypatch):
 
 
 def test_one_component_skips_logsumexp(monkeypatch):
-    # One component needs no normalizer call, and no evaluation goes through
-    # the cho_solve wrapper: the solves call LAPACK directly.
+    # One component needs no normalizer call, and no evaluation solves:
+    # every component is multiplied by its stored inverse covariance.
     calls = {"logsumexp": 0, "cho_solve": 0}
     monkeypatch.setattr(gmm_module, "logsumexp", counted(calls, "logsumexp", logsumexp))
     monkeypatch.setattr(
@@ -202,48 +205,28 @@ def test_one_component_skips_logsumexp(monkeypatch):
         assert calls == {"logsumexp": 9 * per_evaluation, "cho_solve": 0}, K
 
 
-def test_solve_reports_lapack_errors(monkeypatch):
-    L = np.linalg.cholesky(2.0 * np.eye(3))
-    b = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_allclose(gmm_module._solve(L, b), 0.5 * b, rtol=1e-15)
-    # A factor that is not square is refused before LAPACK runs ...
-    with pytest.raises(Exception, match=r"shape\(c,0\)==shape\(c,1\)"):
-        gmm_module._solve(np.ones((3, 2)), b)
-    # ... so potrs's own report of an illegal argument comes from a stand-in.
-    monkeypatch.setattr(gmm_module, "dpotrs", lambda c, b, lower: (b, -5))
-    with pytest.raises(ValueError, match="illegal value in 5th argument of internal potrs"):
-        gmm_module._solve(L, b)
-
-
-def reference_responsibilities(factored, x):
-    """The evaluation as it was before the direct solve and the one-component
-    closed form: cho_solve and logsumexp for every K."""
-    K, d = factored.means.shape
+def reference_responsibilities(mix, x):
+    """Responsibilities, score terms and log density from a Cholesky solve
+    per component and logsumexp for every K: the reference the
+    stored-inverse evaluation is checked against."""
+    K, d = mix.K, mix.d
     N = x.shape[0]
     g = np.empty((K, N, d))
     log_joint = np.empty((K, N))
     for i in range(K):
-        diff = x - factored.means[i]
-        solved = cho_solve((factored.cholesky[i], True), diff.T, check_finite=False).T
+        factor = cho_factor(mix.covariances[i], lower=True)
+        diff = x - mix.means[i]
+        solved = cho_solve(factor, diff.T).T
         g[i] = -solved
         quad = np.einsum("nj,nj->n", diff, solved)
-        log_joint[i] = factored.log_weights[i] - 0.5 * (
-            quad + factored.log_dets[i] + d * np.log(2.0 * np.pi)
-        )
+        log_det = 2.0 * np.sum(np.log(np.diag(factor[0])))
+        log_joint[i] = np.log(mix.weights[i]) - 0.5 * (quad + log_det + d * np.log(2.0 * np.pi))
     log_norm = logsumexp(log_joint, axis=0)
     r = np.exp(log_joint - log_norm)
     return r, g, log_norm
 
 
 EDGE_VALUES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "1e200": 1e200, "-1e200": -1e200}
-
-
-def evaluate_all(model, x, t, v):
-    """score, jacobian and score_vjp at (x, t), with the warnings they raise."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = [model.score(x, t), model.jacobian(x, t), model.score_vjp(x, t, v)]
-    return out, [(w.category, str(w.message)) for w in caught]
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,32 +242,38 @@ def evaluate_all(model, x, t, v):
     v_edge=st.sampled_from(["nan", "+inf", "-inf"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_direct_solve_and_closed_form_keep_every_bit(K, d, t, rows, v_edge, seed):
+def test_stored_inverse_matches_the_solve_and_flags_every_bad_row(K, d, t, rows, v_edge, seed):
     rng = np.random.default_rng(seed)
     model = GaussianMixtureScore(random_mixture(rng, K, d), SCHED_100)
+    mix = marginal_at(model, t)
     x = rng.normal(size=(len(rows), d)) * 2.0
     for n, (kind, whole_row) in enumerate(rows):
         if kind != "finite":
             x[n, slice(None) if whole_row else int(rng.integers(d))] = EDGE_VALUES[kind]
+    bad = np.array([kind != "finite" for kind, _ in rows])
     v = rng.normal(size=x.shape)
-    got, got_warnings = evaluate_all(model, x, t, v)
-    with mock.patch.object(gmm_module, "_responsibilities", reference_responsibilities):
-        want, want_warnings = evaluate_all(model, x, t, v)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()  # nan payloads count
-    assert got_warnings == want_warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [model.score(x, t), model.jacobian(x, t), model.score_vjp(x, t, v)]
+    # Finite rows agree with the Cholesky solve and logsumexp ...
+    r, g, _ = reference_responsibilities(mix, x[~bad])
+    np.testing.assert_allclose(got[0][~bad], np.einsum("kn,knd->nd", r, g), rtol=1e-12)
+    # ... and every nan, inf or 1e200 row comes out as a nan row, silently.
+    for out in got:
+        assert np.all(np.isnan(out[bad]))
+        assert np.all(np.isfinite(out[~bad]))
     factored = model._factored[t - 1]
     for i in range(K):
-        inv = cho_solve((factored.cholesky[i], True), np.eye(d))
+        inv = cho_solve(cho_factor(mix.covariances[i], lower=True), np.eye(d))
         assert factored.inv_covs[i].tobytes() == inv.tobytes()
     # A nan or inf row of v comes out of score_vjp as a nan row, silently,
     # and leaves the other rows' bits alone.
     x = rng.normal(size=x.shape) * 2.0
-    bad = v.copy()
-    bad[-1] = EDGE_VALUES[v_edge]
+    bad_v = v.copy()
+    bad_v[-1] = EDGE_VALUES[v_edge]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = model.score_vjp(x, t, bad)
+        out = model.score_vjp(x, t, bad_v)
     assert np.all(np.isnan(out[-1]))
     np.testing.assert_array_equal(out[:-1], model.score_vjp(x, t, v)[:-1])
 

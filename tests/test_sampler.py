@@ -5,13 +5,20 @@ import math
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ficd.guidance import Condition, DistanceEnergy, EnergyFunction, QuadraticEnergy
+from ficd.guidance import (
+    Condition,
+    DistanceEnergy,
+    EnergyFunction,
+    LinearMeasurementEnergy,
+    QuadraticEnergy,
+)
 from ficd import sampler
 from ficd.posterior import PosteriorPartStrategy
 from ficd.sampler import (
@@ -598,6 +605,49 @@ def test_single_bad_chain_is_flagged_not_fatal():
         assert trace.flagged_chains.tolist() == [0], strategy
         assert np.all(np.isnan(samples[0])), strategy
         assert np.all(np.isfinite(samples[1:])), strategy
+
+
+def test_far_tail_chain_is_flagged_silently(monkeypatch):
+    """The wide-ddim shape: a d = 16 unit Gaussian prior, an identity
+    measurement, DDIM with eta = 1 and FICD guidance. A chain at 1e200
+    has a mixture quadratic form that overflows, so its score is a nan
+    row and its next state is not finite; -x as its score would keep it
+    finite and unflagged. sample() flags it, and nothing warns."""
+    T, N, d = 20, 200, 16
+    model = unit_gaussian_model(T, d=d)
+    energy = LinearMeasurementEnergy()
+    c = Condition.measurement(np.eye(d), np.ones(d))
+    x = slot_rng(3, 0).standard_normal((N, d))
+    x[0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, _ = step(
+            PosteriorPartStrategy.FICD, model, energy, x, T, c, 0.5, 0.5,
+            slot_rng(3, 1).standard_normal((N, d)), Discretization.DDIM,
+            ddim_sigma(model.schedule, T, 1.0),
+        )
+    assert not np.any(np.isfinite(y[0]))
+    assert np.all(np.isfinite(y[1:]))
+
+    class FarTailStart:
+        def standard_normal(self, shape):
+            x = slot_rng(3, 0).standard_normal(shape)
+            x[0] = 1e200
+            return x
+
+    monkeypatch.setattr(
+        sampler, "slot_rng", lambda seed, k: FarTailStart() if k == 0 else slot_rng(seed, k)
+    )
+    config = SamplerConfig(
+        T=T, strategy=PosteriorPartStrategy.FICD, rho=0.5, lam=0.5, n_chains=N, seed=3,
+        discretization=Discretization.DDIM, ddim_eta=1.0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples, trace = sample(config, model, energy, c)
+    assert trace.flagged_chains.tolist() == [0]
+    assert np.all(np.isnan(samples[0]))
+    assert np.all(np.isfinite(samples[1:]))
 
 
 def test_widespread_failure_aborts_run():
