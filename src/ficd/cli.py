@@ -466,7 +466,8 @@ def main(argv: list[str] | None = None) -> int:
         shown = ", ".join(str(i) for i in flagged[:10])
         more = "" if len(flagged) <= 10 else f" (and {len(flagged) - 10} more)"
         print(
-            f"chain failure: {len(flagged)} chains went non-finite; flagged: {shown}{more}",
+            f"chain failure: {len(flagged)} chains went non-finite, the first at step"
+            f" t = {err.first_t}; flagged: {shown}{more}",
             file=sys.stderr,
         )
         return EXIT_RUNTIME

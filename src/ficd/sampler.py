@@ -68,11 +68,16 @@ class Discretization(Enum):
 
 
 class ChainFailureError(RuntimeError):
-    """More than the tolerated share of chains left the finite domain."""
+    """More than the tolerated share of chains left the finite domain.
 
-    def __init__(self, message: str, flagged: np.ndarray):
+    ``flagged`` holds the flagged chain indices and ``first_t`` the step t
+    of the first step that flagged any chain.
+    """
+
+    def __init__(self, message: str, flagged: np.ndarray, first_t: int):
         super().__init__(message)
         self.flagged = flagged
+        self.first_t = first_t
 
 
 @dataclass(frozen=True)
@@ -280,6 +285,7 @@ def sample(
 
     x = next_slot()
     flagged = np.zeros(N, dtype=bool)
+    first_t = None  # t of the first step that flagged a chain
 
     ddim = config.discretization is Discretization.DDIM
     n_steps = len(entries)
@@ -334,6 +340,8 @@ def sample(
             if cond_norms is not None:
                 grad_sum += float(np.sum(cond_norms[ok_rows]))
         trace.step_wall_time_s[si] = time.perf_counter() - started
+        if first_t is None and flagged.any():
+            first_t = t
 
         trace.t[si] = t
         trace.cr_bound[si] = cramer_rao_bound(schedule, t)
@@ -354,7 +362,8 @@ def sample(
     if trace.flagged_chains.size > MAX_FLAGGED_SHARE * N:
         raise ChainFailureError(
             f"{trace.flagged_chains.size} of {N} chains left the finite domain"
-            f" (more than {MAX_FLAGGED_SHARE:.0%} tolerated)",
+            f" (more than {MAX_FLAGGED_SHARE:.0%} tolerated), the first at t = {first_t}",
             trace.flagged_chains,
+            first_t,
         )
     return x, trace

