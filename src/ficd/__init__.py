@@ -1,11 +1,16 @@
 """Fisher-information guided conditional diffusion sampling.
 
-Small numpy/scipy library for studying guided reverse diffusion at desk
+Small numpy library for studying guided reverse diffusion at desk
 scale. Score models are either analytic Gaussian mixtures (with exact
 score Jacobians) or tiny learned networks. Samplers support exact
 posterior-Jacobian guidance, a cheap Fisher-information surrogate, and
 a manifold-projection baseline, and everything is checked against
 closed-form oracles.
+
+Importing ficd, sampling and the sliced Wasserstein distance load no
+scipy module. scipy is needed only by ``tilted_gmm_oracle``, which
+imports ``scipy.stats`` when called, and by the tests; ``pyproject.toml``
+keeps ``scipy>=1.10`` for them.
 """
 
 from ficd.analytics import (

@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import wasserstein_distance
 
+from ficd import analytics
 from ficd.analytics import (
     TRACE_COLUMNS,
     BenchmarkTable,
@@ -175,6 +179,27 @@ def test_sw_symmetric_and_validates():
         sliced_wasserstein(np.empty((0, 2)), b)
     with pytest.raises(ValueError):
         sliced_wasserstein(a, rng.standard_normal((10, 3)))
+
+
+# A small pool makes ties likely; nan, the infinities and +-1e308 (whose
+# differences overflow) reach the nan and inf paths of the integral.
+W1_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf, 1e308, -1e308]),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    u=st.lists(W1_VALUES, min_size=1, max_size=40),
+    v=st.lists(W1_VALUES, min_size=1, max_size=25),
+)
+def test_w1_has_the_bits_of_scipy(u, v):
+    u, v = np.array(u), np.array(v)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = analytics._wasserstein_1d(u, v)
+        want = wasserstein_distance(u, v)
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
 
 
 # --- Fisher bound reports ----------------------------------------------
@@ -454,3 +479,24 @@ def test_samples_csv_round_trip(tmp_path):
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 0], np.arange(7))
     assert np.array_equal(back[:, 1:], samples)
+
+
+def test_samples_csv_matches_the_csv_writer_bytes(tmp_path):
+    # Every value is written as repr(float), in csv.writer's dialect, for
+    # nan, the infinities, -0.0, subnormals and a row count that crosses
+    # the block size; a (N, 0) and a (0, d) batch write what csv.writer does.
+    rng = np.random.default_rng(13)
+    edge = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308]
+    wide = rng.standard_normal((2050, 5)) * 10.0 ** rng.integers(-300, 300, size=(2050, 5))
+    wide.flat[: len(edge)] = edge
+    for samples in (wide, np.array(edge), np.empty((3, 0)), np.empty((0, 4))):
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            rows = np.atleast_2d(samples)
+            writer.writerow(["chain_id"] + [f"dim_{j}" for j in range(rows.shape[1])])
+            for i, row in enumerate(rows):
+                writer.writerow([i] + [repr(float(v)) for v in row])
+        path = tmp_path / "samples.csv"
+        samples_to_csv(samples, path)
+        assert path.read_bytes() == reference.read_bytes(), samples.shape
