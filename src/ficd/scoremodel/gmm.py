@@ -135,7 +135,9 @@ def _factor(mix: GaussianMixture) -> _Factored:
     stored as Li^T Li with Li = L_i^{-1}."""
     L = np.linalg.cholesky(mix.covariances)
     log_dets = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
-    Li = np.linalg.solve(L, np.eye(mix.d))
+    # b is an explicit stack of identities: numpy 1.x reads a 2-d b
+    # against a 3-d L as a stack of vectors, not as one matrix.
+    Li = np.linalg.solve(L, np.broadcast_to(np.eye(mix.d), L.shape))
     inv_covs = np.swapaxes(Li, 1, 2) @ Li
     log_weights = np.log(np.maximum(mix.weights, 1e-300))
     return _Factored(log_weights, mix.means, log_dets, inv_covs)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
@@ -189,6 +190,15 @@ W1_VALUES = st.one_of(
 )
 
 
+# The copy repeats scipy 1.17's operations; older releases sum the
+# integral with other operations, so their bits may differ.
+SCIPY_MINOR = tuple(int(p) for p in scipy.__version__.split(".")[:2])
+
+
+@pytest.mark.skipif(
+    SCIPY_MINOR < (1, 17),
+    reason="bit equality holds against scipy >= 1.17's wasserstein_distance",
+)
 @settings(max_examples=300, deadline=None)
 @given(
     u=st.lists(W1_VALUES, min_size=1, max_size=40),

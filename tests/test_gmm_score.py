@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
@@ -217,6 +218,14 @@ LSE_VALUES = st.one_of(
 )
 
 
+# The copy repeats scipy 1.17's operations; older releases compute
+# logsumexp with other operations, so their bits may differ.
+SCIPY_MINOR = tuple(int(p) for p in scipy.__version__.split(".")[:2])
+
+
+@pytest.mark.skipif(
+    SCIPY_MINOR < (1, 17), reason="bit equality holds against scipy >= 1.17's logsumexp"
+)
 @settings(max_examples=300, deadline=None)
 @given(
     K=st.integers(min_value=1, max_value=4),
