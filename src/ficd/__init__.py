@@ -7,10 +7,9 @@ posterior-Jacobian guidance, a cheap Fisher-information surrogate, and
 a manifold-projection baseline, and everything is checked against
 closed-form oracles.
 
-Importing ficd, sampling and the sliced Wasserstein distance load no
-scipy module. scipy is needed only by ``tilted_gmm_oracle``, which
-imports ``scipy.stats`` when called, and by the tests; ``pyproject.toml``
-keeps ``scipy>=1.10`` for them.
+ficd needs numpy only: no part of the package imports scipy, which
+``pyproject.toml`` lists under the ``test`` extra for the tests'
+references.
 """
 
 from ficd.analytics import (

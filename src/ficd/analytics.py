@@ -25,7 +25,7 @@ from ficd.posterior import (
 )
 from ficd.sampler import RunTrace, sample, step
 from ficd.schedule import NoiseSchedule, middle_third
-from ficd.scoremodel import GaussianMixture
+from ficd.scoremodel import GaussianMixture, mixture_logpdf
 
 __all__ = [
     "GaussianPosterior",
@@ -93,16 +93,13 @@ def tilted_gmm_oracle(gmm: GaussianMixture, c, lam: float) -> GaussianMixture:
 
     Each component keeps Gaussian form with precision prec_i + 2 lam I
     and mean solved from prec_i mu_i + 2 lam c; weights are scaled by
-    the component evidence N(mu_i; c, cov_i + I / (2 lam)) and
-    re-normalized.
+    the component evidence N(mu_i; c, cov_i + I / (2 lam)), the
+    ``mixture_logpdf`` of a one-component mixture, and re-normalized.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     if lam == 0:
         return gmm
-    # Imported here: the only scipy use in ficd, and scipy.stats alone
-    # would add about a second to every `import ficd`.
-    from scipy.stats import multivariate_normal
     c = np.asarray(c, dtype=np.float64)
     d = gmm.d
     if c.shape != (d,):
@@ -118,7 +115,8 @@ def tilted_gmm_oracle(gmm: GaussianMixture, c, lam: float) -> GaussianMixture:
         new_covs[i] = 0.5 * (cov + cov.T)
         new_means[i] = new_covs[i] @ (prec @ gmm.means[i] + 2.0 * lam * c)
         evidence_cov = gmm.covariances[i] + eye / (2.0 * lam)
-        log_evidence[i] = multivariate_normal.logpdf(gmm.means[i], mean=c, cov=evidence_cov)
+        evidence = GaussianMixture(weights=[1.0], means=c, covariances=evidence_cov)
+        log_evidence[i] = mixture_logpdf(evidence, gmm.means[i])
     log_w = np.log(np.maximum(gmm.weights, 1e-300)) + log_evidence
     log_w -= log_w.max()
     w = np.exp(log_w)

@@ -4,7 +4,6 @@ from ficd.scoremodel.base import ScoreModel, eps_to_score, finite_diff_jacobian
 from ficd.scoremodel.gmm import (
     GaussianMixture,
     GaussianMixtureScore,
-    marginal_mixture,
     mixture_logpdf,
 )
 from ficd.scoremodel.mlp import (
@@ -23,7 +22,6 @@ __all__ = [
     "finite_diff_jacobian",
     "GaussianMixture",
     "GaussianMixtureScore",
-    "marginal_mixture",
     "mixture_logpdf",
     "NetSpec",
     "LearnedScoreModel",

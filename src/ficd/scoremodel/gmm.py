@@ -6,20 +6,18 @@ alpha_bar_t Sigma_i + (1 - alpha_bar_t) I, so the score and its
 derivative, stated once as ``score_vjp``, are exact at every noise level.
 These are the reference models every approximation is checked against.
 
-Evaluation is arithmetic only: each step's marginal is factored and
-inverted once, every component is evaluated with one product against
-its stored inverse covariance, and a one-component mixture skips the
-log densities and their normalizer, since its responsibility is 1.
+Evaluation is arithmetic only: the marginals of all T steps are factored
+and inverted in one stacked pass at construction, every component is
+evaluated with one product against its stored inverse covariance, and a
+one-component mixture skips the log densities and their normalizer,
+since its responsibility is 1.
 
-The module needs numpy only: importing scipy.linalg and scipy.special
-cost every ficd process about 0.4 s and 32 MB. ``_factor`` takes numpy's
-Cholesky of the stacked covariances and stores each inverse as Li^T Li,
-Li = L^{-1}. On the presets' marginals (diagonal at d = 2, the identity
-at d = 16) that has the bits of scipy's ``cho_factor``/``cho_solve``; on
-dense covariances the inverse differs from ``cho_solve`` in the last
-bits. ``_logsumexp`` has the bits of scipy's. scipy is needed only by
-``analytics.tilted_gmm_oracle`` and the tests, and ``pyproject.toml``
-keeps ``scipy>=1.10`` for them.
+The module needs numpy only. ``_factor`` takes numpy's Cholesky of the
+stacked covariances and stores each inverse as Li^T Li, Li = L^{-1}. On
+the presets' marginals (diagonal at d = 2, the identity at d = 16) that
+has the bits of scipy's ``cho_factor``/``cho_solve``; on dense
+covariances the inverse differs from ``cho_solve`` in the last bits.
+``_logsumexp`` has the bits of scipy's. scipy is a test dependency only.
 """
 
 from __future__ import annotations
@@ -29,13 +27,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ficd.schedule import NoiseSchedule, alpha_bar, check_step
+from ficd.schedule import NoiseSchedule, check_step
 from ficd.scoremodel.base import ScoreModel
 
 __all__ = [
     "GaussianMixture",
     "GaussianMixtureScore",
-    "marginal_mixture",
     "mixture_logpdf",
 ]
 
@@ -110,17 +107,6 @@ class GaussianMixture:
         return out
 
 
-def marginal_mixture(gmm: GaussianMixture, abar: float) -> GaussianMixture:
-    """Mixture describing x_t when x_0 follows gmm and alpha_bar_t = abar."""
-    if not 0.0 <= abar <= 1.0:
-        raise ValueError("abar must lie in [0, 1]")
-    d = gmm.d
-    covs = abar * gmm.covariances + (1.0 - abar) * np.eye(d)
-    return GaussianMixture(
-        weights=gmm.weights, means=np.sqrt(abar) * gmm.means, covariances=covs
-    )
-
-
 class _Factored(NamedTuple):
     """A mixture with every factorization done: evaluation only multiplies."""
 
@@ -130,17 +116,18 @@ class _Factored(NamedTuple):
     inv_covs: np.ndarray  # (K, d, d)
 
 
-def _factor(mix: GaussianMixture) -> _Factored:
-    """Cholesky factors L_i of every covariance at once; Sigma_i^{-1} is
-    stored as Li^T Li with Li = L_i^{-1}."""
-    L = np.linalg.cholesky(mix.covariances)
-    log_dets = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+def _factor(weights, means, covariances) -> _Factored:
+    """Cholesky factors L of a stack (..., K, d, d) of covariances, all in
+    one call; each Sigma^{-1} is stored as Li^T Li with Li = L^{-1}, and
+    the log weights are broadcast to the stack's (..., K)."""
+    L = np.linalg.cholesky(covariances)
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
     # b is an explicit stack of identities: numpy 1.x reads a 2-d b
-    # against a 3-d L as a stack of vectors, not as one matrix.
-    Li = np.linalg.solve(L, np.broadcast_to(np.eye(mix.d), L.shape))
-    inv_covs = np.swapaxes(Li, 1, 2) @ Li
-    log_weights = np.log(np.maximum(mix.weights, 1e-300))
-    return _Factored(log_weights, mix.means, log_dets, inv_covs)
+    # against a stacked L as a stack of vectors, not as one matrix.
+    Li = np.linalg.solve(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
+    inv_covs = np.swapaxes(Li, -1, -2) @ Li
+    log_weights = np.broadcast_to(np.log(np.maximum(weights, 1e-300)), log_dets.shape)
+    return _Factored(log_weights, means, log_dets, inv_covs)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -149,7 +136,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     of a column are split out of the shifted sum (m of them, so the sum
     is m (1 + s)), and a column whose result is not finite (a nan, an
     inf, or all -inf) takes the direct log(sum(exp(a))) instead."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(a, axis=0)
         is_max = a == a_max
         m = np.sum(is_max, axis=0, dtype=np.float64)
@@ -213,8 +200,10 @@ def _as_batch(x: np.ndarray, d: int):
 
 
 def mixture_logpdf(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
+    """Log density of mix at a point (d,), as a float, or at each row of a
+    batch (N, d), as an (N,) array."""
     x, single = _as_batch(x, mix.d)
-    factored = _factor(mix)
+    factored = _factor(mix.weights, mix.means, mix.covariances)
     _, quad = _components(factored, x)
     log_norm = _logsumexp(_log_joint(factored, quad))
     return float(log_norm[0]) if single else log_norm
@@ -223,20 +212,25 @@ def mixture_logpdf(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
 class GaussianMixtureScore(ScoreModel):
     """Closed-form score of a mixture prior under the forward noising process.
 
-    Construction factors the marginal of every step 1..T once and keeps
-    log-determinants and inverse covariances, T K d^2 floats; evaluation
-    runs products only. With K = 1 the score is -(x - mu) Sigma^{-1}. A
-    row whose quadratic form is not finite (a flagged chain, or one near
-    |x| = 1e200) comes out as a nan row, silently, for every K.
+    Construction factors all T K marginal covariances, steps 1..T, in one
+    stacked pass and keeps log-determinants and inverse covariances,
+    T K d^2 floats; evaluation runs products only. With K = 1 the score
+    is -(x - mu) Sigma^{-1}. A row whose quadratic form is not finite (a
+    flagged chain, or one near |x| = 1e200) comes out as a nan row,
+    silently, for every K.
     """
 
     def __init__(self, gmm: GaussianMixture, schedule: NoiseSchedule):
         self.gmm = gmm
         self.schedule = schedule
-        self._factored = [
-            _factor(marginal_mixture(gmm, alpha_bar(schedule, t)))
-            for t in range(1, schedule.T + 1)
-        ]
+        # The marginals of steps 1..T, stacked (T, K, ...).
+        abar = schedule.alpha_bars[:, None, None, None]
+        stacked = _factor(
+            gmm.weights,
+            np.sqrt(abar[..., 0]) * gmm.means,
+            abar * gmm.covariances + (1.0 - abar) * np.eye(gmm.d),
+        )
+        self._factored = [_Factored(*f) for f in zip(*stacked)]
 
     @property
     def dim(self) -> int:

@@ -96,7 +96,10 @@ def test_demo_calls_bind(path):
 
 SCIPY_PROBE = """
 import sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import numpy as np
 import ficd
+from ficd.cli import main
 config = ficd.ExperimentConfig.from_sources(
     preset=ficd.PRESETS["gmm-tilt"],
     overrides=[("schedule.T", "20"), ("sampler.n_chains", "64")],
@@ -104,19 +107,26 @@ config = ficd.ExperimentConfig.from_sources(
 energy, condition = config.build_energy()
 samples, _ = ficd.sample(config.sampler_config(), config.build_model(), energy, condition)
 ficd.sliced_wasserstein(samples, samples + 1.0, n_projections=4)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+ficd.tilted_gmm_oracle(config.gmm(), np.array([0.5, 0.25]), config["sampler.lam"])
+sys.exit(main(["sample", "--preset", "gmm-tilt", "--T", "20", "--out", sys.argv[1],
+               "--set", "sampler.n_chains=64"]))
 """
 
 
-def test_import_sampling_and_sliced_wasserstein_load_no_scipy():
-    """ficd runs on numpy alone; only tilted_gmm_oracle imports scipy.stats."""
+def test_import_sampling_and_sliced_wasserstein_load_no_scipy(tmp_path):
+    """ficd runs on numpy alone: import, sampling, the sliced Wasserstein
+    distance, the tilted-mixture oracle and `ficd sample` need no scipy."""
     src = str(Path(ficd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
     )
-    assert result.stdout.strip() == "[]"
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "samples.csv").is_file()
 
 
 PACKAGE = Path(ficd.__file__).resolve().parent

@@ -16,10 +16,16 @@ from ficd.scoremodel import (
     GaussianMixture,
     GaussianMixtureScore,
     finite_diff_jacobian,
-    marginal_mixture,
     mixture_logpdf,
 )
 from ficd.scoremodel import gmm as gmm_module
+
+
+def marginal_mixture(gmm, abar):
+    """Step by step, the mixture x_t follows when x_0 follows gmm and
+    alpha_bar_t = abar: the reference for the stacked build."""
+    covs = abar * gmm.covariances + (1.0 - abar) * np.eye(gmm.d)
+    return GaussianMixture(gmm.weights, np.sqrt(abar) * gmm.means, covs)
 
 
 def single_gaussian(var=1.0, d=2):
@@ -166,22 +172,26 @@ def counted(calls, name, inner):
 
 
 def test_evaluation_factors_nothing(monkeypatch):
-    # Every step's marginal is factored at construction; evaluating the
-    # score, its Jacobian or its pullback must not factor or rebuild one.
+    # Construction factors all T K marginals in one stacked Cholesky and
+    # builds no mixture, whatever T is; evaluating the score, its Jacobian
+    # or its pullback must not factor or build one either.
     calls = {"cholesky": 0, "GaussianMixture": 0}
     gmm = random_mixture(np.random.default_rng(29), 3, 2)
-    model = GaussianMixtureScore(gmm, SCHED_100)
+    x = np.random.default_rng(30).normal(size=(5, 2))
+    mix = marginal_mixture(gmm, 0.5)
     monkeypatch.setattr(np.linalg, "cholesky", counted(calls, "cholesky", np.linalg.cholesky))
     monkeypatch.setattr(
         gmm_module, "GaussianMixture", counted(calls, "GaussianMixture", gmm_module.GaussianMixture)
     )
-    x = np.random.default_rng(30).normal(size=(5, 2))
-    mixture_logpdf(marginal_mixture(gmm, 0.5), x)
-    # The counters see work: building the marginal checks each of its 3
-    # covariances, and _factor takes one Cholesky of the stacked 3.
-    assert calls == {"cholesky": 4, "GaussianMixture": 1}
-    calls.update(cholesky=0, GaussianMixture=0)
-    for t in (1, 50, 100):
+    for T in (1, 100, 1000):
+        model = GaussianMixtureScore(gmm, linear_schedule(T))
+        assert calls == {"cholesky": 1, "GaussianMixture": 0}, T
+        calls.update(cholesky=0)
+    # mixture_logpdf takes one Cholesky of the stacked 3 covariances.
+    mixture_logpdf(mix, x)
+    assert calls == {"cholesky": 1, "GaussianMixture": 0}
+    calls.update(cholesky=0)
+    for t in (1, 500, 1000):
         model.score(x, t)
         model.score(x[0], t)
         model.jacobian(x, t)
@@ -233,11 +243,16 @@ SCIPY_MINOR = tuple(int(p) for p in scipy.__version__.split(".")[:2])
     n=st.integers(min_value=1, max_value=4),
     dead=st.lists(st.integers(min_value=0, max_value=3), max_size=2),
 )
+# a_max - a overflows to -inf, whose exp is 0; scipy warns on it too.
+@example(
+    K=2, n=4, dead=[], cells=[1.7976931348623157e308, 0.0, 0.0, 0.0, -9.9792015476736e291] + [0.0] * 11
+)
 def test_logsumexp_has_the_bits_of_scipy(K, cells, n, dead):
     a = np.array(cells[: K * n]).reshape(K, n)
     a[:, [j for j in dead if j < n]] = -np.inf
     got = gmm_module._logsumexp(a)
-    want = logsumexp(a, axis=0)
+    with np.errstate(over="ignore"):
+        want = logsumexp(a, axis=0)
     assert np.array_equal(got, want, equal_nan=True), (a, got, want)
 
 
@@ -312,10 +327,16 @@ def test_stored_inverse_matches_the_solve_and_flags_every_bad_row(K, d, t, rows,
     for out in got:
         assert np.all(np.isnan(out[bad]))
         assert np.all(np.isfinite(out[~bad]))
+    # The stacked build has the bits of factoring this step alone, in all
+    # four fields.
+    factored = model._factored[t - 1]
+    alone = gmm_module._factor(mix.weights, mix.means, mix.covariances)
+    for field, got_field, want_field in zip(factored._fields, factored, alone):
+        assert got_field.shape == want_field.shape, field
+        assert got_field.tobytes() == want_field.tobytes(), field
     # The stored inverse is Li^T Li with Li = L^{-1} from numpy's
     # Cholesky, bit for bit, and lies within 1e-14 of its largest entry of
     # the Cholesky solve (the worst seen over 3,000 draws was 9.3e-16).
-    factored = model._factored[t - 1]
     for i in range(K):
         Li = np.linalg.solve(np.linalg.cholesky(mix.covariances[i]), np.eye(d))
         assert factored.inv_covs[i].tobytes() == (Li.T @ Li).tobytes()
