@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from ficd.guidance import Condition, DistanceEnergy
+from ficd.posterior import PosteriorPartStrategy
+from ficd.sampler import SamplerConfig, sample
 from ficd.schedule import linear_schedule
 from ficd.scoremodel import (
     LearnedScoreModel,
@@ -21,9 +24,11 @@ from ficd.scoremodel import (
     train_dsm,
 )
 from ficd.scoremodel.mlp import _forward
+from float64_twin import Float64Twin
 
 SCHED = linear_schedule(100)
 SMALL = NetSpec(hidden_width=32, hidden_layers=2, time_embed_dim=16)
+EPS32 = np.finfo(np.float32).eps
 
 
 def fresh_model(seed=0, d=2, spec=SMALL):
@@ -56,20 +61,21 @@ def test_untrained_model_is_flagged():
 def test_forward_batch_matches_single():
     # Identical up to the last-bit reassociation BLAS applies to different
     # matmul shapes; bitwise equality is only promised for identical shapes.
-    model = fresh_model()
+    twin = Float64Twin(fresh_model())
     x = np.random.default_rng(1).normal(size=(5, 2))
-    batch = model.score(x, 40)
+    batch = twin.score(x, 40)
     for k in range(5):
-        np.testing.assert_allclose(batch[k], model.score(x[k], 40), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(batch[k], twin.score(x[k], 40), rtol=1e-12, atol=1e-14)
 
 
 def test_jacobian_matches_central_differences():
     model = fresh_model(seed=3)
+    twin = Float64Twin(model)
     rng = np.random.default_rng(4)
     for t in (5, 50, 95):
         x = rng.normal(size=2)
-        J = model.jacobian(x, t)
-        fd = finite_diff_jacobian(model, x, t)
+        J = twin.jacobian(x, t)
+        fd = finite_diff_jacobian(twin, x, t)
         assert np.linalg.norm(J - fd) / np.linalg.norm(fd) < 1e-5
     # Steps outside 1..T have no alpha_bar; -1 must not wrap to alpha_bar_T.
     for t in (0, -1, SCHED.T + 1):
@@ -86,7 +92,7 @@ def test_jacobian_matches_central_differences():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_vjp_is_transpose_jacobian_action(d, t, shape, seed):
-    model = fresh_model(seed=seed, d=d)
+    model = Float64Twin(fresh_model(seed=seed, d=d))
     rng = np.random.default_rng(seed)
     x = rng.normal(size=d if shape == "point" else (4, d))
     v = rng.normal(size=(4, d) if shape == "batch" else d)
@@ -101,6 +107,68 @@ def test_vjp_is_transpose_jacobian_action(d, t, shape, seed):
     for xi, vi, gi in zip(xs, vs, np.atleast_2d(got)):
         fd = finite_diff_jacobian(model, xi, t).T @ vi
         assert np.linalg.norm(gi - fd) / np.linalg.norm(fd) < 1e-5
+
+
+# Largest |float32 model - float64 twin| over the largest entry of the
+# twin's output, in units of eps32. Over 20,000 draws of this test's kind
+# (SMALL nets, d 1..4, t 1..100, 16 rows) the worst was 80.1 eps32 (score,
+# single rows), 75.7 (score, batch), 54.9 (score_vjp) and 34.3 (jacobian);
+# the 99.9th percentiles were 15-27. The tail comes from d = 1, where the
+# largest of 16 entries can be small beside the terms that sum to it.
+TWIN_BOUND_EPS32 = 160
+
+
+def test_float32_model_stays_within_bound_of_its_twin(tmp_path):
+    def rel(got, want):
+        assert got.dtype == np.float64
+        return np.abs(got - want).max() / np.abs(want).max() / EPS32
+
+    meta = np.random.default_rng(30)
+    for _ in range(100):
+        d, t = int(meta.integers(1, 5)), int(meta.integers(1, SCHED.T + 1))
+        seed = int(meta.integers(0, 2**32))
+        model = fresh_model(seed=seed, d=d)
+        twin = Float64Twin(model)
+        rng = np.random.default_rng(seed)
+        x, v = rng.normal(size=(16, d)), rng.normal(size=(16, d))
+        want = twin.score(x, t)
+        assert rel(model.score(x, t), want) < TWIN_BOUND_EPS32
+        assert rel(np.array([model.score(row, t) for row in x]), want) < TWIN_BOUND_EPS32
+        assert rel(model.score_vjp(x, t, v), twin.score_vjp(x, t, v)) < TWIN_BOUND_EPS32
+        assert rel(model.jacobian(x, t), twin.jacobian(x, t)) < TWIN_BOUND_EPS32
+
+    # float32 inside the model, float64 at its boundary. A float64 dump, as
+    # an older save_model wrote, loads by rounding.
+    trained = train_dsm(np.random.default_rng(31).standard_normal((64, 2)), SMALL, SCHED, steps=3)
+    path = tmp_path / "float64.npz"
+    save_model(trained, path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    for key in arrays:
+        if key.startswith(("W_", "b_")):
+            arrays[key] = arrays[key].astype(np.float64) + 1e-9
+    np.savez(path, **arrays)
+    loaded = load_model(path)
+    for model in (fresh_model(), trained, loaded):
+        assert all(p.dtype == np.float32 for p in model.weights + model.biases)
+    for l, (W, b) in enumerate(zip(loaded.weights, loaded.biases)):
+        np.testing.assert_array_equal(W, arrays[f"W_{l}"].astype(np.float32))
+        np.testing.assert_array_equal(b, arrays[f"b_{l}"].astype(np.float32))
+    samples, _ = sample(
+        SamplerConfig(T=SCHED.T, strategy=PosteriorPartStrategy.EXACT, rho=0.05, n_chains=8),
+        trained,
+        DistanceEnergy(),
+        Condition.target([1.0, 1.0]),
+    )
+    x = np.random.default_rng(32).normal(size=(3, 2))
+    for out in (
+        trained.score(x, 50),
+        trained.score(x[0], 50),
+        trained.score_vjp(x, 50, x),
+        trained.jacobian(x, 50),
+        samples,
+    ):
+        assert out.dtype == np.float64
 
 
 def test_training_is_deterministic_given_seed():
@@ -119,16 +187,17 @@ def sha256_of(arrays):
     return digest.hexdigest()
 
 
-# Recorded on x86-64 with OpenBLAS (numpy 2.4, scipy 1.17): the pullback
-# cache and the in-place optimizer must reproduce the recomputing forward
-# and the allocating update bit for bit. The sigmoid runs through numpy's
-# float64 exp, which dispatches on CPU features (AVX-512 where these were
-# recorded), so like the OpenBLAS GEMM bits these pins hold on such a host.
+# Recorded on x86-64 with OpenBLAS (numpy 2.4, scipy 1.17), with the net
+# in float32: the pullback cache and the in-place optimizer must reproduce
+# the recomputing forward and the allocating update bit for bit. The
+# sigmoid runs through numpy's float32 exp, which dispatches on CPU
+# features (AVX-512 where these were recorded), so like the OpenBLAS GEMM
+# bits these pins hold on such a host.
 def test_trained_weights_are_pinned():
     data = np.random.default_rng(8).standard_normal((256, 2))
     model = train_dsm(data, SMALL, SCHED, steps=50, seed=42)
     assert sha256_of(model.weights + model.biases) == (
-        "92a04a008691d069670091cbfee97d58b2717ec28a1cf029a20eca12838707ac"
+        "048dfea64dc00d5226abbe6c2a0d7a589ace3605c1a33aad84c037fa3b2044c6"
     )
 
 
@@ -137,13 +206,13 @@ def test_score_outputs_are_pinned():
     rng = np.random.default_rng(21)
     x, v = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
     assert sha256_of([model.score(x, 37)]) == (
-        "f3f2a58be3fbf962b3203aedd86113a4f10538d12a3be1002d44e7bfb84b24ce"
+        "8408e0edcf4820e9e9b39a39171ac897e5a4561c2f0047d54ba92479a056ab97"
     )
     assert sha256_of([model.score_vjp(x, 37, v)]) == (
-        "2c3fa95a034257662b07687520eabdd8c756f0fbd34d6cbc65609c630e72edde"
+        "e64f6af052d44be26039c7aca2fa7a75cad0132a3bb62c77fea18e19bf53a000"
     )
     assert sha256_of([model.jacobian(x, 37)]) == (
-        "37b2e36be929938956498904f022fad73c9ef9004cb9a184d523f42e523d4de1"
+        "7567e0f910c12afa508e3726fb95881fe3065b3842fec865fed1f5530370a909"
     )
 
 
@@ -175,10 +244,33 @@ def test_sigmoid_edges_match_expit():
     ref = expit(a) * a
     np.testing.assert_allclose(silu, ref, rtol=1e-15, atol=0.0)
 
+    # The same in float32, the net's precision, against float64 expit. Here
+    # exp(-a) overflows below a = -88.72, and expit(a) itself rounds to 0
+    # below a = -103.97.
+    a32 = np.concatenate(
+        [np.linspace(-200.0, 200.0, 400_001), [-103.98, -103.9, -88.7229, -88.7228, -88.7]]
+    ).astype(np.float32)
+    a32 = np.concatenate([a32, np.float32([-1.4e-45, 0.0, 1.4e-45, 3.4e38, -3.4e38])])
+    weights32, biases32 = [np.ones((1, 1), np.float32)] * 2, [np.zeros(1, np.float32)] * 2
+    out32, (_, (deriv32,)) = _forward(weights32, biases32, a32[:, None], pullback=True)
+    silu32, deriv32 = out32[:, 0].astype(np.float64), deriv32[:, 0]
+    assert out32.dtype == np.float32 and deriv32.dtype == np.float32
+    a64 = a32.astype(np.float64)
+    nonzero = a64 != 0.0
+    s32 = silu32[nonzero] / a64[nonzero]
+    assert np.all((s32 >= 0.0) & (s32 <= 1.0))
+    assert np.all(np.isfinite(deriv32))
+    # Over this grid the SiLU was at most 2.52 eps32 from the reference in
+    # relative terms. Where exp(-a) overflows, s is 0 and the SiLU flushes to
+    # -0, at most |a| exp(a) <= 22.2 float32 tiny from the reference.
+    tiny32 = float(np.finfo(np.float32).tiny)
+    np.testing.assert_allclose(silu32, expit(a64) * a64, rtol=4 * EPS32, atol=32 * tiny32)
+
 
 def test_nan_rows_stay_nan_rows():
     # A flagged chain is stepped as a nan row; it must not spread to the
-    # other rows of its block, or raise a warning.
+    # other rows of its block, or raise a warning. A row beyond float32
+    # range, in x or in v, comes out as a nan row too.
     model = fresh_model()
     rng = np.random.default_rng(23)
     x, v = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
@@ -186,6 +278,18 @@ def test_nan_rows_stay_nan_rows():
     for out in (model.score(x, 37), model.score_vjp(x, 37, v)):
         assert np.all(np.isnan(out[1]))
         assert np.all(np.isfinite(out[[0, 2, 3]]))
+    for big in (1e39, -1e39, 1e200):
+        x, v = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+        far = x.copy()
+        far[2, 0] = big
+        for out in (model.score(far, 37), model.score_vjp(far, 37, v)):
+            assert np.all(np.isnan(out[2]))
+            assert np.all(np.isfinite(out[[0, 1, 3]]))
+        assert np.all(np.isnan(model.score(far[2], 37)))
+        v[2, 1] = big
+        out = model.score_vjp(x, 37, v)
+        assert np.all(np.isnan(out[2]))
+        assert np.all(np.isfinite(out[[0, 1, 3]]))
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from ficd.posterior import (
 from ficd.schedule import NoiseSchedule, linear_schedule
 from ficd.scoremodel import GaussianMixture, GaussianMixtureScore, LearnedScoreModel, NetSpec
 from ficd.scoremodel.base import ScoreModel
+from float64_twin import Float64Twin
 
 EXACT, FICD, MPGD, UNIT = (
     PosteriorPartStrategy.EXACT,
@@ -256,10 +257,11 @@ def test_posterior_vjp_matches_materialized_transpose():
 
 
 def test_exact_pullback_matches_materialized_transpose_on_the_mlp():
-    # The MLP's score Jacobian is not symmetric, so this checks the transpose.
+    # The MLP's score Jacobian is not symmetric, so this checks the transpose;
+    # the float64 twin runs the net's own bodies at the float64 tolerance.
     sched = linear_schedule(100)
     spec = NetSpec(hidden_width=32, hidden_layers=2, time_embed_dim=16)
-    model = LearnedScoreModel.init(spec, sched, 3, np.random.default_rng(7))
+    model = Float64Twin(LearnedScoreModel.init(spec, sched, 3, np.random.default_rng(7)))
     rng = np.random.default_rng(8)
     x = rng.normal(size=(5, 3))
     v = rng.normal(size=(5, 3))
