@@ -50,6 +50,30 @@ class ScoreModel(ABC):
         raise NotImplementedError(f"{type(self).__name__} has no score_vjp")
 
 
+def _as_batch(x: np.ndarray, d: int):
+    """x as float64 rows (N, d), and whether it was a single point (d,);
+    ValueError naming the expected shape for any other shape."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        if x.shape != (d,):
+            raise ValueError(f"point has dimension {x.shape}, expected ({d},)")
+        return x[None, :], True
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"batch has shape {x.shape}, expected (N, {d})")
+    return x, False
+
+
+def _as_vjp_batches(x: np.ndarray, v: np.ndarray, d: int):
+    """x and v as float64 rows, and whether x was a single point; v is one
+    row for all of x's or one row for each, else a ValueError names the
+    expected shape."""
+    x, single = _as_batch(x, d)
+    v, _ = _as_batch(v, d)
+    if len(v) not in (1, len(x)):
+        raise ValueError(f"v has shape {v.shape}, expected ({len(x)}, {d}) or ({d},)")
+    return x, v, single
+
+
 def eps_to_score(eps_pred: np.ndarray, schedule: NoiseSchedule, t: int) -> np.ndarray:
     """Convert a noise prediction to a score: -eps_pred / sqrt(1 - alpha_bar_t)."""
     abar = alpha_bar(schedule, t)
@@ -65,7 +89,10 @@ def finite_diff_jacobian(
 
     Column j is (s(x + h e_j, t) - s(x - h e_j, t)) / (2 h). The default
     step h = 1e-4 * (1 + max|x_i|) balances truncation against rounding
-    at double precision.
+    at double precision. On a model that rounds its score to float32, as
+    the learned model does, the same step reads about 1e-3 to 2e-3
+    relative error from rounding alone; check the algebra of such a model
+    on a float64 copy of it instead (``tests/float64_twin.py`` is one).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ficd.schedule import NoiseSchedule, check_step
-from ficd.scoremodel.base import ScoreModel
+from ficd.scoremodel.base import ScoreModel, _as_batch, _as_vjp_batches
 
 __all__ = [
     "GaussianMixture",
@@ -188,17 +188,6 @@ def _responsibilities(factored: _Factored, x: np.ndarray):
     return r, g
 
 
-def _as_batch(x: np.ndarray, d: int):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape != (d,):
-            raise ValueError(f"point has dimension {x.shape}, expected ({d},)")
-        return x[None, :], True
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ValueError(f"batch has shape {x.shape}, expected (N, {d})")
-    return x, False
-
-
 def mixture_logpdf(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
     """Log density of mix at a point (d,), as a float, or at each row of a
     batch (N, d), as an (N,) array."""
@@ -257,8 +246,7 @@ class GaussianMixtureScore(ScoreModel):
         comes out as a nan row, silently.
         """
         factored = self._at(t)
-        x, single = _as_batch(x, self.dim)
-        v, _ = _as_batch(v, self.dim)
+        x, v, single = _as_vjp_batches(x, v, self.dim)
         if v.shape[0] == 1 and x.shape[0] > 1:
             v = np.broadcast_to(v, x.shape)
         r, g = _responsibilities(factored, x)

@@ -13,6 +13,8 @@ from ficd.posterior import PosteriorPartStrategy
 from ficd.sampler import SamplerConfig, sample
 from ficd.schedule import linear_schedule
 from ficd.scoremodel import (
+    GaussianMixture,
+    GaussianMixtureScore,
     LearnedScoreModel,
     NetSpec,
     TrainingDivergedError,
@@ -111,10 +113,11 @@ def test_vjp_is_transpose_jacobian_action(d, t, shape, seed):
 
 # Largest |float32 model - float64 twin| over the largest entry of the
 # twin's output, in units of eps32. Over 20,000 draws of this test's kind
-# (SMALL nets, d 1..4, t 1..100, 16 rows) the worst was 80.1 eps32 (score,
-# single rows), 75.7 (score, batch), 54.9 (score_vjp) and 34.3 (jacobian);
-# the 99.9th percentiles were 15-27. The tail comes from d = 1, where the
-# largest of 16 entries can be small beside the terms that sum to it.
+# (SMALL nets, d 1..4, t 1..100, 16 rows) the worst was 125.5 eps32 (score,
+# batch and single rows alike), 63.4 (score_vjp) and 37.3 (jacobian); the
+# 99.9th percentiles were 16-27, and the test's own draws reach 11.5. The
+# tail comes from d = 1, where the largest of 16 entries can be small
+# beside the terms that sum to it; with d > 1 the worst was 11.4.
 TWIN_BOUND_EPS32 = 160
 
 
@@ -188,16 +191,17 @@ def sha256_of(arrays):
 
 
 # Recorded on x86-64 with OpenBLAS (numpy 2.4, scipy 1.17), with the net
-# in float32: the pullback cache and the in-place optimizer must reproduce
-# the recomputing forward and the allocating update bit for bit. The
-# sigmoid runs through numpy's float32 exp, which dispatches on CPU
-# features (AVX-512 where these were recorded), so like the OpenBLAS GEMM
-# bits these pins hold on such a host.
+# in float32, its first layer as x @ W0[:d] plus a cached time row, and its
+# SiLU as a / (1 + exp(-a)) with the derivative s + h (1 - s): the pullback
+# cache and the in-place optimizer must reproduce the recomputing forward
+# and the allocating update bit for bit. The SiLU runs through numpy's
+# float32 exp, which dispatches on CPU features (AVX-512 where these were
+# recorded), so like the OpenBLAS GEMM bits these pins hold on such a host.
 def test_trained_weights_are_pinned():
     data = np.random.default_rng(8).standard_normal((256, 2))
     model = train_dsm(data, SMALL, SCHED, steps=50, seed=42)
     assert sha256_of(model.weights + model.biases) == (
-        "048dfea64dc00d5226abbe6c2a0d7a589ace3605c1a33aad84c037fa3b2044c6"
+        "c1593720747fe3649f5ba97ccc5105aab09de0349ac36ba00b173f502d19f9f9"
     )
 
 
@@ -206,24 +210,69 @@ def test_score_outputs_are_pinned():
     rng = np.random.default_rng(21)
     x, v = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
     assert sha256_of([model.score(x, 37)]) == (
-        "8408e0edcf4820e9e9b39a39171ac897e5a4561c2f0047d54ba92479a056ab97"
+        "4c56710a165bf2476220605b60cf45b306a908c2406e6cd7b59bf2aaceeb7ed0"
     )
     assert sha256_of([model.score_vjp(x, 37, v)]) == (
-        "e64f6af052d44be26039c7aca2fa7a75cad0132a3bb62c77fea18e19bf53a000"
+        "5f1aa7f863b10fcc66d9a0d584c2cfde1ec07c93bf8d5dff240a15d7519d86ff"
     )
     assert sha256_of([model.jacobian(x, 37)]) == (
-        "7567e0f910c12afa508e3726fb95881fe3065b3842fec865fed1f5530370a909"
+        "530177c4188704772954eacb515a319ac16205d7d0bc3dbf8c33fbe71a9d1522"
     )
 
 
 def test_score_forward_keeps_no_pullback_cache():
     model = fresh_model()
-    h = model._net_input(np.random.default_rng(22).normal(size=(3, 2)), 37)
-    eps, cache = _forward(model.weights, model.biases, h)
+    x = np.random.default_rng(22).normal(size=(3, 2)).astype(np.float32)
+    eps, cache = _forward(*model._net(37), x)
     assert cache is None
-    eps_pb, (inputs, derivs) = _forward(model.weights, model.biases, h, pullback=True)
+    eps_pb, (inputs, derivs) = _forward(*model._net(37), x, pullback=True)
     np.testing.assert_array_equal(eps, eps_pb)
     assert len(inputs) == SMALL.hidden_layers + 1 and len(derivs) == SMALL.hidden_layers
+    assert inputs[0] is x
+
+
+@pytest.mark.parametrize("T", [100, 1000])
+def test_embedding_table_has_the_bits_of_the_embedding(T):
+    sched = linear_schedule(T)
+    model = LearnedScoreModel.init(SMALL, sched, 2, np.random.default_rng(0))
+    assert model._embedding.shape == (T, SMALL.time_embed_dim)
+    for t in range(1, T + 1):
+        row = sinusoidal_time_embedding(t / T, SMALL.time_embed_dim).astype(np.float32)
+        np.testing.assert_array_equal(model._embedding[t - 1], row)
+
+
+def test_time_rows_are_read_only_and_rebuilt_on_load(tmp_path):
+    model = train_dsm(np.random.default_rng(15).standard_normal((64, 2)), SMALL, SCHED, steps=5)
+    assert model._time_rows.shape == (SCHED.T, SMALL.hidden_width)
+    assert model._time_rows.dtype == np.float32
+    for table in (model._embedding, model._time_rows):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    loaded = load_model(path)
+    np.testing.assert_array_equal(loaded._embedding, model._embedding)
+    np.testing.assert_array_equal(loaded._time_rows, model._time_rows)
+    assert not loaded._time_rows.flags.writeable
+
+
+def test_both_models_reject_bad_shapes_by_name():
+    bad_x = [np.zeros(3), np.zeros((4, 3)), np.zeros((4, 2, 1))]
+    bad_v = [
+        (np.zeros((4, 2)), np.zeros((4, 3))),
+        (np.zeros((4, 2)), np.zeros(3)),
+        (np.zeros((4, 2)), np.zeros((3, 2))),
+        (np.zeros(2), np.zeros((3, 2))),
+    ]
+    mixture = GaussianMixtureScore(GaussianMixture.isotropic([1.0], [np.zeros(2)], [1.0]), SCHED)
+    for model in (fresh_model(), mixture):
+        for x in bad_x:
+            for call in (model.score, model.jacobian, lambda x, t: model.score_vjp(x, t, x)):
+                with pytest.raises(ValueError, match=r"expected \("):
+                    call(x, 37)
+        for x, v in bad_v:
+            with pytest.raises(ValueError, match=r"expected \("):
+                model.score_vjp(x, 37, v)
 
 
 def test_sigmoid_edges_match_expit():
