@@ -55,10 +55,17 @@ class FisherInfo:
 
 
 def tweedie_from_score(x: np.ndarray, score: np.ndarray, abar: float) -> np.ndarray:
-    """Denoised-mean estimate from an already computed score value."""
+    """Denoised-mean estimate from an already computed score value.
+
+    The result is a new array; x and score are only read.
+    """
     if abar <= 0.0:
         raise ZeroDivisionError("alpha_bar_t must be positive to denoise")
-    return (x + (1.0 - abar) * score) / math.sqrt(abar)
+    # Built in place, in the order of (x + (1 - abar) score) / sqrt(abar).
+    out = (1.0 - abar) * score
+    out += x
+    out /= math.sqrt(abar)
+    return out
 
 
 def tweedie_posterior_mean(
@@ -129,7 +136,9 @@ def posterior_pullback(
     if strategy is PosteriorPartStrategy.EXACT:
         check_step(schedule, t)
         abar = alpha_bar(schedule, t)
-        return (g + (1.0 - abar) * model.score_vjp(x, t, g)) / math.sqrt(abar)
+        # The denoised mean is affine in the score, so its pullback has the
+        # Tweedie form with J^T g in the score's place.
+        return tweedie_from_score(g, model.score_vjp(x, t, g), abar)
     return posterior_coefficient(strategy, schedule, t) * g
 
 

@@ -13,8 +13,10 @@ holds one slot of O(N d) noise at a time, not the O(N T d) tape. The
 chain population is cut into fixed-size blocks that run as batches, one
 after another on the calling thread. The block partition and every
 reduction order are fixed by the configuration, so a run is a pure
-function of it. ``step`` is the one body of a reverse step; ``sample``
-runs it over blocks and steps.
+function of it. ``step`` is the one body of a reverse step, built in
+arrays of its own without writing to its inputs; ``sample`` runs it
+over blocks and steps, and scans a block row by row for non-finite
+chains only when the block's one finiteness test fails.
 """
 
 from __future__ import annotations
@@ -51,11 +53,11 @@ __all__ = [
 # Chains per batch block. Fixed, so the batch shapes, and with them the
 # bits of every chain, depend on the configuration alone. One batch of
 # all N chains is slower and larger: on the wide-ddim shape (N = 8192,
-# d = 16, DDIM eta = 1, in-process, 3 alternated rounds of 3 runs, 2-vCPU
-# AVX-512 Xeon, OpenBLAS 0.3.31) it kept every sample bit but moved the
-# trace's grad_norm bits (the per-step sum runs in another order), took
-# 3.75-3.99 s per median run against 2.06-2.80 s, and peaked at 113-115 MB
-# RSS against 102-103 MB.
+# d = 16, DDIM eta = 1, FICD; in-process, 3 alternated rounds of 3 runs,
+# 2-vCPU AVX-512 Xeon, OpenBLAS 0.3.31, the block loop that follows commit
+# f049677) it kept every sample bit but moved the trace's grad_norm bits
+# (the per-step sum runs in another order), took 1.07-1.23 s per median
+# run against 0.85-0.88 s, and peaked at 48.4 MB RSS against 41.5-41.6 MB.
 BLOCK_SIZE = 512
 
 # Largest share of chains that may be flagged before sample() aborts.
@@ -162,35 +164,46 @@ def step(
     denoised mean x0_hat, computed once from the one score evaluation,
     pulled back onto x by posterior_pullback. Returns (new state, per-row
     conditional-gradient norms, or None when unguided). Non-finite rows
-    are returned as they are; sample() flags them.
+    are returned as they are; sample() flags them. The new state is built
+    in place in arrays of the step's own, in the order of the formulas
+    above, so it has their bits; x, noise and the score are never written.
+    A guided step without an energy or a condition raises before the score
+    is evaluated.
     """
     schedule: NoiseSchedule = model.schedule
     check_step(schedule, t)
+    if strategy is not None and (energy is None or c is None):
+        raise ValueError("guided sampling needs an energy and a condition")
     beta = float(schedule.betas[t - 1])
     abar = alpha_bar(schedule, t)
     abar_prev = alpha_bar(schedule, t - 1)
-    s = model.score(x, t)
-    if strategy is not None and (energy is None or c is None):
-        raise ValueError("guided sampling needs an energy and a condition")
     ddim = discretization is Discretization.DDIM
-    x0_hat = tweedie_from_score(x, s, abar) if ddim or strategy is not None else None
-    if not ddim:
-        y = (1.0 + 0.5 * beta) * x + beta * s + math.sqrt(beta) * noise
-    else:
-        eps = -math.sqrt(1.0 - abar) * s
+    if ddim:
         # Non-negative for ddim_eta <= 1, up to rounding.
         det = 1.0 - abar_prev - sigma_t**2
         if det < -1e-12:
             raise ValueError("sigma_t**2 exceeds 1 - alpha_bar_{t-1}")
-        y = (
-            math.sqrt(abar_prev) * x0_hat
-            + math.sqrt(max(det, 0.0)) * eps
-            + sigma_t * noise
-        )
+    s = model.score(x, t)
+    x0_hat = tweedie_from_score(x, s, abar) if ddim or strategy is not None else None
+    # y and buf are this step's own; each sum accrues left to right.
+    if not ddim:
+        y = (1.0 + 0.5 * beta) * x
+        buf = beta * s
+        noise_scale = math.sqrt(beta)
+    else:
+        y = math.sqrt(abar_prev) * x0_hat
+        buf = -math.sqrt(1.0 - abar) * s  # eps_hat
+        buf *= math.sqrt(max(det, 0.0))
+        noise_scale = sigma_t
+    y += buf
+    np.multiply(noise_scale, noise, out=buf)
+    y += buf
     if strategy is None:
         return y, None
     cond = posterior_pullback(strategy, model, schedule, x, t, lam * energy.grad(x0_hat, c))
-    return y - rho_t * cond, guidance_gradient_norm(cond)
+    np.multiply(rho_t, cond, out=buf)
+    y -= buf
+    return y, guidance_gradient_norm(cond)
 
 
 # --- the full loop -----------------------------------------------------
@@ -203,7 +216,9 @@ class RunTrace:
     Arrays share one length: the number of executed steps (T plus any
     time-travel repeats, which appear as extra rows at the same t).
     ``grad_norm`` is the mean conditional-gradient norm over the chains
-    still finite at that step (nan for unconditional runs).
+    still finite at that step (nan for unconditional runs), summed block
+    by block in block order; a block whose chains are all finite sums
+    its norms without the per-row mask, with the same bits.
     ``fisher_spectral_radius`` is probed at the mean chain state when
     enabled and is nan otherwise, or where the score derivative there is
     not finite; the probe is diagnostic and not part of the counted
@@ -258,10 +273,12 @@ def sample(
     tape slot, slot_rng(seed, k) drawn as one (N, d) array before the step
     timer starts; the t = 1 step adds no noise, so its slot is skipped
     without a draw. A chain whose state stops being finite is flagged and
-    its row reported as nan; the run aborts with ChainFailureError when
-    more than MAX_FLAGGED_SHARE (1%) of chains are flagged. ``threads`` is
-    an upper bound on worker threads and must be at least 1; the sampler
-    uses one.
+    its row reported as nan: each block's new state is tested once as a
+    whole, and only a block with a non-finite value, or with a chain
+    flagged before, is scanned row by row. The run aborts with
+    ChainFailureError when more than MAX_FLAGGED_SHARE (1%) of chains are
+    flagged. ``threads`` is an upper bound on worker threads and must be
+    at least 1; the sampler uses one.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -322,8 +339,8 @@ def sample(
         for lo in range(0, N, BLOCK_SIZE):
             hi = min(lo + BLOCK_SIZE, N)
             xb = x[lo:hi]
-            ok_before = ~flagged[lo:hi]
             if config.trace_fisher:
+                ok_before = ~flagged[lo:hi]
                 state_sum += xb[ok_before].sum(axis=0)
                 n_before += int(np.sum(ok_before))
             y, cond_norms = step(
@@ -331,12 +348,19 @@ def sample(
                 float(rho[t - 1]), config.lam, noise[lo:hi],
                 config.discretization, sigma_t,
             )
-            ok_now = np.all(np.isfinite(y), axis=1)
-            y[~ok_now] = np.nan
+            if np.isfinite(y).all() and not flagged[lo:hi].any():
+                # Every row is ok: no scan, and the sum below has the bits
+                # of the masked one.
+                ok_rows, n_rows_ok = slice(None), hi - lo
+            else:
+                ok_before = ~flagged[lo:hi]
+                ok_now = np.all(np.isfinite(y), axis=1)
+                y[~ok_now] = np.nan
+                flagged[lo:hi] |= ~ok_now
+                ok_rows = ok_before & ok_now
+                n_rows_ok = int(np.sum(ok_rows))
             x[lo:hi] = y
-            flagged[lo:hi] |= ~ok_now
-            ok_rows = ok_before & ok_now
-            n_ok += int(np.sum(ok_rows))
+            n_ok += n_rows_ok
             if cond_norms is not None:
                 grad_sum += float(np.sum(cond_norms[ok_rows]))
         trace.step_wall_time_s[si] = time.perf_counter() - started

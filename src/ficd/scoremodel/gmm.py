@@ -180,7 +180,8 @@ def _responsibilities(factored: _Factored, x: np.ndarray):
     with K = 1, r is 1, no log density is formed, and the row of g is nan."""
     g, quad = _components(factored, x)
     if len(g) == 1:
-        g[0, ~np.isfinite(quad[0])] = np.nan
+        if not np.isfinite(quad).all():
+            g[0, ~np.isfinite(quad[0])] = np.nan
         return np.ones_like(quad), g
     log_joint = _log_joint(factored, quad)
     with np.errstate(invalid="ignore"):

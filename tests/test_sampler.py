@@ -20,7 +20,7 @@ from ficd.guidance import (
     QuadraticEnergy,
 )
 from ficd import sampler
-from ficd.posterior import PosteriorPartStrategy
+from ficd.posterior import PosteriorPartStrategy, tweedie_from_score
 from ficd.sampler import (
     ChainFailureError,
     Discretization,
@@ -72,10 +72,11 @@ class InfEnergy(EnergyFunction):
 class RowPoisonModel:
     """Delegates to a real model but corrupts score rows at one step."""
 
-    def __init__(self, inner, poison_t, rows):
+    def __init__(self, inner, poison_t, rows, value=np.nan):
         self.inner = inner
         self.poison_t = poison_t
         self.rows = rows
+        self.value = value
 
     @property
     def schedule(self):
@@ -88,7 +89,7 @@ class RowPoisonModel:
     def score(self, x, t):
         s = np.array(self.inner.score(x, t))
         if t == self.poison_t and s.ndim == 2:
-            s[self.rows] = np.nan
+            s[self.rows] = self.value
         return s
 
     def score_vjp(self, x, t, v):
@@ -118,6 +119,31 @@ class HalfSlopeModel:
 
     def score(self, x, t):
         return -0.5 * x
+
+
+class ScoreKeepingModel:
+    """Delegates to a real model, keeping each score it hands out beside a
+    copy, and counting the score calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.given = []
+
+    @property
+    def schedule(self):
+        return self.inner.schedule
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def score(self, x, t):
+        s = self.inner.score(x, t)
+        self.given.append((s, s.copy()))
+        return s
+
+    def score_vjp(self, x, t, v):
+        return self.inner.score_vjp(x, t, v)
 
 
 # --- single steps ------------------------------------------------------
@@ -160,10 +186,15 @@ def test_unconditional_step_rejects_bad_t():
 def test_guided_step_requires_energy_and_rejects_nonfinite():
     model = unit_gaussian_model(10)
     c = Condition.target(np.zeros(2))
-    with pytest.raises(ValueError):
-        step(
-            PosteriorPartStrategy.FICD, model, None, np.zeros(2), 5, None, 1.0, 1.0, np.zeros(2)
-        )
+    # The missing energy or condition is caught before the score is paid for.
+    counting = ScoreKeepingModel(model)
+    for energy, cond in ((None, None), (None, c), (QuadraticEnergy(), None)):
+        with pytest.raises(ValueError, match="needs an energy and a condition"):
+            step(
+                PosteriorPartStrategy.FICD, counting, energy, np.zeros(2), 5, cond,
+                1.0, 1.0, np.zeros(2),
+            )
+    assert counting.given == []
     # A non-finite conditional term is not raised by the step; the run
     # flags every chain it reaches and aborts.
     for strategy in ALL_STRATEGIES:
@@ -193,6 +224,46 @@ def test_exact_step_needs_a_score_vjp():
     assert np.all(np.isfinite(y))
     with pytest.raises(NotImplementedError, match="ScoreOnlyModel has no score_vjp"):
         step(PosteriorPartStrategy.EXACT, *args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strategy=st.sampled_from([None, *ALL_STRATEGIES]),
+    discretization=st.sampled_from(list(Discretization)),
+    t=st.sampled_from([1, 2, 7, 10]),
+    n=st.integers(min_value=1, max_value=5),
+    single=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_step_writes_only_its_own_arrays(strategy, discretization, t, n, single, seed):
+    """step builds its result in arrays of its own: x, noise and the score
+    it was given keep their bits, and the result shares memory with none
+    of them; tweedie_from_score leaves x and the score as they were."""
+    model = ScoreKeepingModel(bimodal_model(10))
+    rng = np.random.default_rng(seed)
+    shape = (2,) if single else (n, 2)
+    x, noise = rng.standard_normal(shape), rng.standard_normal(shape)
+    x_was, noise_was = x.copy(), noise.copy()
+    ddim = discretization is Discretization.DDIM
+    sigma_t = ddim_sigma(model.schedule, t, 1.0) if ddim else 0.0
+    y, norms = step(
+        strategy, model, QuadraticEnergy(), x, t, Condition.target([0.5, -0.5]),
+        0.3, 0.7, noise, discretization, sigma_t,
+    )
+    assert np.array_equal(x, x_was) and np.array_equal(noise, noise_was)
+    assert len(model.given) == 1
+    score, score_was = model.given[0]
+    assert np.array_equal(score, score_was)
+    for arr in (x, noise, score):
+        assert not np.shares_memory(y, arr)
+        if norms is not None:
+            assert not np.shares_memory(norms, arr)
+
+    abar = alpha_bar(model.schedule, t)
+    x0_hat = tweedie_from_score(x, score, abar)
+    assert np.array_equal(x, x_was) and np.array_equal(score, score_was)
+    assert not np.shares_memory(x0_hat, x) and not np.shares_memory(x0_hat, score)
+    assert np.array_equal(x0_hat, (x + (1.0 - abar) * score) / math.sqrt(abar))
 
 
 def test_ddim_step_matches_hand_formula():
@@ -597,7 +668,42 @@ def test_fisher_probe_failure_leaves_nan_and_samples_untouched():
 # --- failure policy ----------------------------------------------------
 
 
-def test_single_bad_chain_is_flagged_not_fatal():
+def _per_row_reference(config, model, energy, c):
+    """sample()'s loop with every block scanned row by row and its norms
+    summed over the ok rows, block by block: the samples, grad_norm and
+    flagged chains sample() must reproduce bit for bit. Covers runs
+    without time travel or Fisher probe."""
+    N, d = config.n_chains, model.dim
+    ddim = config.discretization is Discretization.DDIM
+    x = sampler.slot_rng(config.seed, 0).standard_normal((N, d))
+    flagged = np.zeros(N, dtype=bool)
+    grad_norm = np.full(config.T, np.nan)
+    for si, t in enumerate(range(config.T, 0, -1)):
+        noise = np.zeros((N, d))
+        if t > 1:
+            noise = sampler.slot_rng(config.seed, si + 1).standard_normal((N, d))
+        sigma_t = ddim_sigma(model.schedule, t, config.ddim_eta) if ddim else 0.0
+        grad_sum, n_ok = 0.0, 0
+        for lo in range(0, N, sampler.BLOCK_SIZE):
+            hi = min(lo + sampler.BLOCK_SIZE, N)
+            y, norms = step(
+                config.strategy, model, energy, x[lo:hi], t, c, float(config.rho),
+                config.lam, noise[lo:hi], config.discretization, sigma_t,
+            )
+            ok_now = np.all(np.isfinite(y), axis=1)
+            ok_rows = ~flagged[lo:hi] & ok_now
+            y[~ok_now] = np.nan
+            x[lo:hi] = y
+            flagged[lo:hi] |= ~ok_now
+            n_ok += int(np.sum(ok_rows))
+            if norms is not None:
+                grad_sum += float(np.sum(norms[ok_rows]))
+        if config.strategy is not None and n_ok > 0:
+            grad_norm[si] = grad_sum / n_ok
+    return x, grad_norm, np.flatnonzero(flagged)
+
+
+def test_single_bad_chain_is_flagged_not_fatal(monkeypatch):
     T = 10
     inner = bimodal_model(T)
     model = RowPoisonModel(inner, poison_t=T, rows=[0])
@@ -608,6 +714,61 @@ def test_single_bad_chain_is_flagged_not_fatal():
         assert trace.flagged_chains.tolist() == [0], strategy
         assert np.all(np.isnan(samples[0])), strategy
         assert np.all(np.isfinite(samples[1:])), strategy
+    # An infinite score at the last step leaves an infinite state, which
+    # sample() reports as a nan row all the same.
+    last_step = RowPoisonModel(inner, poison_t=1, rows=[0], value=np.inf)
+    samples, trace = sample(SamplerConfig(T=T, strategy=None, n_chains=100, seed=4), last_step)
+    assert trace.flagged_chains.tolist() == [0]
+    assert np.all(np.isnan(samples[0])) and np.all(np.isfinite(samples[1:]))
+
+    # Three blocks, the last one partial: chains 513 (in the second) and
+    # 1099 (the last of the third) draw infinite noise at t = 6, so only
+    # those blocks take the per-row scan, then and at every later step.
+    N, poison_t, bad = 1100, 6, [513, 1099]
+    assert N > 2 * sampler.BLOCK_SIZE and N % sampler.BLOCK_SIZE
+
+    class PoisonedSlot:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, shape):
+            noise = self.rng.standard_normal(shape)
+            noise[bad] = np.inf
+            return noise
+
+    poison_slot = T - poison_t + 1
+    for strategy in [None, *ALL_STRATEGIES]:
+        for discretization, eta in ((Discretization.SDE_EULER, 0.0), (Discretization.DDIM, 1.0)):
+            config = SamplerConfig(
+                T=T, strategy=strategy, rho=0.2, n_chains=N, seed=4,
+                discretization=discretization, ddim_eta=eta,
+            )
+            label = (strategy, discretization)
+            samples, trace = sample(config, inner, QuadraticEnergy(), c)
+            ref, ref_grad, ref_flagged = _per_row_reference(config, inner, QuadraticEnergy(), c)
+            assert trace.flagged_chains.size == ref_flagged.size == 0, label
+            assert np.array_equal(samples, ref), label
+            assert trace.grad_norm.tobytes() == ref_grad.tobytes(), label
+
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    sampler, "slot_rng",
+                    lambda seed, k: PoisonedSlot(slot_rng(seed, k)) if k == poison_slot
+                    else slot_rng(seed, k),
+                )
+                samples, trace = sample(config, inner, QuadraticEnergy(), c)
+                ref, ref_grad, ref_flagged = _per_row_reference(
+                    config, inner, QuadraticEnergy(), c
+                )
+                patch.setattr(sampler, "MAX_FLAGGED_SHARE", 0.0)
+                with pytest.raises(ChainFailureError) as err:
+                    sample(config, inner, QuadraticEnergy(), c)
+            assert trace.flagged_chains.tolist() == ref_flagged.tolist() == bad, label
+            assert err.value.flagged.tolist() == bad and err.value.first_t == poison_t, label
+            assert np.all(np.isnan(samples[bad])), label
+            assert np.all(np.isfinite(np.delete(samples, bad, axis=0))), label
+            assert np.array_equal(samples, ref, equal_nan=True), label
+            assert trace.grad_norm.tobytes() == ref_grad.tobytes(), label
 
 
 def test_far_tail_chain_is_flagged_silently(monkeypatch):
