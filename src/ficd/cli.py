@@ -453,6 +453,11 @@ _COMMANDS = {
 }
 
 
+def _first_ten(indices: np.ndarray) -> str:
+    shown = ", ".join(str(i) for i in indices[:10])
+    return shown if len(indices) <= 10 else f"{shown} (and {len(indices) - 10} more)"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -462,12 +467,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except ChainFailureError as err:
-        flagged = err.flagged
-        shown = ", ".join(str(i) for i in flagged[:10])
-        more = "" if len(flagged) <= 10 else f" (and {len(flagged) - 10} more)"
         print(
-            f"chain failure: {len(flagged)} chains went non-finite, the first at step"
-            f" t = {err.first_t}; flagged: {shown}{more}",
+            f"chain failure: {len(err.flagged)} chains went non-finite, the first at step"
+            f" t = {err.first_t}; flagged: {_first_ten(err.flagged)};"
+            f" flagged at t = {err.first_t}: {_first_ten(err.first_chains)}",
             file=sys.stderr,
         )
         return EXIT_RUNTIME

@@ -122,18 +122,31 @@ class LinearMeasurementEnergy(EnergyFunction):
             raise ValueError(
                 f"dimension mismatch: point has {x0_hat.shape[-1]}, A has {c.A.shape[1]} columns"
             )
-        return x0_hat @ c.A.T - c.y
+        r = x0_hat @ c.A.T  # the product is a new array, so x0_hat is never written
+        r -= c.y
+        return r
 
     def value(self, x0_hat, c):
         r = self._residual(x0_hat, c)
         return np.sum(r * r, axis=-1)
 
     def grad(self, x0_hat, c):
-        return 2.0 * self._residual(x0_hat, c) @ c.A
+        r = self._residual(x0_hat, c)
+        r *= 2.0
+        return r @ c.A
 
 
 def guidance_gradient_norm(gradient: np.ndarray) -> float | np.ndarray:
-    """Euclidean norm of a guidance gradient (per row for batches)."""
+    """Euclidean norm of a guidance gradient: a float for a point (d,), an
+    (N,) array for a batch (N, d).
+
+    Formed in one pass as sqrt(einsum(g, g)), without rescaling. For
+    d <= 2 that has the bits of ``np.linalg.norm(g, axis=-1)``; for d >= 3
+    the sum of squares runs in another order, and the norm can differ from
+    it by a few units in the last place. An inf or nan row gives inf or
+    nan, and so does a finite row whose sum of squares overflows (near
+    |g| = 1e154), without the RuntimeWarning ``np.linalg.norm`` raises there.
+    """
     gradient = np.asarray(gradient, dtype=np.float64)
-    norm = np.linalg.norm(gradient, axis=-1)
+    norm = np.sqrt(np.einsum("...j,...j->...", gradient, gradient))
     return float(norm) if norm.ndim == 0 else norm

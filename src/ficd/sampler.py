@@ -51,14 +51,21 @@ __all__ = [
 ]
 
 # Chains per batch block. Fixed, so the batch shapes, and with them the
-# bits of every chain, depend on the configuration alone. One batch of
-# all N chains is slower and larger: on the wide-ddim shape (N = 8192,
-# d = 16, DDIM eta = 1, FICD; in-process, 3 alternated rounds of 3 runs,
-# 2-vCPU AVX-512 Xeon, OpenBLAS 0.3.31, the block loop that follows commit
-# f049677) it kept every sample bit but moved the trace's grad_norm bits
-# (the per-step sum runs in another order), took 1.07-1.23 s per median
-# run against 0.85-0.88 s, and peaked at 48.4 MB RSS against 41.5-41.6 MB.
-BLOCK_SIZE = 512
+# bits of every chain, depend on the configuration alone; the per-step
+# trace sums run block by block, so their bits depend on it too. Each
+# step call has a fixed cost of about 30 us, so larger blocks pay it less
+# often, up to where the arrays outgrow the caches. On the wide-ddim shape
+# (N = 8192, d = 16, DDIM eta = 1, FICD; 2-vCPU AVX-512 Xeon, OpenBLAS
+# 0.3.31 at its default threads; commit f66f123 with the in-place mixture
+# and energy products and the one-pass row norm; in-process, 3
+# interleaved rounds of 3 runs) the median step took 2.43 / 2.10 / 2.00 /
+# 3.45 ms at 512 / 1024 / 2048 / 4096 chains, and a fresh process peaked
+# at 43.0 / 43.2 / 44.1 / 46.6 MB. At 2048 rows OpenBLAS runs the d = 16
+# products on both cores, with the same bits; on one BLAS thread 2048
+# still beat 1024 (3.05 against 3.28 ms, in a slower spell of the host).
+# One batch of all N chains is slower and larger still (1.07-1.23 s per
+# run against 0.85-0.88 s at 512, commit f049677).
+BLOCK_SIZE = 2048
 
 # Largest share of chains that may be flagged before sample() aborts.
 MAX_FLAGGED_SHARE = 0.01
@@ -72,14 +79,18 @@ class Discretization(Enum):
 class ChainFailureError(RuntimeError):
     """More than the tolerated share of chains left the finite domain.
 
-    ``flagged`` holds the flagged chain indices and ``first_t`` the step t
-    of the first step that flagged any chain.
+    ``flagged`` holds the flagged chain indices, ``first_t`` the step t
+    of the first step that flagged any chain, and ``first_chains`` the
+    indices of the chains that step flagged.
     """
 
-    def __init__(self, message: str, flagged: np.ndarray, first_t: int):
+    def __init__(
+        self, message: str, flagged: np.ndarray, first_t: int, first_chains: np.ndarray
+    ):
         super().__init__(message)
         self.flagged = flagged
         self.first_t = first_t
+        self.first_chains = first_chains
 
 
 @dataclass(frozen=True)
@@ -215,10 +226,12 @@ class RunTrace:
 
     Arrays share one length: the number of executed steps (T plus any
     time-travel repeats, which appear as extra rows at the same t).
-    ``grad_norm`` is the mean conditional-gradient norm over the chains
-    still finite at that step (nan for unconditional runs), summed block
-    by block in block order; a block whose chains are all finite sums
-    its norms without the per-row mask, with the same bits.
+    ``grad_norm`` is the mean conditional-gradient norm
+    (``guidance_gradient_norm``, one pass per row) over the chains still
+    finite at that step (nan for unconditional runs), summed block by
+    block in block order, so on runs of more than BLOCK_SIZE chains its
+    last bits follow the block size; a block whose chains are all finite
+    sums its norms without the per-row mask, with the same bits.
     ``fisher_spectral_radius`` is probed at the mean chain state when
     enabled and is nan otherwise, or where the score derivative there is
     not finite; the probe is diagnostic and not part of the counted
@@ -268,16 +281,18 @@ def sample(
 
     Returns (samples, trace) with samples of shape (n_chains, d). The
     output is a pure function of the configuration, model, energy, and
-    condition. Blocks of BLOCK_SIZE chains run in order on the calling
-    thread. The initial state, each step and each re-noise read the next
-    tape slot, slot_rng(seed, k) drawn as one (N, d) array before the step
-    timer starts; the t = 1 step adds no noise, so its slot is skipped
-    without a draw. A chain whose state stops being finite is flagged and
-    its row reported as nan: each block's new state is tested once as a
-    whole, and only a block with a non-finite value, or with a chain
-    flagged before, is scanned row by row. The run aborts with
-    ChainFailureError when more than MAX_FLAGGED_SHARE (1%) of chains are
-    flagged. ``threads`` is an upper bound on worker threads and must be
+    condition. Blocks of BLOCK_SIZE chains run in order on the
+    calling thread; BLAS may spread a block's products over its own
+    threads, which changes no bit. The initial state, each step and each
+    re-noise read the next tape slot, slot_rng(seed, k) drawn as one
+    (N, d) array before the step timer starts; the t = 1 step adds no
+    noise, so its slot is skipped without a draw. A chain whose state
+    stops being finite is flagged and its row reported as nan: each
+    block's new state is tested once as a whole, and only a block with a
+    non-finite value, or with a chain flagged before, is scanned row by
+    row. The run aborts with ChainFailureError when more than
+    MAX_FLAGGED_SHARE (1%) of chains are flagged; the error names the
+    first step that flagged a chain and the chains it flagged. ``threads`` is an upper bound on worker threads and must be
     at least 1; the sampler uses one.
     """
     if threads < 1:
@@ -303,6 +318,7 @@ def sample(
     x = next_slot()
     flagged = np.zeros(N, dtype=bool)
     first_t = None  # t of the first step that flagged a chain
+    first_chains = None  # the chains that step flagged
 
     ddim = config.discretization is Discretization.DDIM
     n_steps = len(entries)
@@ -366,6 +382,7 @@ def sample(
         trace.step_wall_time_s[si] = time.perf_counter() - started
         if first_t is None and flagged.any():
             first_t = t
+            first_chains = np.flatnonzero(flagged)
 
         trace.t[si] = t
         trace.cr_bound[si] = cramer_rao_bound(schedule, t)
@@ -389,5 +406,6 @@ def sample(
             f" (more than {MAX_FLAGGED_SHARE:.0%} tolerated), the first at t = {first_t}",
             trace.flagged_chains,
             first_t,
+            first_chains,
         )
     return x, trace

@@ -158,11 +158,15 @@ def _components(factored: _Factored, x: np.ndarray):
     K, d = factored.means.shape
     g = np.empty((K, len(x), d))
     quad = np.empty((K, len(x)))
+    # Each product and its negation is written straight into its row of
+    # g and quad, with the bits of -(diff @ inv) and -einsum(diff, g_i).
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(K):
             diff = x - factored.means[i]
-            g[i] = -(diff @ factored.inv_covs[i])
-            quad[i] = -np.einsum("nj,nj->n", diff, g[i])
+            np.matmul(diff, factored.inv_covs[i], out=g[i])
+            np.negative(g[i], out=g[i])
+            np.einsum("nj,nj->n", diff, g[i], out=quad[i])
+            np.negative(quad[i], out=quad[i])
     return g, quad
 
 

@@ -73,6 +73,8 @@ def test_fisher_probe_does_not_change_how_a_run_ends(tmp_path, capsys):
         assert code == 3, probe
         err = capsys.readouterr().err
         assert "chain failure: 64 chains went non-finite, the first at step t = 6;" in err, probe
+        # Eight chains go non-finite at t = 6; the other 56 follow later.
+        assert "(and 54 more); flagged at t = 6: 10, 14, 17, 22, 24, 37, 41, 58\n" in err, probe
 
 
 def test_sample_thread_count_does_not_change_samples(tmp_path):
@@ -240,7 +242,7 @@ def test_sample_exit_codes(tmp_path, capsys):
     assert failing == 3
     err = capsys.readouterr().err
     assert "chain failure" in err
-    assert re.search(r"the first at step t = \d+;", err), err
+    assert re.search(r"the first at step t = (\d+);.*; flagged at t = \1: \d+", err), err
 
 
 @pytest.mark.parametrize(

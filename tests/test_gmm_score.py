@@ -356,6 +356,37 @@ def test_stored_inverse_matches_the_solve_and_flags_every_bad_row(K, d, t, rows,
     np.testing.assert_array_equal(out[:-1], model.score_vjp(x, t, v)[:-1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(min_value=1, max_value=2),
+    d=st.sampled_from([1, 2, 3, 16]),
+    rows=st.lists(st.sampled_from(["finite", *EDGE_VALUES]), min_size=1, max_size=6),
+    extra=st.sampled_from([0, 1000]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_components_have_the_bits_of_the_plain_products(K, d, rows, extra, seed):
+    """_components writes each product and its negation straight into g
+    and quad, byte for byte the plain -(diff @ inv) and -einsum(diff, g_i),
+    for nan, inf and 1e200 rows too, and without a warning."""
+    rng = np.random.default_rng(seed)
+    factored = GaussianMixtureScore(random_mixture(rng, K, d), SCHED_100)._factored[
+        int(rng.integers(100))
+    ]
+    x = rng.normal(size=(len(rows) + extra, d)) * 2.0
+    for n, kind in enumerate(rows):
+        if kind != "finite":
+            x[n, int(rng.integers(d))] = EDGE_VALUES[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, quad = gmm_module._components(factored, x)
+    with np.errstate(all="ignore"):
+        for i in range(K):
+            diff = x - factored.means[i]
+            want_g = -(diff @ factored.inv_covs[i])
+            assert g[i].tobytes() == want_g.tobytes()
+            assert quad[i].tobytes() == (-np.einsum("nj,nj->n", diff, want_g)).tobytes()
+
+
 def test_batched_and_single_point_paths_agree():
     sched = linear_schedule(100)
     gmm = bimodal()

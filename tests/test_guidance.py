@@ -103,6 +103,30 @@ def test_linear_measurement_energy_values():
     np.testing.assert_array_equal(e.grad(np.array([2.0, 3.0]), c_row), [4.0, 0.0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=6),
+    d=st.integers(min_value=1, max_value=6),
+    rows=st.sampled_from([None, 1, 5, 600]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_linear_measurement_gradient_has_the_bits_of_the_plain_product(m, d, rows, seed):
+    """grad forms the residual and 2 r in place before the product with A:
+    the bits of 2 (x0 A^T - y) A, on a non-square A, and x0 is never written."""
+    if m == d:
+        m += 1
+    rng = np.random.default_rng(seed)
+    A, y = rng.normal(size=(m, d)), rng.normal(size=m)
+    c = Condition.measurement(A, y)
+    x0 = rng.normal(size=(d,) if rows is None else (rows, d)) * 3.0
+    before = x0.copy()
+    got = LinearMeasurementEnergy().grad(x0, c)
+    assert got.tobytes() == (2.0 * (x0 @ A.T - y) @ A).tobytes()
+    assert got.shape == x0.shape
+    assert x0.tobytes() == before.tobytes()
+    assert not np.shares_memory(got, x0)
+
+
 def test_linear_measurement_gradient_matches_differences():
     rng = np.random.default_rng(1)
     e = LinearMeasurementEnergy()
@@ -310,6 +334,44 @@ def test_guidance_gradient_norm_values():
     np.testing.assert_array_equal(
         guidance_gradient_norm(np.array([[3.0, 4.0], [0.0, 2.0]])), [5.0, 2.0]
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=33),
+    rows=st.integers(min_value=1, max_value=8),
+    scale=st.sampled_from([1e-150, 1e-5, 1.0, 1e5, 1e150]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_guidance_gradient_norm_is_the_row_norm(d, rows, scale, seed):
+    """The one-pass norm has the bits of np.linalg.norm for d <= 2. For
+    d >= 3 its sum of squares runs in another order; each sum of d
+    rounded squares lies within d u of the exact one (u = eps / 2), so
+    the two norms lie within (d + 2) u of each other. The worst seen over
+    20,000 normal draws each was 2.4e-16 at d = 3 and 4.4e-16 at d = 33."""
+    g = np.random.default_rng(seed).standard_normal((rows, d)) * scale
+    got = guidance_gradient_norm(g)
+    want = np.linalg.norm(g, axis=-1)
+    assert isinstance(got, np.ndarray) and got.shape == (rows,)
+    if d <= 2:
+        assert got.tobytes() == want.tobytes()
+    else:
+        u = np.finfo(np.float64).eps / 2
+        assert np.all(np.abs(got - want) <= (d + 2) * u * want)
+    point = guidance_gradient_norm(g[0])
+    assert isinstance(point, float) and point == got[0]
+
+
+def test_guidance_gradient_norm_edge_rows():
+    g = np.array([[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0], [np.inf, np.nan], [1e200, 1.0]])
+    # A finite row whose sum of squares overflows gives inf, silently,
+    # where np.linalg.norm warns "overflow encountered in multiply".
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        np.linalg.norm(g[-1:], axis=-1)
+    norms = guidance_gradient_norm(g)
+    assert norms[[0, 1, 4]].tolist() == [np.inf] * 3
+    assert np.all(np.isnan(norms[[2, 3]]))
+    assert guidance_gradient_norm(np.array([-1e200, 0.0, 0.0])) == np.inf
 
 
 def test_condition_validation():

@@ -204,6 +204,7 @@ def test_guided_step_requires_energy_and_rejects_nonfinite():
         assert err.value.flagged.tolist() == list(range(8)), strategy
         # Every chain is flagged by the first step, t = T.
         assert err.value.first_t == 10, strategy
+        assert err.value.first_chains.tolist() == list(range(8)), strategy
         assert "the first at t = 10" in str(err.value), strategy
 
 
@@ -565,7 +566,7 @@ def test_step_time_leaves_out_noise_draws(monkeypatch):
 @pytest.mark.parametrize("discretization", list(Discretization))
 def test_chain_does_not_depend_on_the_chains_after_it(discretization):
     """A chain reads row i of every slot, so the first block's samples keep
-    every bit whether 512 or 1100 chains run."""
+    every bit whether one block of chains runs or two and a partial third."""
     T = 12
     model = bimodal_model(T)
     config = SamplerConfig(
@@ -575,9 +576,10 @@ def test_chain_does_not_depend_on_the_chains_after_it(discretization):
         time_travel_repeats=1,
     )
     c = Condition.target(np.array([1.0, 0.0]))
-    small, _ = sample(dataclasses.replace(config, n_chains=512), model, QuadraticEnergy(), c)
-    large, _ = sample(dataclasses.replace(config, n_chains=1100), model, QuadraticEnergy(), c)
-    assert np.array_equal(small[: sampler.BLOCK_SIZE], large[: sampler.BLOCK_SIZE])
+    B = sampler.BLOCK_SIZE
+    small, _ = sample(dataclasses.replace(config, n_chains=B), model, QuadraticEnergy(), c)
+    large, _ = sample(dataclasses.replace(config, n_chains=2 * B + 76), model, QuadraticEnergy(), c)
+    assert np.array_equal(small, large[:B])
 
 
 def test_noise_memory_does_not_grow_with_T():
@@ -721,10 +723,11 @@ def test_single_bad_chain_is_flagged_not_fatal(monkeypatch):
     assert trace.flagged_chains.tolist() == [0]
     assert np.all(np.isnan(samples[0])) and np.all(np.isfinite(samples[1:]))
 
-    # Three blocks, the last one partial: chains 513 (in the second) and
-    # 1099 (the last of the third) draw infinite noise at t = 6, so only
+    # Three blocks, the last one partial: one chain of the middle block and
+    # the last chain of the third draw infinite noise at t = 6, so only
     # those blocks take the per-row scan, then and at every later step.
-    N, poison_t, bad = 1100, 6, [513, 1099]
+    N = 2 * sampler.BLOCK_SIZE + 76
+    poison_t, bad = 6, [sampler.BLOCK_SIZE + 1, N - 1]
     assert N > 2 * sampler.BLOCK_SIZE and N % sampler.BLOCK_SIZE
 
     class PoisonedSlot:
@@ -765,6 +768,7 @@ def test_single_bad_chain_is_flagged_not_fatal(monkeypatch):
                     sample(config, inner, QuadraticEnergy(), c)
             assert trace.flagged_chains.tolist() == ref_flagged.tolist() == bad, label
             assert err.value.flagged.tolist() == bad and err.value.first_t == poison_t, label
+            assert err.value.first_chains.tolist() == bad, label
             assert np.all(np.isnan(samples[bad])), label
             assert np.all(np.isfinite(np.delete(samples, bad, axis=0))), label
             assert np.array_equal(samples, ref, equal_nan=True), label
@@ -823,6 +827,15 @@ def test_widespread_failure_aborts_run():
         sample(config, model)
     assert err.value.flagged.size == 100
     assert err.value.first_t == 4
+    assert err.value.first_chains.tolist() == list(range(100))
+    # One chain fails at t = 6, then every chain at t = 4: the error names
+    # t = 6 and that one chain among the 100 flagged.
+    early = RowPoisonModel(model, poison_t=6, rows=[37])
+    with pytest.raises(ChainFailureError) as err:
+        sample(config, early)
+    assert err.value.flagged.size == 100
+    assert err.value.first_t == 6
+    assert err.value.first_chains.tolist() == [37]
 
 
 # --- configuration validation ------------------------------------------
