@@ -374,8 +374,10 @@ def benchmark_steps(
 
     Each config, with every setting it carries, gets one discarded
     warm-up run and ``repetitions`` timed runs of the full sampler. The
-    per-run counts sum every executed step, time-travel repeats
-    included. The configs must share one n_chains.
+    strategy fixes the per-chain cost of a step: one score evaluation,
+    plus one Jacobian pullback for exact. The per-run counts are those
+    times the executed steps, time-travel repeats included. The configs
+    must share one n_chains.
     """
     configs = list(configs)
     if len({config.n_chains for config in configs}) != 1:
@@ -395,15 +397,16 @@ def benchmark_steps(
                 continue  # warm-up
             run_times.append(elapsed)
             step_times.append(float(np.median(trace.step_wall_time_s)))
+        jacobian_passes = int(config.strategy is PosteriorPartStrategy.EXACT)
         rows.append(
             BenchmarkRow(
                 strategy=strategy_name(config.strategy),
                 median_run_s=float(np.median(run_times)),
                 median_step_s=float(np.median(step_times)),
-                score_evals_per_step=int(trace.score_evals[0]),
-                jacobian_passes_per_step=int(trace.jacobian_passes[0]),
-                score_evals_per_run=int(trace.score_evals.sum()),
-                jacobian_passes_per_run=int(trace.jacobian_passes.sum()),
+                score_evals_per_step=1,
+                jacobian_passes_per_step=jacobian_passes,
+                score_evals_per_run=trace.t.size,
+                jacobian_passes_per_run=jacobian_passes * trace.t.size,
             )
         )
     return BenchmarkTable(rows, model.schedule.T, configs[0].n_chains, repetitions)
@@ -411,16 +414,7 @@ def benchmark_steps(
 
 # --- CSV formats -------------------------------------------------------
 
-TRACE_COLUMNS = [
-    "t",
-    "grad_norm",
-    "fisher_spectral_radius",
-    "cr_bound",
-    "coefficient_used",
-    "step_wall_time_s",
-    "score_evals",
-    "jacobian_passes",
-]
+TRACE_COLUMNS = ["t", "grad_norm", "step_wall_time_s", "newly_flagged"]
 
 
 def _fmt(value: float) -> str:
@@ -437,12 +431,8 @@ def trace_to_csv(trace: RunTrace, path) -> None:
                 [
                     int(trace.t[i]),
                     _fmt(trace.grad_norm[i]),
-                    _fmt(trace.fisher_spectral_radius[i]),
-                    _fmt(trace.cr_bound[i]),
-                    _fmt(trace.coefficient_used[i]),
                     _fmt(trace.step_wall_time_s[i]),
-                    int(trace.score_evals[i]),
-                    int(trace.jacobian_passes[i]),
+                    int(trace.newly_flagged[i]),
                 ]
             )
 

@@ -77,7 +77,6 @@ CONFIG_SCHEMA: dict[str, tuple[str, object]] = {
     "sampler.discretization": ("str", "sde_euler"),
     "sampler.ddim_eta": ("float", 0.0),
     "sampler.n_chains": ("int", 256),
-    "sampler.trace_fisher": ("bool", False),
     "sampler.time_travel.repeats": ("int", 0),
     "train.data.kind": ("str", "normal"),
     "train.data.path": ("str", ""),
@@ -107,10 +106,8 @@ def _coerce(key: str, raw: str) -> object:
     if kind == "str":
         return raw
     try:
-        if kind == "bool":
-            return {"true": True, "false": False}[raw.strip().lower()]
         value = int(raw) if kind == "int" else float(raw)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"bad value for {key}: {raw!r} (expected {kind})") from None
     if kind == "float" and not math.isfinite(value):
         raise ConfigError(f"bad value for {key}: {raw!r} (must be finite)")
@@ -386,7 +383,6 @@ class ExperimentConfig:
                 time_travel_repeats=self["sampler.time_travel.repeats"],
                 n_chains=self["sampler.n_chains"],
                 seed=self["seed"],
-                trace_fisher=self["sampler.trace_fisher"],
             )
         except ValueError as err:
             # Name the key that was set, not the SamplerConfig field.

@@ -29,14 +29,7 @@ from enum import Enum
 import numpy as np
 
 from ficd.guidance import Condition, EnergyFunction, guidance_gradient_norm
-from ficd.posterior import (
-    PosteriorPartStrategy,
-    cramer_rao_bound,
-    fisher_information,
-    posterior_coefficient,
-    posterior_pullback,
-    tweedie_from_score,
-)
+from ficd.posterior import PosteriorPartStrategy, posterior_pullback, tweedie_from_score
 from ficd.schedule import NoiseSchedule, alpha_bar, check_step, middle_third
 
 __all__ = [
@@ -114,7 +107,6 @@ class SamplerConfig:
     time_travel_repeats: int = 0
     n_chains: int = 1
     seed: int = 0
-    trace_fisher: bool = False
 
     def __post_init__(self) -> None:
         if self.T < 1:
@@ -222,7 +214,7 @@ def step(
 
 @dataclass
 class RunTrace:
-    """Per-executed-step diagnostics of one sampling run.
+    """What one sampling run measured, one row per executed step.
 
     Arrays share one length: the number of executed steps (T plus any
     time-travel repeats, which appear as extra rows at the same t).
@@ -232,23 +224,17 @@ class RunTrace:
     block in block order, so on runs of more than BLOCK_SIZE chains its
     last bits follow the block size; a block whose chains are all finite
     sums its norms without the per-row mask, with the same bits.
-    ``fisher_spectral_radius`` is probed at the mean chain state when
-    enabled and is nan otherwise, or where the score derivative there is
-    not finite; the probe is diagnostic and not part of the counted
-    sampling cost. ``step_wall_time_s`` times the step's block loop; the
-    noise draws and a time-travel re-noise before it are left out.
-    ``score_evals`` and ``jacobian_passes`` are per-chain counts for the
-    step.
+    ``step_wall_time_s`` times the step's block loop; the noise draws and
+    a time-travel re-noise before it are left out. ``newly_flagged``
+    counts the chains that step flagged. ``flagged_chains`` holds the
+    indices of every chain flagged over the run, and ``n_chains`` the
+    chain count.
     """
 
     t: np.ndarray
     grad_norm: np.ndarray
-    fisher_spectral_radius: np.ndarray
-    cr_bound: np.ndarray
-    coefficient_used: np.ndarray
     step_wall_time_s: np.ndarray
-    score_evals: np.ndarray
-    jacobian_passes: np.ndarray
+    newly_flagged: np.ndarray
     flagged_chains: np.ndarray
     n_chains: int
 
@@ -290,10 +276,12 @@ def sample(
     stops being finite is flagged and its row reported as nan: each
     block's new state is tested once as a whole, and only a block with a
     non-finite value, or with a chain flagged before, is scanned row by
-    row. The run aborts with ChainFailureError when more than
+    row, and only such a scan counts the step's newly flagged chains.
+    The run aborts with ChainFailureError when more than
     MAX_FLAGGED_SHARE (1%) of chains are flagged; the error names the
-    first step that flagged a chain and the chains it flagged. ``threads`` is an upper bound on worker threads and must be
-    at least 1; the sampler uses one.
+    first step that flagged a chain and the chains it flagged.
+    ``threads`` is an upper bound on worker threads and must be at least
+    1; the sampler uses one.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -325,16 +313,8 @@ def sample(
     trace = RunTrace(
         t=np.empty(n_steps, dtype=np.int64),
         grad_norm=np.full(n_steps, np.nan),
-        fisher_spectral_radius=np.full(n_steps, np.nan),
-        cr_bound=np.empty(n_steps),
-        coefficient_used=np.full(n_steps, np.nan),
         step_wall_time_s=np.empty(n_steps),
-        # Per-chain cost is fixed by the strategy: one score evaluation,
-        # plus one Jacobian pullback for exact.
-        score_evals=np.ones(n_steps, dtype=np.int64),
-        jacobian_passes=np.full(
-            n_steps, int(config.strategy is PosteriorPartStrategy.EXACT), dtype=np.int64
-        ),
+        newly_flagged=np.zeros(n_steps, dtype=np.int64),
         flagged_chains=np.empty(0, dtype=np.int64),
         n_chains=N,
     )
@@ -350,17 +330,11 @@ def sample(
         # Per-step sums accrue block by block, in block order.
         grad_sum = 0.0
         n_ok = 0
-        state_sum = np.zeros(d)
-        n_before = 0
+        n_new = 0
         for lo in range(0, N, BLOCK_SIZE):
             hi = min(lo + BLOCK_SIZE, N)
-            xb = x[lo:hi]
-            if config.trace_fisher:
-                ok_before = ~flagged[lo:hi]
-                state_sum += xb[ok_before].sum(axis=0)
-                n_before += int(np.sum(ok_before))
             y, cond_norms = step(
-                config.strategy, model, energy, xb, t, condition,
+                config.strategy, model, energy, x[lo:hi], t, condition,
                 float(rho[t - 1]), config.lam, noise[lo:hi],
                 config.discretization, sigma_t,
             )
@@ -375,29 +349,20 @@ def sample(
                 flagged[lo:hi] |= ~ok_now
                 ok_rows = ok_before & ok_now
                 n_rows_ok = int(np.sum(ok_rows))
+                n_new += int(np.sum(ok_before)) - n_rows_ok
             x[lo:hi] = y
             n_ok += n_rows_ok
             if cond_norms is not None:
                 grad_sum += float(np.sum(cond_norms[ok_rows]))
         trace.step_wall_time_s[si] = time.perf_counter() - started
-        if first_t is None and flagged.any():
+        if first_t is None and n_new > 0:
             first_t = t
             first_chains = np.flatnonzero(flagged)
 
         trace.t[si] = t
-        trace.cr_bound[si] = cramer_rao_bound(schedule, t)
+        trace.newly_flagged[si] = n_new
         if config.strategy is not None and n_ok > 0:
             trace.grad_norm[si] = grad_sum / n_ok
-        if config.strategy not in (None, PosteriorPartStrategy.EXACT):
-            trace.coefficient_used[si] = posterior_coefficient(config.strategy, schedule, t)
-        if config.trace_fisher and n_before > 0:
-            probe = state_sum / n_before
-            try:
-                trace.fisher_spectral_radius[si] = fisher_information(
-                    model, probe, t
-                ).spectral_radius
-            except ValueError:  # non-finite score derivative at the probe: the row stays nan
-                pass
 
     trace.flagged_chains = np.flatnonzero(flagged)
     if trace.flagged_chains.size > MAX_FLAGGED_SHARE * N:

@@ -159,7 +159,9 @@ def _components(factored: _Factored, x: np.ndarray):
     g = np.empty((K, len(x), d))
     quad = np.empty((K, len(x)))
     # Each product and its negation is written straight into its row of
-    # g and quad, with the bits of -(diff @ inv) and -einsum(diff, g_i).
+    # g and quad, with the bits of -(diff @ inv) and -einsum(diff, g_i)
+    # wherever they are not nan; einsum's nan sign follows its operand's
+    # alignment, so a nan entry may differ from theirs in its sign bit.
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(K):
             diff = x - factored.means[i]

@@ -292,12 +292,8 @@ def constant_trace(T, value=1.0):
     return RunTrace(
         t=np.arange(T, 0, -1, dtype=np.int64),
         grad_norm=np.full(n, value),
-        fisher_spectral_radius=np.full(n, np.nan),
-        cr_bound=np.ones(n),
-        coefficient_used=np.ones(n),
         step_wall_time_s=np.zeros(n),
-        score_evals=np.ones(n, dtype=np.int64),
-        jacobian_passes=np.zeros(n, dtype=np.int64),
+        newly_flagged=np.zeros(n, dtype=np.int64),
         flagged_chains=np.empty(0, dtype=np.int64),
         n_chains=1,
     )

@@ -5,15 +5,21 @@ byte-identity checks can diff real files.
 """
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ficd
 import ficd.analytics
 import ficd.cli
 from ficd.analytics import TRACE_COLUMNS
 from ficd.cli import main
+from ficd.sampler import BLOCK_SIZE
 from ficd.schedule import linear_schedule
 from ficd.scoremodel import LearnedScoreModel, NetSpec, save_model
 
@@ -56,25 +62,23 @@ def test_sample_rerun_is_byte_identical_outside_timings(tmp_path):
         tmp_path / "b" / "samples.csv"
     ).read_bytes()
     ta, tb = (np.loadtxt(tmp_path / run / "trace.csv", delimiter=",", skiprows=1) for run in "ab")
-    for field in ("t", "grad_norm", "cr_bound", "coefficient_used", "score_evals"):
-        col = TRACE_COLUMNS.index(field)
-        np.testing.assert_array_equal(ta[:, col], tb[:, col])
+    for col, field in enumerate(TRACE_COLUMNS):
+        if field != "step_wall_time_s":
+            np.testing.assert_array_equal(ta[:, col], tb[:, col], err_msg=field)
 
 
-def test_fisher_probe_does_not_change_how_a_run_ends(tmp_path, capsys):
-    """The probe's score derivative overflows at t = 7; the run still ends as it does without it."""
+def test_chain_failure_names_its_first_step_and_chains(tmp_path, capsys):
+    """An exact run at rho = 40 overflows: exit 3, naming the first failing step and its chains."""
     argv = (
         "sample", "--preset", "gmm-tilt", "--T", "14", "--strategy", "exact", "--rho", "40",
-        "--set", "sampler.n_chains=64",
+        "--set", "sampler.n_chains=64", "--out", str(tmp_path / "run"),
     )
-    for probe in ("false", "true"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(*argv, "--set", f"sampler.trace_fisher={probe}", "--out", str(tmp_path / probe))
-        assert code == 3, probe
-        err = capsys.readouterr().err
-        assert "chain failure: 64 chains went non-finite, the first at step t = 6;" in err, probe
-        # Eight chains go non-finite at t = 6; the other 56 follow later.
-        assert "(and 54 more); flagged at t = 6: 10, 14, 17, 22, 24, 37, 41, 58\n" in err, probe
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert "chain failure: 64 chains went non-finite, the first at step t = 6;" in err
+    # Eight chains go non-finite at t = 6; the other 56 follow later.
+    assert "(and 54 more); flagged at t = 6: 10, 14, 17, 22, 24, 37, 41, 58\n" in err
 
 
 def test_sample_thread_count_does_not_change_samples(tmp_path):
@@ -91,6 +95,38 @@ def test_sample_zero_rho_strategies_agree(tmp_path):
     assert (tmp_path / "f" / "samples.csv").read_bytes() == (
         tmp_path / "u" / "samples.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("strategy", ["ficd", "exact"])
+def test_sample_does_not_depend_on_blas_threads(tmp_path, strategy):
+    """The wide-ddim shape (d = 16, A = I, DDIM eta = 1) on three blocks,
+    the last partial, in two processes with one and two OpenBLAS threads:
+    samples.csv and the trace without its timing column keep every byte."""
+    d = 16
+    identity = ";".join(",".join("1.0" if i == j else "0.0" for j in range(d)) for i in range(d))
+    overrides = {
+        "model.gmm.means": ",".join(["0.0"] * d),
+        "energy.A": identity,
+        "energy.y": ",".join(["1.0"] * d),
+        "sampler.discretization": "ddim",
+        "sampler.ddim_eta": "1.0",
+        "sampler.n_chains": str(2 * BLOCK_SIZE + 76),
+    }
+    argv = [sys.executable, "-m", "ficd", "sample", "--preset", "linear-inverse", "--T", "40",
+            "--strategy", strategy]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value}"]
+    src = str(Path(ficd.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([*argv, "--out", str(out)], env=env, check=True, capture_output=True)
+        outs.append(out)
+    one, two = outs
+    assert (one / "samples.csv").read_bytes() == (two / "samples.csv").read_bytes()
+    assert timing_free_sha256(one / "trace.csv") == timing_free_sha256(two / "trace.csv")
 
 
 def timing_free_sha256(path):
@@ -129,28 +165,28 @@ PINNED_SAMPLES_SHA256 = {
 
 
 # sha256 of the same runs' trace.csv with the step_wall_time_s column
-# removed; the runs keep the Fisher probe on, so its column is pinned too.
+# removed.
 PINNED_TRACE_SHA256 = {
-    ("gaussian-point", "exact"): "460fc2e364304b9deb09240029d6afc0a0bf05348951ad46166fdf0ffdeb8d4d",
-    ("gaussian-point", "ficd"): "31e42223443d1bbc35c0d24b0d5d34a011bfda18f9b17fe8c1ae7c209ffa2713",
-    ("gaussian-point", "mpgd"): "ce20d0543f1e55a875ff2a4985fb66230839dbd7eee7a8adc6885dc65d2e483a",
-    ("gaussian-point", "unit"): "4267fafdf3cc041b1f272f0ff25cc324950a5237ed7d7333f30bfad8923f418f",
-    ("gaussian-point", "uncond"): "f4c6f3d658898ebc2be429be6f2c3563457b6f5d6ef33bbec4bb14e1dbab29fc",
-    ("gmm-tilt", "exact"): "d423bc3ed685c1b9d50243ad23d8074e3c99e1fddee2eb7b5a12c8401a28f8ab",
-    ("gmm-tilt", "ficd"): "215513ff7d590fea51fbd27ad393abb7c2885f74657c27e6a78d9774a12e6c5f",
-    ("gmm-tilt", "mpgd"): "96bb9a2561d4e0f0ad539ae5335efccd76ab2211cccc1d67848dd01ebe6ab16c",
-    ("gmm-tilt", "unit"): "a0df585ca380b89f9ea08eb97d583b2a3af4be2b6ed1bb35197cf1c2ad3d70b8",
-    ("gmm-tilt", "uncond"): "25fed054ae49f52c1678ca1146f791102e7d1004abb671e774bf1ea0ca95e70f",
-    ("linear-inverse", "exact"): "87093b38b02093b0b3276cb7caf4109ee71196b47488f69ab8f5d8be4de26cd6",
-    ("linear-inverse", "ficd"): "53630dce0b8efe4dbf134f09c2a5409fb8787d0935dddc9a43761c882824dbbe",
-    ("linear-inverse", "mpgd"): "bd9fe75c914bd1316df5297fe4c0c9ecebdcfb6a7bd6842801b62db85f706b0f",
-    ("linear-inverse", "unit"): "b94c28df9f6b0a91d2a89767c8ffb99174930e29c51e86c406b98ca5dbe98a8d",
-    ("linear-inverse", "uncond"): "f4c6f3d658898ebc2be429be6f2c3563457b6f5d6ef33bbec4bb14e1dbab29fc",
-    ("gmm-style-analog", "exact"): "906e7abf1ad416d90eca1013e6915965dfe116fd20a625fb0ab642eed1b098ab",
-    ("gmm-style-analog", "ficd"): "6df1bd2b1f428fbfd1160677309ccdb20fe4e52f3dfca2db027ea3e89c3d5e08",
-    ("gmm-style-analog", "mpgd"): "1be1f0efc4df50f0565f51747c3aa9d4da1854b2de7b78a19857c50d3a3a56f8",
-    ("gmm-style-analog", "unit"): "8ed105ce0496ca7f9df7a496c1e462be6119840c204e03635f18069c038d270e",
-    ("gmm-style-analog", "uncond"): "561f7b22b82d73e2828aaa8fae4ebf14fb959bc614770b14c67811bb38683683",
+    ("gaussian-point", "exact"): "2e348c6a82f0313f695cbf2bd80b0719646266ab566dd3d6fbbbca4bc1ff7470",
+    ("gaussian-point", "ficd"): "6554f115891f4dd325dfed04554e8519304644bafa136bad11ac003107888cb2",
+    ("gaussian-point", "mpgd"): "bb2d9f56a8691a91b28ec566a918030590d754a0ebe1e61ef703129d9bc67bf0",
+    ("gaussian-point", "unit"): "0e9292e6e4241c2bcdaacb27554de0f8e1065cdc88a53406e3888c141e4817b0",
+    ("gaussian-point", "uncond"): "148b4ad538c3b6f70f0b229a40ea5b7bb0ab6daaf78560dcf5f697e60fee4bc7",
+    ("gmm-tilt", "exact"): "d0189c6d0316a1a67f71021ac892574a74f1deb2571b04f2ca44983788ec28be",
+    ("gmm-tilt", "ficd"): "49c8f77c2174c405fdbc2f5132854676426fa132877f729bc504dd90cb3c9149",
+    ("gmm-tilt", "mpgd"): "9082c857a95a3c3f0473136c795511df8e783cc81b6302725e58dd706934f60e",
+    ("gmm-tilt", "unit"): "7ab126d4f7b3d00bb0642f0a1a08cf14dd0b4708218fa3ac91acb86c0d3e9b68",
+    ("gmm-tilt", "uncond"): "7c332175d034394a35d949bb8339b6164a68ab8a3fe6b12e1796205a443bf849",
+    ("linear-inverse", "exact"): "76c99038f08e8e799f71771f091fdfb2ae9ee83059645771a00b9237c86b686f",
+    ("linear-inverse", "ficd"): "d63fe440d8644bfe35bb5513ecb5cf635e6738b49355fe1197e099c99f727156",
+    ("linear-inverse", "mpgd"): "0178e31c0db0016da6ca0a4bb293ca626b33f75319b788c9078eab0875f223de",
+    ("linear-inverse", "unit"): "2a12df82ad4979b0d3b55e49ab2f41d765b11975447d64f29bdbd09509c4898d",
+    ("linear-inverse", "uncond"): "148b4ad538c3b6f70f0b229a40ea5b7bb0ab6daaf78560dcf5f697e60fee4bc7",
+    ("gmm-style-analog", "exact"): "9750c9443ecbf2c274efbb0a15a08bbba2a018a31a09b8ce1d784c785cd631b4",
+    ("gmm-style-analog", "ficd"): "ed8978ffdbbc66c7264de8210b3b270c13eb5fd6806b20ff356d2f6681749d92",
+    ("gmm-style-analog", "mpgd"): "b2184f76dffe0f196d36f35007d30c11a76f56c35d29577a2eaeb5adcd12d4ca",
+    ("gmm-style-analog", "unit"): "1a51b0ccee501fc11e18f1b7513d3c808b3bdceaee374dbb11bd0fe58eed4ae2",
+    ("gmm-style-analog", "uncond"): "148b4ad538c3b6f70f0b229a40ea5b7bb0ab6daaf78560dcf5f697e60fee4bc7",
 }
 
 
@@ -158,8 +194,7 @@ PINNED_TRACE_SHA256 = {
 def test_sample_output_is_pinned(tmp_path, preset, strategy):
     out = tmp_path / "run"
     argv = ["sample", "--preset", preset, "--T", "40", "--strategy", strategy,
-            "--set", "sampler.n_chains=64", "--set", "sampler.trace_fisher=true",
-            "--out", str(out)]
+            "--set", "sampler.n_chains=64", "--out", str(out)]
     assert run(*argv) == 0
     digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
     assert digest == PINNED_SAMPLES_SHA256[preset, strategy]
@@ -252,6 +287,7 @@ def test_sample_exit_codes(tmp_path, capsys):
         "sampler.time_travel.t_hi=9",
         "sampler.final_noise=true",
         "verify.suites=tweedie",
+        "sampler.trace_fisher=true",
     ],
 )
 def test_retired_keys_are_unknown(tmp_path, capsys, item):
@@ -416,8 +452,8 @@ def test_trace_writes_pair_and_comparison(tmp_path, capsys):
 # their step_wall_time_s column removed.
 PINNED_TRACE_RUN_SHA256 = {
     "compare.csv": "2450b78da5eb2b79a143a338a6fbb2b020a0713bb502199fc757d82218ca1d05",
-    "trace_exact.csv": "51069ad3c50c92690ca0bf3533cc8d3cff70a0c80296f806e15095f2d2a68f3b",
-    "trace_ficd.csv": "d8a10c53db02efe1916834aeb05ea0b3b83581843b3165bbc5d5440f34fcc0c3",
+    "trace_exact.csv": "d0189c6d0316a1a67f71021ac892574a74f1deb2571b04f2ca44983788ec28be",
+    "trace_ficd.csv": "49c8f77c2174c405fdbc2f5132854676426fa132877f729bc504dd90cb3c9149",
 }
 
 

@@ -53,7 +53,7 @@ def test_parse_config_text_missing_equals():
 
 @pytest.mark.parametrize(
     "key,raw",
-    [("schedule.T", "ten"), ("sampler.lam", "wide"), ("sampler.trace_fisher", "yes")],
+    [("schedule.T", "ten"), ("sampler.lam", "wide")],
 )
 def test_bad_typed_values(key, raw):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):

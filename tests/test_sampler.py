@@ -20,7 +20,8 @@ from ficd.guidance import (
     QuadraticEnergy,
 )
 from ficd import sampler
-from ficd.posterior import PosteriorPartStrategy, tweedie_from_score
+from ficd.analytics import benchmark_steps
+from ficd.posterior import PosteriorPartStrategy, strategy_name, tweedie_from_score
 from ficd.sampler import (
     ChainFailureError,
     Discretization,
@@ -30,7 +31,7 @@ from ficd.sampler import (
     slot_rng,
     step,
 )
-from ficd.schedule import NoiseSchedule, alpha_bar, linear_schedule
+from ficd.schedule import NoiseSchedule, alpha_bar, linear_schedule, middle_third
 from ficd.scoremodel import GaussianMixture, GaussianMixtureScore, ScoreModel
 
 
@@ -94,19 +95,6 @@ class RowPoisonModel:
 
     def score_vjp(self, x, t, v):
         return self.inner.score_vjp(x, t, v)
-
-
-class InfiniteJacobianModel(RowPoisonModel):
-    """Scores as the inner model does, but its Jacobian is infinite at one step."""
-
-    def __init__(self, inner, poison_t):
-        super().__init__(inner, poison_t, rows=[])
-
-    def jacobian(self, x, t):
-        J = np.array(self.inner.jacobian(x, t))
-        if t == self.poison_t:
-            J[:] = np.inf
-        return J
 
 
 class HalfSlopeModel:
@@ -605,22 +593,34 @@ def test_noise_memory_does_not_grow_with_T():
 
 
 def test_per_step_cost_counts():
+    """benchmark_steps counts one score evaluation per step, plus one
+    Jacobian pass for exact, and its per-run sums count every executed
+    step, time-travel repeats included."""
     T = 12
     model = bimodal_model(T)
-    energy = QuadraticEnergy()
-    c = Condition.target(np.zeros(2))
-    expectations = {
-        None: (1, 0),
-        PosteriorPartStrategy.FICD: (1, 0),
-        PosteriorPartStrategy.MPGD: (1, 0),
-        PosteriorPartStrategy.UNIT: (1, 0),
-        PosteriorPartStrategy.EXACT: (1, 1),
+    jacobian_passes = {
+        None: 0,
+        PosteriorPartStrategy.FICD: 0,
+        PosteriorPartStrategy.MPGD: 0,
+        PosteriorPartStrategy.UNIT: 0,
+        PosteriorPartStrategy.EXACT: 1,
     }
-    for strategy, (n_score, n_jac) in expectations.items():
-        config = SamplerConfig(T=T, strategy=strategy, rho=0.1, n_chains=16, seed=1)
-        _, trace = sample(config, model, energy, c)
-        assert np.all(trace.score_evals == n_score), strategy
-        assert np.all(trace.jacobian_passes == n_jac), strategy
+    configs = [
+        SamplerConfig(T=T, strategy=strategy, rho=0.1, n_chains=16, seed=1)
+        for strategy in jacobian_passes
+    ]
+    table = benchmark_steps(model, configs, repetitions=1)
+    for strategy, n_jac in jacobian_passes.items():
+        row = table.row(strategy_name(strategy))
+        assert (row.score_evals_per_step, row.jacobian_passes_per_step) == (1, n_jac), strategy
+        assert (row.score_evals_per_run, row.jacobian_passes_per_run) == (T, n_jac * T), strategy
+    repeats = 2
+    t_lo, t_hi = middle_third(T)
+    n_steps = T + repeats * (t_hi - t_lo + 1)
+    travel = dataclasses.replace(configs[-1], time_travel_repeats=repeats)
+    row = benchmark_steps(model, [travel], repetitions=1).row("exact")
+    assert (row.score_evals_per_step, row.jacobian_passes_per_step) == (1, 1)
+    assert (row.score_evals_per_run, row.jacobian_passes_per_run) == (n_steps, n_steps)
 
 
 # --- trace contents ----------------------------------------------------
@@ -632,39 +632,19 @@ def test_trace_fields():
     energy = QuadraticEnergy()
     c = Condition.target(np.array([0.5, 0.5]))
     config = SamplerConfig(
-        T=T, strategy=PosteriorPartStrategy.FICD, rho=0.2, n_chains=64, seed=3,
-        trace_fisher=True,
+        T=T, strategy=PosteriorPartStrategy.FICD, rho=0.2, n_chains=64, seed=3
     )
     _, trace = sample(config, model, energy, c)
     assert trace.t.tolist() == list(range(T, 0, -1))
-    abars = model.schedule.alpha_bars
-    assert np.allclose(trace.cr_bound, 1.0 / (1.0 - abars[::-1]), rtol=1e-14)
-    assert np.allclose(trace.coefficient_used, 2.0 / np.sqrt(abars[::-1]), rtol=1e-14)
     assert np.all(np.isfinite(trace.grad_norm))
     assert np.all(trace.grad_norm >= 0.0)
-    assert np.all(np.isfinite(trace.fisher_spectral_radius))
     assert np.all(trace.step_wall_time_s >= 0.0)
+    assert trace.newly_flagged.dtype == np.int64
+    assert trace.newly_flagged.tolist() == [0] * T
     assert trace.n_chains == 64
 
     _, uncond_trace = sample(SamplerConfig(T=T, strategy=None, n_chains=8, seed=3), model)
     assert np.all(np.isnan(uncond_trace.grad_norm))
-    assert np.all(np.isnan(uncond_trace.coefficient_used))
-
-
-def test_fisher_probe_failure_leaves_nan_and_samples_untouched():
-    T = 10
-    model = InfiniteJacobianModel(bimodal_model(T), poison_t=4)
-    energy, c = QuadraticEnergy(), Condition.target(np.array([0.5, 0.5]))
-    config = SamplerConfig(
-        T=T, strategy=PosteriorPartStrategy.FICD, rho=0.2, n_chains=32, seed=5
-    )
-    plain, _ = sample(config, model, energy, c)
-    probed, trace = sample(dataclasses.replace(config, trace_fisher=True), model, energy, c)
-    assert np.array_equal(probed, plain)
-    assert trace.flagged_chains.size == 0
-    poisoned = trace.t == 4
-    assert np.all(np.isnan(trace.fisher_spectral_radius[poisoned]))
-    assert np.all(np.isfinite(trace.fisher_spectral_radius[~poisoned]))
 
 
 # --- failure policy ----------------------------------------------------
@@ -672,14 +652,15 @@ def test_fisher_probe_failure_leaves_nan_and_samples_untouched():
 
 def _per_row_reference(config, model, energy, c):
     """sample()'s loop with every block scanned row by row and its norms
-    summed over the ok rows, block by block: the samples, grad_norm and
-    flagged chains sample() must reproduce bit for bit. Covers runs
-    without time travel or Fisher probe."""
+    summed over the ok rows, block by block: the samples, grad_norm,
+    per-step newly flagged counts and flagged chains sample() must
+    reproduce bit for bit. Covers runs without time travel."""
     N, d = config.n_chains, model.dim
     ddim = config.discretization is Discretization.DDIM
     x = sampler.slot_rng(config.seed, 0).standard_normal((N, d))
     flagged = np.zeros(N, dtype=bool)
     grad_norm = np.full(config.T, np.nan)
+    newly_flagged = np.zeros(config.T, dtype=np.int64)
     for si, t in enumerate(range(config.T, 0, -1)):
         noise = np.zeros((N, d))
         if t > 1:
@@ -694,6 +675,7 @@ def _per_row_reference(config, model, energy, c):
             )
             ok_now = np.all(np.isfinite(y), axis=1)
             ok_rows = ~flagged[lo:hi] & ok_now
+            newly_flagged[si] += int(np.sum(~flagged[lo:hi] & ~ok_now))
             y[~ok_now] = np.nan
             x[lo:hi] = y
             flagged[lo:hi] |= ~ok_now
@@ -702,7 +684,7 @@ def _per_row_reference(config, model, energy, c):
                 grad_sum += float(np.sum(norms[ok_rows]))
         if config.strategy is not None and n_ok > 0:
             grad_norm[si] = grad_sum / n_ok
-    return x, grad_norm, np.flatnonzero(flagged)
+    return x, grad_norm, newly_flagged, np.flatnonzero(flagged)
 
 
 def test_single_bad_chain_is_flagged_not_fatal(monkeypatch):
@@ -714,6 +696,8 @@ def test_single_bad_chain_is_flagged_not_fatal(monkeypatch):
         config = SamplerConfig(T=T, strategy=strategy, rho=0.2, n_chains=100, seed=4)
         samples, trace = sample(config, model, QuadraticEnergy(), c)
         assert trace.flagged_chains.tolist() == [0], strategy
+        assert trace.newly_flagged.tolist() == [1] + [0] * (T - 1), strategy
+        assert trace.newly_flagged.sum() == trace.flagged_chains.size, strategy
         assert np.all(np.isnan(samples[0])), strategy
         assert np.all(np.isfinite(samples[1:])), strategy
     # An infinite score at the last step leaves an infinite state, which
@@ -721,6 +705,8 @@ def test_single_bad_chain_is_flagged_not_fatal(monkeypatch):
     last_step = RowPoisonModel(inner, poison_t=1, rows=[0], value=np.inf)
     samples, trace = sample(SamplerConfig(T=T, strategy=None, n_chains=100, seed=4), last_step)
     assert trace.flagged_chains.tolist() == [0]
+    assert trace.newly_flagged.tolist() == [0] * (T - 1) + [1]
+    assert trace.newly_flagged.sum() == trace.flagged_chains.size
     assert np.all(np.isnan(samples[0])) and np.all(np.isfinite(samples[1:]))
 
     # Three blocks, the last one partial: one chain of the middle block and
@@ -748,10 +734,13 @@ def test_single_bad_chain_is_flagged_not_fatal(monkeypatch):
             )
             label = (strategy, discretization)
             samples, trace = sample(config, inner, QuadraticEnergy(), c)
-            ref, ref_grad, ref_flagged = _per_row_reference(config, inner, QuadraticEnergy(), c)
+            ref, ref_grad, ref_new, ref_flagged = _per_row_reference(
+                config, inner, QuadraticEnergy(), c
+            )
             assert trace.flagged_chains.size == ref_flagged.size == 0, label
             assert np.array_equal(samples, ref), label
             assert trace.grad_norm.tobytes() == ref_grad.tobytes(), label
+            assert trace.newly_flagged.tolist() == ref_new.tolist() == [0] * T, label
 
             with monkeypatch.context() as patch:
                 patch.setattr(
@@ -760,7 +749,7 @@ def test_single_bad_chain_is_flagged_not_fatal(monkeypatch):
                     else slot_rng(seed, k),
                 )
                 samples, trace = sample(config, inner, QuadraticEnergy(), c)
-                ref, ref_grad, ref_flagged = _per_row_reference(
+                ref, ref_grad, ref_new, ref_flagged = _per_row_reference(
                     config, inner, QuadraticEnergy(), c
                 )
                 patch.setattr(sampler, "MAX_FLAGGED_SHARE", 0.0)
@@ -773,6 +762,8 @@ def test_single_bad_chain_is_flagged_not_fatal(monkeypatch):
             assert np.all(np.isfinite(np.delete(samples, bad, axis=0))), label
             assert np.array_equal(samples, ref, equal_nan=True), label
             assert trace.grad_norm.tobytes() == ref_grad.tobytes(), label
+            assert trace.newly_flagged.tolist() == ref_new.tolist(), label
+            assert ref_new[T - poison_t] == len(bad) == ref_new.sum(), label
 
 
 def test_far_tail_chain_is_flagged_silently(monkeypatch):
