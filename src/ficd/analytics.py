@@ -330,10 +330,6 @@ class BenchmarkRow:
     strategy: str
     median_run_s: float
     median_step_s: float
-    score_evals_per_step: int
-    jacobian_passes_per_step: int
-    score_evals_per_run: int
-    jacobian_passes_per_run: int
 
 
 @dataclass
@@ -353,13 +349,10 @@ class BenchmarkTable:
         lines = [
             f"benchmark: T={self.T} chains={self.n_chains}"
             f" repetitions={self.repetitions} (medians, warm-up discarded)",
-            f"{'strategy':<10} {'run_s':>10} {'step_s':>12} {'score/step':>11} {'jac/step':>9}",
+            f"{'strategy':<10} {'run_s':>10} {'step_s':>12}",
         ]
         for r in self.rows:
-            lines.append(
-                f"{r.strategy:<10} {r.median_run_s:>10.4f} {r.median_step_s:>12.6f}"
-                f" {r.score_evals_per_step:>11d} {r.jacobian_passes_per_step:>9d}"
-            )
+            lines.append(f"{r.strategy:<10} {r.median_run_s:>10.4f} {r.median_step_s:>12.6f}")
         return "\n".join(lines)
 
 
@@ -370,14 +363,11 @@ def benchmark_steps(
     energy: EnergyFunction | None = None,
     condition: Condition | None = None,
 ) -> BenchmarkTable:
-    """Median wall times and exact pass counts, one row per SamplerConfig.
+    """Median wall times, one row per SamplerConfig.
 
     Each config, with every setting it carries, gets one discarded
     warm-up run and ``repetitions`` timed runs of the full sampler. The
-    strategy fixes the per-chain cost of a step: one score evaluation,
-    plus one Jacobian pullback for exact. The per-run counts are those
-    times the executed steps, time-travel repeats included. The configs
-    must share one n_chains.
+    configs must share one n_chains.
     """
     configs = list(configs)
     if len({config.n_chains for config in configs}) != 1:
@@ -397,16 +387,11 @@ def benchmark_steps(
                 continue  # warm-up
             run_times.append(elapsed)
             step_times.append(float(np.median(trace.step_wall_time_s)))
-        jacobian_passes = int(config.strategy is PosteriorPartStrategy.EXACT)
         rows.append(
             BenchmarkRow(
                 strategy=strategy_name(config.strategy),
                 median_run_s=float(np.median(run_times)),
                 median_step_s=float(np.median(step_times)),
-                score_evals_per_step=1,
-                jacobian_passes_per_step=jacobian_passes,
-                score_evals_per_run=trace.t.size,
-                jacobian_passes_per_run=jacobian_passes * trace.t.size,
             )
         )
     return BenchmarkTable(rows, model.schedule.T, configs[0].n_chains, repetitions)

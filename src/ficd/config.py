@@ -2,11 +2,12 @@
 
 A configuration is a flat mapping from dotted keys (``schedule.T``,
 ``sampler.rho``) to typed values. Sources merge in precedence order
-defaults < preset < config file < command-line overrides, every key is
-validated against the schema, and builder methods turn the merged
-mapping into the schedule, score model, energy, and sampler objects the
-commands run with. Configuration mistakes raise ConfigError, which the
-command line reports with exit code 2.
+defaults < preset < overrides (the command line passes a config file's
+pairs before its flags), every key is validated against the schema,
+and builder methods turn the merged mapping into the schedule, score
+model, energy, and sampler objects the commands run with. Configuration
+mistakes raise ConfigError, which the command line reports with exit
+code 2.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from ficd.scoremodel import (
     ScoreModel,
     load_model,
 )
-from ficd.posterior import PosteriorPartStrategy
+from ficd.posterior import PosteriorPartStrategy, posterior_coefficient, strategy_name
 
 __all__ = [
     "ConfigError",
@@ -166,15 +167,17 @@ def resolve_rho(
     Three syntaxes: a plain float, a comma list of length T, or
     ``matched[:gain]``. The matched form sets the step size that makes
     the guided chain track the conjugate-Gaussian posterior of a
-    unit-variance prior to first order in beta, scaled per strategy so
-    all strategies land on the same effective update there. The rule
-    beta sigma^2 / (sigma^2 + 1 - alpha_bar) is not exact in discrete
-    time: with d = 16, A = I, y = 1 and noise variance 1 (posterior mean
-    0.5) 2048 chains end at a mean of 0.456 per coordinate at T = 200 and
-    0.508 at T = 1000, alike for ficd, exact and mpgd. ``noise_var`` is
-    the measurement noise the match assumes; for non-linear energies the
-    caller passes 1 / (2 lam), which identifies lam with a Gaussian
-    likelihood weight.
+    unit-variance prior to first order in beta. Every strategy lands on
+    one effective weight there, gain beta sigma^2 / (sigma^2 + 1 -
+    alpha_bar) sqrt(alpha_bar): a scalar strategy's rho_t is that weight
+    over its posterior_coefficient, and exact's is the weight over
+    sqrt(alpha_bar), its pullback scalar on that prior. The rule is not
+    exact in discrete time: with d = 16, A = I, y = 1 and noise variance
+    1 (posterior mean 0.5) 2048 chains end at a mean of 0.456 per
+    coordinate at T = 200 and 0.508 at T = 1000, alike for ficd, exact
+    and mpgd. ``noise_var`` is the measurement noise the match assumes;
+    for non-linear energies the caller passes 1 / (2 lam), which
+    identifies lam with a Gaussian likelihood weight.
     """
     spec = spec.strip()
     head, colon, tail = spec.partition(":")
@@ -187,18 +190,15 @@ def resolve_rho(
             raise ConfigError(f"matched gain must be finite and non-negative, got {gain}")
         if not (math.isfinite(noise_var) and noise_var > 0.0):
             raise ConfigError(f"matched rho needs a positive noise variance, got {noise_var}")
-        abar = schedule.alpha_bars
-        abar_prev = np.concatenate([[1.0], abar[:-1]])
-        base = gain * schedule.betas * noise_var / (noise_var + 1.0 - abar)
         if strategy is None:
             return np.zeros(schedule.T)
+        base = gain * schedule.betas * noise_var / (noise_var + 1.0 - schedule.alpha_bars)
         if strategy is PosteriorPartStrategy.EXACT:
-            return base
-        if strategy is PosteriorPartStrategy.FICD:
-            return base * abar / 2.0
-        if strategy is PosteriorPartStrategy.MPGD:
-            return base * np.sqrt(abar) / np.sqrt(abar_prev)
-        return base * np.sqrt(abar)
+            return base  # on the unit Gaussian its pullback is sqrt(alpha_bar_t) g
+        weight = base * np.sqrt(schedule.alpha_bars)
+        return weight / [
+            posterior_coefficient(strategy, schedule, t) for t in range(1, schedule.T + 1)
+        ]
     if "," in spec:
         values = parse_vector(spec, "sampler.rho")
         if values.size != schedule.T:
@@ -228,15 +228,12 @@ class ExperimentConfig:
     def from_sources(
         cls,
         preset: dict[str, str] | None = None,
-        file_text: str | None = None,
         overrides: list[tuple[str, str]] | None = None,
     ) -> "ExperimentConfig":
         merged = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
         layers: list[dict[str, str]] = []
         if preset:
             layers.append(dict(preset))
-        if file_text is not None:
-            layers.append(parse_config_text(file_text))
         if overrides:
             layers.append({key: raw for key, raw in overrides})
         for layer in layers:
@@ -270,13 +267,14 @@ class ExperimentConfig:
 
     def strategy(self) -> PosteriorPartStrategy | None:
         name = self["sampler.strategy"]
-        if name == "uncond":
+        if name == strategy_name(None):
             return None
         try:
             return PosteriorPartStrategy(name)
         except ValueError:
+            names = ", ".join(strategy_name(s) for s in PosteriorPartStrategy)
             raise ConfigError(
-                f"unknown sampler.strategy {name!r} (exact, ficd, mpgd, unit, or uncond)"
+                f"unknown sampler.strategy {name!r} ({names}, or {strategy_name(None)})"
             ) from None
 
     def build_model(self, schedule: NoiseSchedule | None = None) -> ScoreModel:

@@ -227,8 +227,7 @@ class RunTrace:
     ``step_wall_time_s`` times the step's block loop; the noise draws and
     a time-travel re-noise before it are left out. ``newly_flagged``
     counts the chains that step flagged. ``flagged_chains`` holds the
-    indices of every chain flagged over the run, and ``n_chains`` the
-    chain count.
+    indices of every chain flagged over the run.
     """
 
     t: np.ndarray
@@ -236,7 +235,6 @@ class RunTrace:
     step_wall_time_s: np.ndarray
     newly_flagged: np.ndarray
     flagged_chains: np.ndarray
-    n_chains: int
 
 
 def _plan_entries(T: int, repeats: int) -> list[tuple[int, bool]]:
@@ -316,7 +314,6 @@ def sample(
         step_wall_time_s=np.empty(n_steps),
         newly_flagged=np.zeros(n_steps, dtype=np.int64),
         flagged_chains=np.empty(0, dtype=np.int64),
-        n_chains=N,
     )
 
     for si, (t, renoise) in enumerate(entries):

@@ -5,21 +5,17 @@ byte-identity checks can diff real files.
 """
 
 import hashlib
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ficd
 import ficd.analytics
 import ficd.cli
+from call_counts import recorded_calls
+from cli_runs import sample_under_blas_threads, timing_free_sha256
 from ficd.analytics import TRACE_COLUMNS
 from ficd.cli import main
-from ficd.sampler import BLOCK_SIZE
 from ficd.schedule import linear_schedule
 from ficd.scoremodel import LearnedScoreModel, NetSpec, save_model
 
@@ -99,42 +95,12 @@ def test_sample_zero_rho_strategies_agree(tmp_path):
 
 @pytest.mark.parametrize("strategy", ["ficd", "exact"])
 def test_sample_does_not_depend_on_blas_threads(tmp_path, strategy):
-    """The wide-ddim shape (d = 16, A = I, DDIM eta = 1) on three blocks,
-    the last partial, in two processes with one and two OpenBLAS threads:
-    samples.csv and the trace without its timing column keep every byte."""
-    d = 16
-    identity = ";".join(",".join("1.0" if i == j else "0.0" for j in range(d)) for i in range(d))
-    overrides = {
-        "model.gmm.means": ",".join(["0.0"] * d),
-        "energy.A": identity,
-        "energy.y": ",".join(["1.0"] * d),
-        "sampler.discretization": "ddim",
-        "sampler.ddim_eta": "1.0",
-        "sampler.n_chains": str(2 * BLOCK_SIZE + 76),
-    }
-    argv = [sys.executable, "-m", "ficd", "sample", "--preset", "linear-inverse", "--T", "40",
-            "--strategy", strategy]
-    for key, value in overrides.items():
-        argv += ["--set", f"{key}={value}"]
-    src = str(Path(ficd.__file__).resolve().parents[1])
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"blas{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        subprocess.run([*argv, "--out", str(out)], env=env, check=True, capture_output=True)
-        outs.append(out)
-    one, two = outs
+    """The wide-ddim shape on three blocks under one and two OpenBLAS
+    threads: samples.csv and the trace without its timing column keep
+    every byte."""
+    one, two = sample_under_blas_threads(tmp_path, strategy)
     assert (one / "samples.csv").read_bytes() == (two / "samples.csv").read_bytes()
     assert timing_free_sha256(one / "trace.csv") == timing_free_sha256(two / "trace.csv")
-
-
-def timing_free_sha256(path):
-    """sha256 of a trace CSV with its step_wall_time_s column removed."""
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    col = rows[0].index("step_wall_time_s")
-    text = "\n".join(",".join(row[:col] + row[col + 1:]) for row in rows)
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # samples.csv sha256 of every preset and strategy at T = 40 with 64 chains.
@@ -147,12 +113,12 @@ PINNED_SAMPLES_SHA256 = {
     ("gaussian-point", "unit"): "1770d36ec1860850de1ca5f1fc59bd3b23df0cd696fa17a8ec5c873a80d5ccea",
     ("gaussian-point", "uncond"): "c7f226feb4db6ccf255d33ebc5d73f38248fdf8af6d4f511865571baa714b4cf",
     ("gmm-tilt", "exact"): "c6ae2ea92a5aeaa895ff46624281c24cb221d5c67445767188d73f683369d295",
-    ("gmm-tilt", "ficd"): "65b13ac38d4211ea06cec890e541537821155db6e34561a3c43bdea4a648d494",
+    ("gmm-tilt", "ficd"): "f941e9a40729accd285055296c187d373feab07534f6fb041b2f62e7a1075592",
     ("gmm-tilt", "mpgd"): "b344bf4048f8b586b8269c62616456b3dd572f1cdb086c7f4c0fb5e18325143b",
     ("gmm-tilt", "unit"): "9a1de09de51d3d1106c51a75fa8feb1074299cf071751bef3612510f88281ef0",
     ("gmm-tilt", "uncond"): "6ab2420b2079041ae38f40c94558fedaa314b5a2c94e2f84924f4c943ee3f8fd",
     ("linear-inverse", "exact"): "4e7c9f7de9e99538a9c8c6bb7a47e578abeee999d1f6f03ee6a018ed640e8f63",
-    ("linear-inverse", "ficd"): "47a3f32c04feccc087061a1ca0e9f170e84e8f65fd22021b2fdf40ad4da9daec",
+    ("linear-inverse", "ficd"): "e4d62164b125935015e9fe2a7205fc9a337bb2470c28a478900fd71e9f9c82f1",
     ("linear-inverse", "mpgd"): "abcfd95ffac648083555945fdd3777973169205111363a2911b050462208653c",
     ("linear-inverse", "unit"): "9d889bdfd1e9d828532d7e85d803a8ec0fd3602d05decf84ed50c7353ebccd0d",
     ("linear-inverse", "uncond"): "c7f226feb4db6ccf255d33ebc5d73f38248fdf8af6d4f511865571baa714b4cf",
@@ -173,12 +139,12 @@ PINNED_TRACE_SHA256 = {
     ("gaussian-point", "unit"): "0e9292e6e4241c2bcdaacb27554de0f8e1065cdc88a53406e3888c141e4817b0",
     ("gaussian-point", "uncond"): "148b4ad538c3b6f70f0b229a40ea5b7bb0ab6daaf78560dcf5f697e60fee4bc7",
     ("gmm-tilt", "exact"): "d0189c6d0316a1a67f71021ac892574a74f1deb2571b04f2ca44983788ec28be",
-    ("gmm-tilt", "ficd"): "49c8f77c2174c405fdbc2f5132854676426fa132877f729bc504dd90cb3c9149",
+    ("gmm-tilt", "ficd"): "f901f75bdddf412093b90b4d8cfbf65ced664109a81e2a9a6ed741cfd970460c",
     ("gmm-tilt", "mpgd"): "9082c857a95a3c3f0473136c795511df8e783cc81b6302725e58dd706934f60e",
     ("gmm-tilt", "unit"): "7ab126d4f7b3d00bb0642f0a1a08cf14dd0b4708218fa3ac91acb86c0d3e9b68",
     ("gmm-tilt", "uncond"): "7c332175d034394a35d949bb8339b6164a68ab8a3fe6b12e1796205a443bf849",
     ("linear-inverse", "exact"): "76c99038f08e8e799f71771f091fdfb2ae9ee83059645771a00b9237c86b686f",
-    ("linear-inverse", "ficd"): "d63fe440d8644bfe35bb5513ecb5cf635e6738b49355fe1197e099c99f727156",
+    ("linear-inverse", "ficd"): "0df84416b68d957c6d616e62b9c19511243c61a665c86b8b53331a99809e90e2",
     ("linear-inverse", "mpgd"): "0178e31c0db0016da6ca0a4bb293ca626b33f75319b788c9078eab0875f223de",
     ("linear-inverse", "unit"): "2a12df82ad4979b0d3b55e49ab2f41d765b11975447d64f29bdbd09509c4898d",
     ("linear-inverse", "uncond"): "148b4ad538c3b6f70f0b229a40ea5b7bb0ab6daaf78560dcf5f697e60fee4bc7",
@@ -451,9 +417,9 @@ def test_trace_writes_pair_and_comparison(tmp_path, capsys):
 # time-travel repeats and a matched rho per strategy; the trace CSVs with
 # their step_wall_time_s column removed.
 PINNED_TRACE_RUN_SHA256 = {
-    "compare.csv": "2450b78da5eb2b79a143a338a6fbb2b020a0713bb502199fc757d82218ca1d05",
+    "compare.csv": "c4dd4032f2a87564c91edc20b49847678debcc780a77c1646e8649c244ff04f6",
     "trace_exact.csv": "d0189c6d0316a1a67f71021ac892574a74f1deb2571b04f2ca44983788ec28be",
-    "trace_ficd.csv": "49c8f77c2174c405fdbc2f5132854676426fa132877f729bc504dd90cb3c9149",
+    "trace_ficd.csv": "f901f75bdddf412093b90b4d8cfbf65ced664109a81e2a9a6ed741cfd970460c",
 }
 
 
@@ -528,13 +494,11 @@ def test_bench_counts_and_ratio(tmp_path, capsys):
     )
     assert code == 0
     lines = (tmp_path / "b" / "timing.csv").read_text().splitlines()
-    assert lines[0] == (
-        "strategy,median_run_s,median_step_s,score_evals_per_step,"
-        "jacobian_passes_per_step,score_evals_per_run,jacobian_passes_per_run"
-    )
-    rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
-    assert rows["exact"][4] == "1" and rows["exact"][6] == "20"  # one pass per step, T per run
-    assert rows["ficd"][4] == "0" and rows["ficd"][6] == "0"
+    assert lines[0] == "strategy,median_run_s,median_step_s"
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in lines[1:]}
+    assert sorted(rows) == ["exact", "ficd"]
+    for timings in rows.values():
+        assert all(float(value) > 0.0 for value in timings)
     assert "FICD/EXACT median run-time ratio" in capsys.readouterr().out
 
 
@@ -584,13 +548,15 @@ def test_bench_times_the_configured_sampler(tmp_path, monkeypatch):
         assert timed.strategy is traced_config.strategy
         assert timed.time_travel_repeats == traced_config.time_travel_repeats
 
-    rows = {
-        line.split(",")[0]: line.split(",")
-        for line in (tmp_path / "b" / "timing.csv").read_text().splitlines()[1:]
-    }
-    # One re-step per t in the middle third [7, 13]: 20 + 7 Jacobian passes.
-    assert int(rows["exact"][6]) == 27 > 20
-    assert rows["ficd"][6] == "0" and rows["ficd"][5] == "27"
+    # Untimed runs of the timed configs, counted: one re-step per t in the
+    # middle third [7, 13] makes 20 + 7 steps, each with one score call and,
+    # for exact alone, one score_vjp call.
+    args = ficd.cli.build_parser().parse_args(["bench", *common])
+    model, energy, condition = ficd.cli._build_run(ficd.cli.load_config(args))
+    for config in (exact, ficd_run):
+        calls, expected, trace = recorded_calls(config, model, energy, condition)
+        assert trace.t.size == 27
+        assert calls == expected, config.strategy
 
 
 def test_bench_rho_is_not_a_key(tmp_path, capsys):

@@ -11,10 +11,12 @@ from ficd.config import (
     parse_vector,
     resolve_rho,
 )
-from ficd.posterior import PosteriorPartStrategy
+from ficd.posterior import PosteriorPartStrategy, posterior_coefficient
 from ficd.presets import PRESETS
 from ficd.sampler import Discretization
 from ficd.schedule import linear_schedule
+
+SCALAR_STRATEGIES = [s for s in PosteriorPartStrategy if s is not PosteriorPartStrategy.EXACT]
 
 
 def test_defaults_load():
@@ -28,9 +30,10 @@ def test_defaults_load():
 
 def test_precedence_preset_then_file_then_overrides():
     preset = {"schedule.T": "100", "sampler.lam": "2.0", "seed": "5"}
-    file_text = "schedule.T = 50\nsampler.lam = 3.0\n"
-    overrides = [("schedule.T", "25")]
-    config = ExperimentConfig.from_sources(preset, file_text, overrides)
+    # The file's pairs come before the flags, as the command line passes them.
+    file_pairs = list(parse_config_text("schedule.T = 50\nsampler.lam = 3.0\n").items())
+    overrides = [*file_pairs, ("schedule.T", "25")]
+    config = ExperimentConfig.from_sources(preset, overrides=overrides)
     assert config["schedule.T"] == 25  # flag beats file beats preset
     assert config["sampler.lam"] == 3.0  # file beats preset
     assert config["seed"] == 5  # preset beats default
@@ -93,21 +96,34 @@ def test_resolve_rho_scalar_and_list():
 
 
 def test_resolve_rho_matched_per_strategy():
-    schedule = linear_schedule(6)
-    abar = schedule.alpha_bars
-    abar_prev = np.concatenate([[1.0], abar[:-1]])
-    nv = 2.0
-    base = schedule.betas * nv / (nv + 1.0 - abar)
-    cases = {
-        PosteriorPartStrategy.EXACT: base,
-        PosteriorPartStrategy.FICD: base * abar / 2.0,
-        PosteriorPartStrategy.MPGD: base * np.sqrt(abar) / np.sqrt(abar_prev),
-        PosteriorPartStrategy.UNIT: base * np.sqrt(abar),
-    }
-    for strategy, expected in cases.items():
-        got = resolve_rho("matched", schedule, strategy, nv)
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
-    np.testing.assert_array_equal(resolve_rho("matched", schedule, None, nv), np.zeros(6))
+    """matched is one effective weight, gain beta sigma^2 / (sigma^2 + 1 -
+    abar) sqrt(abar), over each scalar strategy's posterior_coefficient.
+    The mpgd, unit and exact vectors keep the bits of the per-strategy
+    formulas written out below; uncond gets zeros."""
+    for T in (1, 2, 40, 200):
+        schedule = linear_schedule(T)
+        abar = schedule.alpha_bars
+        abar_prev = np.concatenate([[1.0], abar[:-1]])
+        for nv in (1.0, 1.0 / (2.0 * 0.3)):
+            for gain in (0.0, 1.5):
+                spec = f"matched:{gain}"
+                base = gain * schedule.betas * nv / (nv + 1.0 - abar)
+                weight = base * np.sqrt(abar)
+                for strategy in SCALAR_STRATEGIES:
+                    rho = resolve_rho(spec, schedule, strategy, nv)
+                    coefficient = [
+                        posterior_coefficient(strategy, schedule, t) for t in range(1, T + 1)
+                    ]
+                    np.testing.assert_allclose(rho * coefficient, weight, rtol=1e-15, atol=0.0)
+                written_out = {
+                    PosteriorPartStrategy.EXACT: base,
+                    PosteriorPartStrategy.MPGD: base * np.sqrt(abar) / np.sqrt(abar_prev),
+                    PosteriorPartStrategy.UNIT: base * np.sqrt(abar),
+                    None: np.zeros(T),
+                }
+                for strategy, expected in written_out.items():
+                    got = resolve_rho(spec, schedule, strategy, nv)
+                    assert np.array_equal(got, expected), (T, nv, gain, strategy)
 
 
 def test_resolve_rho_matched_gain_scales_linearly():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from call_counts import recorded_calls
 from ficd.guidance import (
     Condition,
     DistanceEnergy,
@@ -20,7 +21,6 @@ from ficd.guidance import (
     QuadraticEnergy,
 )
 from ficd import sampler
-from ficd.analytics import benchmark_steps
 from ficd.posterior import PosteriorPartStrategy, strategy_name, tweedie_from_score
 from ficd.sampler import (
     ChainFailureError,
@@ -593,34 +593,27 @@ def test_noise_memory_does_not_grow_with_T():
 
 
 def test_per_step_cost_counts():
-    """benchmark_steps counts one score evaluation per step, plus one
-    Jacobian pass for exact, and its per-run sums count every executed
-    step, time-travel repeats included."""
+    """Counted on untimed two-block runs: uncond and every scalar strategy
+    call score once and score_vjp never per block per executed step, and
+    exact calls each once. Time-travel repeats are executed steps."""
     T = 12
     model = bimodal_model(T)
-    jacobian_passes = {
-        None: 0,
-        PosteriorPartStrategy.FICD: 0,
-        PosteriorPartStrategy.MPGD: 0,
-        PosteriorPartStrategy.UNIT: 0,
-        PosteriorPartStrategy.EXACT: 1,
-    }
+    energy, c = QuadraticEnergy(), Condition.target(np.array([0.5, 0.0]))
     configs = [
-        SamplerConfig(T=T, strategy=strategy, rho=0.1, n_chains=16, seed=1)
-        for strategy in jacobian_passes
+        SamplerConfig(T=T, strategy=strategy, rho=0.1, n_chains=sampler.BLOCK_SIZE + 3, seed=1)
+        for strategy in (None, *ALL_STRATEGIES)
     ]
-    table = benchmark_steps(model, configs, repetitions=1)
-    for strategy, n_jac in jacobian_passes.items():
-        row = table.row(strategy_name(strategy))
-        assert (row.score_evals_per_step, row.jacobian_passes_per_step) == (1, n_jac), strategy
-        assert (row.score_evals_per_run, row.jacobian_passes_per_run) == (T, n_jac * T), strategy
     repeats = 2
+    configs += [
+        dataclasses.replace(config, time_travel_repeats=repeats)
+        for config in configs
+        if config.strategy in (PosteriorPartStrategy.EXACT, PosteriorPartStrategy.FICD)
+    ]
     t_lo, t_hi = middle_third(T)
-    n_steps = T + repeats * (t_hi - t_lo + 1)
-    travel = dataclasses.replace(configs[-1], time_travel_repeats=repeats)
-    row = benchmark_steps(model, [travel], repetitions=1).row("exact")
-    assert (row.score_evals_per_step, row.jacobian_passes_per_step) == (1, 1)
-    assert (row.score_evals_per_run, row.jacobian_passes_per_run) == (n_steps, n_steps)
+    for config in configs:
+        calls, expected, trace = recorded_calls(config, model, energy, c)
+        assert trace.t.size == T + config.time_travel_repeats * (t_hi - t_lo + 1)
+        assert calls == expected, (strategy_name(config.strategy), config.time_travel_repeats)
 
 
 # --- trace contents ----------------------------------------------------
@@ -641,7 +634,6 @@ def test_trace_fields():
     assert np.all(trace.step_wall_time_s >= 0.0)
     assert trace.newly_flagged.dtype == np.int64
     assert trace.newly_flagged.tolist() == [0] * T
-    assert trace.n_chains == 64
 
     _, uncond_trace = sample(SamplerConfig(T=T, strategy=None, n_chains=8, seed=3), model)
     assert np.all(np.isnan(uncond_trace.grad_norm))
