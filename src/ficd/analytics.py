@@ -9,7 +9,7 @@ state pass or fail per assertion.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -41,6 +41,7 @@ __all__ = [
     "BenchmarkRow",
     "BenchmarkTable",
     "benchmark_steps",
+    "write_csv",
     "TRACE_COLUMNS",
     "trace_to_csv",
     "samples_to_csv",
@@ -366,9 +367,11 @@ def benchmark_steps(
     """Median wall times, one row per SamplerConfig.
 
     Each config, with every setting it carries, gets one discarded
-    warm-up run and ``repetitions`` timed runs of the full sampler. The
-    configs must share one n_chains.
+    warm-up run and ``repetitions`` (at least 1) timed runs of the full
+    sampler. The configs must share one n_chains.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     configs = list(configs)
     if len({config.n_chains for config in configs}) != 1:
         raise ValueError("configs must be non-empty and share one n_chains")
@@ -399,43 +402,33 @@ def benchmark_steps(
 
 # --- CSV formats -------------------------------------------------------
 
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV dialect ficd writes: comma-separated, CRLF line ends,
+    each value as str (repr for a Python float). No value needs quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+
+
 TRACE_COLUMNS = ["t", "grad_norm", "step_wall_time_s", "newly_flagged"]
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def trace_to_csv(trace: RunTrace, path) -> None:
-    """Writes one row per executed step with the fixed column order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for i in range(trace.t.size):
-            writer.writerow(
-                [
-                    int(trace.t[i]),
-                    _fmt(trace.grad_norm[i]),
-                    _fmt(trace.step_wall_time_s[i]),
-                    int(trace.newly_flagged[i]),
-                ]
-            )
+    """Writes one row per executed step, in the TRACE_COLUMNS order."""
+    write_csv(path, TRACE_COLUMNS, zip(*(getattr(trace, name).tolist() for name in TRACE_COLUMNS)))
 
 
 _CSV_BLOCK_ROWS = 1024
 
 
 def samples_to_csv(samples: np.ndarray, path) -> None:
-    """Writes chain_id plus one dim_j column per coordinate, each value as
-    repr(float), in csv.writer's dialect: comma-separated, CRLF line ends."""
+    """Writes chain_id plus one dim_j column per coordinate."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     header = ["chain_id"] + [f"dim_{j}" for j in range(samples.shape[1])]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        # The repr of a block's nested list formats every value as
-        # repr(float) in one C-level pass; no value needs csv quoting.
-        # Blocks keep the strings to about 1.5 MB at d = 16.
-        for start in range(0, len(samples), _CSV_BLOCK_ROWS):
-            block = samples[start : start + _CSV_BLOCK_ROWS].tolist()
-            rows = repr([[i, *row] for i, row in enumerate(block, start)])
-            fh.write(rows[2:-2].replace(", ", ",").replace("],[", "\r\n") + "\r\n")
+    # tolist() turns a block into Python floats in one C-level pass; one
+    # block at a time keeps those lists to about 0.6 MB at d = 16.
+    starts = range(0, len(samples), _CSV_BLOCK_ROWS)
+    blocks = (samples[s : s + _CSV_BLOCK_ROWS].tolist() for s in starts)
+    rows = ([i, *row] for i, row in enumerate(itertools.chain.from_iterable(blocks)))
+    write_csv(path, header, rows)

@@ -19,13 +19,13 @@ import warnings
 import numpy as np
 
 from ficd.analytics import (
-    _fmt,
     benchmark_steps,
     bound_verification,
     deviation_bound_check,
     phase_profile,
     samples_to_csv,
     trace_to_csv,
+    write_csv,
 )
 from ficd.config import ConfigError, ExperimentConfig, parse_config_text
 from ficd.guidance import Condition, DistanceEnergy
@@ -89,17 +89,13 @@ def cmd_train_score(config: ExperimentConfig) -> int:
         os.makedirs(parent, exist_ok=True)
     save_model(model, model_path)
 
-    loss_path = _out_path(config, "train_loss.csv")
-    with open(loss_path, "w") as fh:
-        fh.write("step,loss\n")
-        for i, loss in enumerate(history, start=1):
-            fh.write(f"{i},{_fmt(loss)}\n")
+    write_csv(_out_path(config, "train_loss.csv"), ["step", "loss"], enumerate(history, start=1))
 
     if steps == 0:
         warnings.warn("saved an untrained model (train.steps = 0)", stacklevel=2)
         print(f"untrained model saved to {model_path} (0 training steps)")
     else:
-        print(f"model saved to {model_path}; final loss: {_fmt(model.final_loss)}")
+        print(f"model saved to {model_path}; final loss: {model.final_loss!r}")
 
     if config["train.data.kind"] == "normal" and steps > 0:
         # For standard-normal data the noised marginal stays standard
@@ -310,12 +306,9 @@ def cmd_trace(config: ExperimentConfig) -> int:
         trace_to_csv(trace, _out_path(config, f"trace_{name}.csv"))
         traces[name] = trace
 
-    with open(_out_path(config, "compare.csv"), "w") as fh:
-        fh.write("t,grad_norm_exact,grad_norm_ficd\n")
-        for t, g_exact, g_ficd in zip(
-            traces["exact"].t, traces["exact"].grad_norm, traces["ficd"].grad_norm
-        ):
-            fh.write(f"{int(t)},{_fmt(g_exact)},{_fmt(g_ficd)}\n")
+    columns = (traces["exact"].t, traces["exact"].grad_norm, traces["ficd"].grad_norm)
+    header = ["t", "grad_norm_exact", "grad_norm_ficd"]
+    write_csv(_out_path(config, "compare.csv"), header, zip(*(c.tolist() for c in columns)))
 
     for name in ("exact", "ficd"):
         early, mid, late = phase_profile(traces[name])
@@ -336,10 +329,9 @@ def cmd_bench(config: ExperimentConfig) -> int:
         condition=condition,
     )
 
-    with open(_out_path(config, "timing.csv"), "w") as fh:
-        fh.write("strategy,median_run_s,median_step_s\n")
-        for row in table.rows:
-            fh.write(f"{row.strategy},{_fmt(row.median_run_s)},{_fmt(row.median_step_s)}\n")
+    header = ["strategy", "median_run_s", "median_step_s"]
+    rows = ((row.strategy, row.median_run_s, row.median_step_s) for row in table.rows)
+    write_csv(_out_path(config, "timing.csv"), header, rows)
 
     print(table.to_text())
     ratio = table.row("ficd").median_run_s / table.row("exact").median_run_s

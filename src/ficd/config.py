@@ -156,6 +156,11 @@ def parse_matrix(text: str, key: str) -> np.ndarray:
     return np.stack(rows)
 
 
+def _is_matched(spec: str) -> bool:
+    """Whether a rho spec takes the ``matched[:gain]`` form."""
+    return spec.strip().partition(":")[0] == "matched"
+
+
 def resolve_rho(
     spec: str,
     schedule: NoiseSchedule,
@@ -180,8 +185,8 @@ def resolve_rho(
     identifies lam with a Gaussian likelihood weight.
     """
     spec = spec.strip()
-    head, colon, tail = spec.partition(":")
-    if head == "matched":
+    if _is_matched(spec):
+        _, colon, tail = spec.partition(":")
         try:
             gain = float(tail) if colon else 1.0
         except ValueError:
@@ -361,7 +366,7 @@ class ExperimentConfig:
             self["sampler.rho"],
             schedule,
             strategy,
-            self.matched_noise_var() if "matched" in self["sampler.rho"] else 1.0,
+            self.matched_noise_var() if _is_matched(self["sampler.rho"]) else 1.0,
         )
         disc_name = self["sampler.discretization"]
         try:

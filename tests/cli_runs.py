@@ -1,5 +1,6 @@
 """Helpers for tests that read what ``ficd`` commands write."""
 
+import csv
 import hashlib
 import os
 import subprocess
@@ -8,6 +9,15 @@ from pathlib import Path
 
 import ficd
 from ficd.sampler import BLOCK_SIZE
+
+
+def read_csv_rows(path):
+    """The rows of a CSV ``ficd`` wrote, read through csv.reader, after
+    checking that every line ends with CRLF."""
+    data = path.read_bytes()
+    assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), path.name
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def timing_free_sha256(path):

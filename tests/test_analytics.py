@@ -1,6 +1,7 @@
 """Oracle, metric, report, and CSV tests for the analytics module."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from ficd.analytics import (
     sliced_wasserstein,
     tilted_gmm_oracle,
     trace_to_csv,
+    write_csv,
 )
 from ficd.guidance import Condition, DistanceEnergy, EnergyFunction, QuadraticEnergy
 from ficd.posterior import PosteriorPartStrategy
@@ -476,6 +478,15 @@ def test_benchmark_rows_share_one_chain_count():
         benchmark_steps(model, [], repetitions=1)
 
 
+def test_benchmark_needs_one_repetition():
+    model = GaussianMixtureScore(
+        GaussianMixture.isotropic([1.0], [[0.0, 0.0]], [1.0]), linear_schedule(4)
+    )
+    for repetitions in (0, -1):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            benchmark_steps(model, [SamplerConfig(T=4, n_chains=2)], repetitions=repetitions)
+
+
 # --- CSV formats -------------------------------------------------------
 
 
@@ -511,22 +522,65 @@ def test_samples_csv_round_trip(tmp_path):
     assert np.array_equal(back[:, 1:], samples)
 
 
+def _csv_writer_bytes(path, header, rows):
+    """The bytes csv.writer writes for a header and rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
 def test_samples_csv_matches_the_csv_writer_bytes(tmp_path):
-    # Every value is written as repr(float), in csv.writer's dialect, for
-    # nan, the infinities, -0.0, subnormals and a row count that crosses
-    # the block size; a (N, 0) and a (0, d) batch write what csv.writer does.
+    # Every CSV is written in csv.writer's dialect, each float as
+    # repr(float). Samples: nan, the infinities, -0.0, subnormals and a
+    # row count that crosses the block size; a (N, 0) and a (0, d) batch.
+    reference, path = tmp_path / "reference.csv", tmp_path / "written.csv"
     rng = np.random.default_rng(13)
     edge = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308]
     wide = rng.standard_normal((2050, 5)) * 10.0 ** rng.integers(-300, 300, size=(2050, 5))
     wide.flat[: len(edge)] = edge
     for samples in (wide, np.array(edge), np.empty((3, 0)), np.empty((0, 4))):
-        reference = tmp_path / "reference.csv"
-        with open(reference, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            rows = np.atleast_2d(samples)
-            writer.writerow(["chain_id"] + [f"dim_{j}" for j in range(rows.shape[1])])
-            for i, row in enumerate(rows):
-                writer.writerow([i] + [repr(float(v)) for v in row])
-        path = tmp_path / "samples.csv"
+        rows = np.atleast_2d(samples)
+        expected = _csv_writer_bytes(
+            reference,
+            ["chain_id"] + [f"dim_{j}" for j in range(rows.shape[1])],
+            ([i] + [repr(float(v)) for v in row] for i, row in enumerate(rows)),
+        )
         samples_to_csv(samples, path)
-        assert path.read_bytes() == reference.read_bytes(), samples.shape
+        assert path.read_bytes() == expected, samples.shape
+
+    # Traces: an uncond run (nan grad_norm) and a time-travel run (repeated
+    # t rows), with multi-digit counts in the int newly_flagged column.
+    T = 12
+    model = GaussianMixtureScore(
+        GaussianMixture.isotropic([1.0], [[0.0, 0.0]], [1.0]), linear_schedule(T)
+    )
+    for strategy, repeats in ((None, 0), (PosteriorPartStrategy.FICD, 2)):
+        config = SamplerConfig(
+            T=T, strategy=strategy, rho=0.1, time_travel_repeats=repeats, n_chains=4, seed=3
+        )
+        _, trace = sample(config, model, QuadraticEnergy(), Condition.target(np.zeros(2)))
+        trace = dataclasses.replace(trace, newly_flagged=7 * np.arange(trace.t.size))
+        assert np.isnan(trace.grad_norm).all() == (strategy is None)
+        assert (np.unique(trace.t).size < trace.t.size) == (repeats > 0)
+        expected = _csv_writer_bytes(
+            reference,
+            TRACE_COLUMNS,
+            (
+                [int(t), repr(float(g)), repr(float(w)), int(f)]
+                for t, g, w, f in zip(
+                    trace.t, trace.grad_norm, trace.step_wall_time_s, trace.newly_flagged
+                )
+            ),
+        )
+        trace_to_csv(trace, path)
+        assert path.read_bytes() == expected, strategy
+
+    # A string column, as timing.csv has.
+    rows = [("ficd", 0.125), ("exact", math.nan), ("mpgd", 1e-07)]
+    expected = _csv_writer_bytes(
+        reference, ["strategy", "median_run_s"], [(name, repr(v)) for name, v in rows]
+    )
+    write_csv(path, ["strategy", "median_run_s"], rows)
+    assert path.read_bytes() == expected

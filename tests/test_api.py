@@ -165,3 +165,26 @@ def test_only_posterior_pulls_back_through_the_score():
             ):
                 callers.append(path.relative_to(PACKAGE).as_posix())
     assert sorted(set(callers)) == ["posterior.py"]
+
+
+def test_private_names_stay_in_their_module_or_subpackage():
+    """A ``_`` name is imported only inside the top-level module or the
+    subpackage that defines it: the score models share ``_as_batch``, but
+    no module reaches into another top-level module's private names."""
+
+    def unit(dotted):  # ficd.cli -> ficd.cli; ficd.scoremodel.gmm -> ficd.scoremodel
+        return ".".join(dotted.split(".")[:2])
+
+    crossings = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = node.module or ""
+            if node.level:
+                source = ".".join([*parts[: -node.level], *filter(None, [node.module])])
+            for alias in node.names:
+                if alias.name.startswith("_") and unit(source) != unit(".".join(parts)):
+                    crossings.append(f"{'/'.join(parts)} imports {source}.{alias.name}")
+    assert crossings == []

@@ -13,7 +13,7 @@ import pytest
 import ficd.analytics
 import ficd.cli
 from call_counts import recorded_calls
-from cli_runs import sample_under_blas_threads, timing_free_sha256
+from cli_runs import read_csv_rows, sample_under_blas_threads, timing_free_sha256
 from ficd.analytics import TRACE_COLUMNS
 from ficd.cli import main
 from ficd.schedule import linear_schedule
@@ -47,8 +47,10 @@ def test_sample_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "strategy=ficd" in out and "T=30" in out and "N=64" in out
     assert "peak_rss=" in out
-    assert (tmp_path / "run" / "samples.csv").exists()
-    assert (tmp_path / "run" / "trace.csv").exists()
+    samples = read_csv_rows(tmp_path / "run" / "samples.csv")
+    assert samples[0] == ["chain_id", "dim_0", "dim_1"] and len(samples) == 65
+    trace = read_csv_rows(tmp_path / "run" / "trace.csv")
+    assert trace[0] == TRACE_COLUMNS and len(trace) == 31
 
 
 def test_sample_rerun_is_byte_identical_outside_timings(tmp_path):
@@ -404,11 +406,11 @@ def test_trace_writes_pair_and_comparison(tmp_path, capsys):
         str(tmp_path / "tr"),
     )
     assert code == 0
-    for name in ("trace_exact.csv", "trace_ficd.csv", "compare.csv"):
-        assert (tmp_path / "tr" / name).exists()
-    header, first = (tmp_path / "tr" / "compare.csv").read_text().splitlines()[:2]
-    assert header == "t,grad_norm_exact,grad_norm_ficd"
-    assert first.startswith("30,")
+    for name in ("trace_exact.csv", "trace_ficd.csv"):
+        assert read_csv_rows(tmp_path / "tr" / name)[0] == TRACE_COLUMNS
+    compare = read_csv_rows(tmp_path / "tr" / "compare.csv")
+    assert compare[0] == ["t", "grad_norm_exact", "grad_norm_ficd"]
+    assert compare[1][0] == "30" and len(compare) == 31
     out = capsys.readouterr().out
     assert "exact tercile means" in out and "ficd tercile means" in out
 
@@ -417,7 +419,7 @@ def test_trace_writes_pair_and_comparison(tmp_path, capsys):
 # time-travel repeats and a matched rho per strategy; the trace CSVs with
 # their step_wall_time_s column removed.
 PINNED_TRACE_RUN_SHA256 = {
-    "compare.csv": "c4dd4032f2a87564c91edc20b49847678debcc780a77c1646e8649c244ff04f6",
+    "compare.csv": "cf8610ea7e0040269d4c71fca7a0b2988ed7c37f190cabdf076b21a1b2096404",
     "trace_exact.csv": "d0189c6d0316a1a67f71021ac892574a74f1deb2571b04f2ca44983788ec28be",
     "trace_ficd.csv": "f901f75bdddf412093b90b4d8cfbf65ced664109a81e2a9a6ed741cfd970460c",
 }
@@ -493,9 +495,9 @@ def test_bench_counts_and_ratio(tmp_path, capsys):
         str(tmp_path / "b"),
     )
     assert code == 0
-    lines = (tmp_path / "b" / "timing.csv").read_text().splitlines()
-    assert lines[0] == "strategy,median_run_s,median_step_s"
-    rows = {line.split(",")[0]: line.split(",")[1:] for line in lines[1:]}
+    header, *lines = read_csv_rows(tmp_path / "b" / "timing.csv")
+    assert header == ["strategy", "median_run_s", "median_step_s"]
+    rows = {line[0]: line[1:] for line in lines}
     assert sorted(rows) == ["exact", "ficd"]
     for timings in rows.values():
         assert all(float(value) > 0.0 for value in timings)
@@ -652,9 +654,9 @@ def test_train_score_writes_model_and_loss_history(tmp_path, capsys):
     assert run(*train_args(tmp_path / "t", "--steps", "40")) == 0
     out = capsys.readouterr().out
     assert "final loss" in out and "score check" in out
-    lines = (tmp_path / "t" / "train_loss.csv").read_text().splitlines()
-    assert lines[0] == "step,loss"
-    assert len(lines) == 41
+    lines = read_csv_rows(tmp_path / "t" / "train_loss.csv")
+    assert lines[0] == ["step", "loss"]
+    assert len(lines) == 41 and [int(line[0]) for line in lines[1:]] == list(range(1, 41))
     assert (tmp_path / "t" / "model.npz").exists()
 
 

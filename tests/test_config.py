@@ -162,6 +162,22 @@ def test_matched_noise_var_rules():
         bad.matched_noise_var()
 
 
+def test_sampler_config_reads_matched_as_resolve_rho_does():
+    """Only a matched[:gain] spec asks for the matched noise variance, so a
+    spec that merely contains the word is named as a bad spec."""
+
+    def config(rho, lam):
+        overrides = [("sampler.rho", rho), ("sampler.lam", lam), ("schedule.T", "5")]
+        return ExperimentConfig.from_sources(PRESETS["gaussian-point"], overrides=overrides)
+
+    with pytest.raises(ConfigError, match="bad rho spec 'matchedish'"):
+        config("matchedish", "0.0").sampler_config()
+    with pytest.raises(ConfigError, match="sampler.lam > 0"):
+        config("matched", "0.0").sampler_config()
+    rho = config("matched:2", "1.0").sampler_config().rho
+    assert np.ndim(rho) == 1 and rho.size == 5 and np.all(rho > 0.0)
+
+
 # -- builders -----------------------------------------------------------
 
 
