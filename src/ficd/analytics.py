@@ -117,7 +117,7 @@ def tilted_gmm_oracle(gmm: GaussianMixture, c, lam: float) -> GaussianMixture:
         new_means[i] = new_covs[i] @ (prec @ gmm.means[i] + 2.0 * lam * c)
         evidence_cov = gmm.covariances[i] + eye / (2.0 * lam)
         evidence = GaussianMixture(weights=[1.0], means=c, covariances=evidence_cov)
-        log_evidence[i] = mixture_logpdf(evidence, gmm.means[i])
+        log_evidence[i : i + 1] = mixture_logpdf(evidence, gmm.means[i : i + 1])
     log_w = np.log(np.maximum(gmm.weights, 1e-300)) + log_evidence
     log_w -= log_w.max()
     w = np.exp(log_w)
@@ -184,21 +184,15 @@ class BoundReport:
 def bound_verification(
     model, schedule: NoiseSchedule, x_grid, t_set, tolerance: float = 0.0
 ) -> BoundReport:
-    """Checks spectral_radius(I(x_t)) against the information ceiling per (x, t)."""
+    """Checks spectral_radius(I(x_t)) against the information ceiling per
+    (x, t), with one ``fisher_information`` call on the whole grid per t."""
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=np.float64))
     t_set = [int(t) for t in t_set]
-    rows_t, radii, bounds = [], [], []
-    for t in t_set:
-        bound = cramer_rao_bound(schedule, t)
-        for x in x_grid:
-            info = fisher_information(model, x, t)
-            rows_t.append(t)
-            radii.append(info.spectral_radius)
-            bounds.append(bound)
-    radii = np.asarray(radii)
-    bounds = np.asarray(bounds)
+    n = len(x_grid)
+    bounds = np.repeat([cramer_rao_bound(schedule, t) for t in t_set], n)
+    radii = np.ravel([fisher_information(model, x_grid, t).spectral_radius for t in t_set])
     return BoundReport(
-        t=np.asarray(rows_t, dtype=np.int64),
+        t=np.repeat(np.array(t_set, dtype=np.int64), n),
         spectral_radius=radii,
         bound=bounds,
         ratio=radii / bounds,

@@ -143,6 +143,8 @@ def parse_vector(text: str, key: str) -> np.ndarray:
         raise ConfigError(f"bad vector for {key}: {text!r}") from None
     if not values:
         raise ConfigError(f"{key} must be set")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"every {key} value must be finite: {text!r}")
     return np.array(values, dtype=np.float64)
 
 

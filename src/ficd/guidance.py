@@ -49,6 +49,8 @@ class Condition:
             value = getattr(self, name)
             if value is not None:
                 arr = np.array(value, dtype=np.float64)
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"condition {name} must be finite")
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
 

@@ -48,10 +48,11 @@ class PosteriorPartStrategy(Enum):
 
 @dataclass(frozen=True)
 class FisherInfo:
-    """Pointwise score derivative with its most conservative scalar summary."""
+    """Pointwise score derivative with its most conservative scalar summary:
+    (d, d) and a float at a point, (N, d, d) and (N,) for rows."""
 
     matrix: np.ndarray
-    spectral_radius: float
+    spectral_radius: float | np.ndarray
 
 
 def tweedie_from_score(x: np.ndarray, score: np.ndarray, abar: float) -> np.ndarray:
@@ -71,27 +72,26 @@ def tweedie_from_score(x: np.ndarray, score: np.ndarray, abar: float) -> np.ndar
 def tweedie_posterior_mean(
     model: ScoreModel, schedule: NoiseSchedule, x: np.ndarray, t: int
 ) -> np.ndarray:
-    """E[x_0 | x_t] via the score: (x + (1 - alpha_bar_t) s(x, t)) / sqrt(alpha_bar_t)."""
+    """E[x_0 | x_t] at rows x (N, d) via the score:
+    (x + (1 - alpha_bar_t) s(x, t)) / sqrt(alpha_bar_t)."""
     check_step(schedule, t)
     x = np.asarray(x, dtype=np.float64)
     return tweedie_from_score(x, model.score(x, t), alpha_bar(schedule, t))
 
 
 def fisher_information(model: ScoreModel, x: np.ndarray, t: int) -> FisherInfo:
-    """The model's score Jacobian at one point plus its spectral radius.
+    """The model's score Jacobian plus its spectral radius, at a point (d,)
+    or at each of rows (N, d), as ``ScoreModel.jacobian`` takes them.
 
     The radius is the largest eigenvalue magnitude; signs are
     deliberately dropped since the derivative of a well-behaved score is
     negative-definite and the bound applies to magnitudes.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("fisher_information expects a single point of shape (d,)")
     J = model.jacobian(x, t)
     if not np.all(np.isfinite(J)):
         raise ValueError(f"non-finite score derivative at t={t}")
-    radius = float(np.max(np.abs(np.linalg.eigvals(J))))
-    return FisherInfo(matrix=J, spectral_radius=radius)
+    radius = np.max(np.abs(np.linalg.eigvals(J)), axis=-1)
+    return FisherInfo(matrix=J, spectral_radius=radius if radius.ndim else float(radius))
 
 
 def cramer_rao_bound(schedule: NoiseSchedule, t: int) -> float:

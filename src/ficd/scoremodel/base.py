@@ -19,9 +19,12 @@ class ScoreModel(ABC):
     derived from ``score_vjp``, so each model states its derivative once.
     Evaluation is deterministic for fixed (x, t) and instances are
     immutable once built, so one model may serve many sampling chains
-    concurrently. ``x`` may be a single point of shape (d,) or a batch
-    of shape (N, d); the result matches the input shape. ``t`` is a
-    step index in 1..T shared by the whole batch.
+    concurrently. ``score`` and ``score_vjp`` take float64 rows x of
+    shape (N, d), one row per chain, and ``score_vjp``'s v has x's
+    shape; any other shape, a single point (d,) included, is a
+    ValueError naming the expected one. Only the point-wise helpers,
+    ``jacobian`` and ``posterior.fisher_information``, also take a
+    point (d,). ``t`` is a step index in 1..T shared by all rows.
     """
 
     @property
@@ -31,10 +34,10 @@ class ScoreModel(ABC):
 
     @abstractmethod
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
-        """Score s(x, t) with the same leading shape as x."""
+        """Score s(x, t) of rows x (N, d), as rows (N, d)."""
 
     def jacobian(self, x: np.ndarray, t: int) -> np.ndarray:
-        """Derivative of the score w.r.t. x: (d, d), or (N, d, d) for a batch.
+        """Derivative of the score w.r.t. x: (d, d) at a point, (N, d, d) for rows.
 
         Row i is score_vjp(x, t, e_i), the pullback of the i-th unit
         vector. All rows come from one score_vjp call: each point is
@@ -46,32 +49,26 @@ class ScoreModel(ABC):
         return self.score_vjp(points, t, units).reshape(np.shape(x)[:-1] + (d, d))
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
-        """Transpose-Jacobian action J(x, t)^T v, shaped like x; the exact pullback."""
+        """Transpose-Jacobian action J(x, t)^T v of rows x and v (N, d); the exact pullback."""
         raise NotImplementedError(f"{type(self).__name__} has no score_vjp")
 
 
-def _as_batch(x: np.ndarray, d: int):
-    """x as float64 rows (N, d), and whether it was a single point (d,);
-    ValueError naming the expected shape for any other shape."""
+def _as_rows(x: np.ndarray, d: int) -> np.ndarray:
+    """x as float64 rows (N, d); ValueError naming that shape for any other."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape != (d,):
-            raise ValueError(f"point has dimension {x.shape}, expected ({d},)")
-        return x[None, :], True
     if x.ndim != 2 or x.shape[1] != d:
-        raise ValueError(f"batch has shape {x.shape}, expected (N, {d})")
-    return x, False
+        raise ValueError(f"x has shape {x.shape}, expected (N, {d})")
+    return x
 
 
-def _as_vjp_batches(x: np.ndarray, v: np.ndarray, d: int):
-    """x and v as float64 rows, and whether x was a single point; v is one
-    row for all of x's or one row for each, else a ValueError names the
-    expected shape."""
-    x, single = _as_batch(x, d)
-    v, _ = _as_batch(v, d)
-    if len(v) not in (1, len(x)):
-        raise ValueError(f"v has shape {v.shape}, expected ({len(x)}, {d}) or ({d},)")
-    return x, v, single
+def _as_vjp_rows(x: np.ndarray, v: np.ndarray, d: int):
+    """x and v as float64 rows of one shape (N, d); ValueError naming the
+    expected shape otherwise."""
+    x = _as_rows(x, d)
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != x.shape:
+        raise ValueError(f"v has shape {v.shape}, expected {x.shape}, the shape of x")
+    return x, v
 
 
 def eps_to_score(eps_pred: np.ndarray, schedule: NoiseSchedule, t: int) -> np.ndarray:
@@ -85,9 +82,10 @@ def eps_to_score(eps_pred: np.ndarray, schedule: NoiseSchedule, t: int) -> np.nd
 def finite_diff_jacobian(
     model: ScoreModel, x: np.ndarray, t: int, h: float | None = None
 ) -> np.ndarray:
-    """Central-difference Jacobian of the score at a single point.
+    """Central-difference Jacobian of the score at a single point (d,).
 
-    Column j is (s(x + h e_j, t) - s(x - h e_j, t)) / (2 h). The default
+    Column j is (s(x + h e_j, t) - s(x - h e_j, t)) / (2 h); all 2 d
+    bumped points go through one ``score`` call. The default
     step h = 1e-4 * (1 + max|x_i|) balances truncation against rounding
     at double precision. On a model that rounds its score to float32, as
     the learned model does, the same step reads about 1e-3 to 2e-3
@@ -102,14 +100,10 @@ def finite_diff_jacobian(
         h = 1e-4 * (1.0 + float(np.max(np.abs(x))))
     if h <= 0.0:
         raise ValueError("h must be positive")
-    J = np.empty((d, d), dtype=np.float64)
-    for j in range(d):
-        bumped = np.tile(x, (2, 1))
-        bumped[0, j] += h
-        bumped[1, j] -= h
-        s_plus = model.score(bumped[0], t)
-        s_minus = model.score(bumped[1], t)
-        if not (np.all(np.isfinite(s_plus)) and np.all(np.isfinite(s_minus))):
-            raise ValueError(f"non-finite score while probing coordinate {j} at t={t}")
-        J[:, j] = (s_plus - s_minus) / (2.0 * h)
-    return J
+    # Row j of the first half bumps coordinate j up, of the second half down.
+    steps = h * np.eye(d)
+    s = model.score(np.concatenate([x + steps, x - steps]), t)
+    bad = np.flatnonzero(~np.isfinite(s).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite score while probing coordinate {bad[0] % d} at t={t}")
+    return (s[:d] - s[d:]).T / (2.0 * h)

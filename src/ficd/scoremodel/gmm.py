@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ficd.schedule import NoiseSchedule, check_step
-from ficd.scoremodel.base import ScoreModel, _as_batch, _as_vjp_batches
+from ficd.scoremodel.base import ScoreModel, _as_rows, _as_vjp_rows
 
 __all__ = [
     "GaussianMixture",
@@ -61,6 +61,10 @@ class GaussianMixture:
             raise ValueError(
                 f"inconsistent mixture shapes: weights {w.shape}, means {m.shape}, covariances {c.shape}"
             )
+        fields = (("weights", w), ("means", m), ("covariances", c))
+        for name, arr in fields:
+            if not np.isfinite(arr).all():
+                raise ValueError(f"mixture {name} must be finite")
         if np.any(w < 0.0):
             raise ValueError("mixture weights must be non-negative")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
@@ -72,7 +76,7 @@ class GaussianMixture:
                 np.linalg.cholesky(c[i])
             except np.linalg.LinAlgError:
                 raise ValueError(f"covariance {i} is not positive-definite") from None
-        for name, arr in (("weights", w), ("means", m), ("covariances", c)):
+        for name, arr in fields:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -90,7 +94,7 @@ class GaussianMixture:
         means = np.atleast_2d(np.asarray(means, dtype=np.float64))
         variances = np.atleast_1d(np.asarray(variances, dtype=np.float64))
         K, d = means.shape
-        covs = np.stack([v * np.eye(d) for v in variances])
+        covs = np.stack([np.diag(np.full(d, v)) for v in variances])
         return cls(weights=np.asarray(weights, dtype=np.float64), means=means, covariances=covs)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -196,13 +200,10 @@ def _responsibilities(factored: _Factored, x: np.ndarray):
 
 
 def mixture_logpdf(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
-    """Log density of mix at a point (d,), as a float, or at each row of a
-    batch (N, d), as an (N,) array."""
-    x, single = _as_batch(x, mix.d)
+    """Log density of mix at each of rows x (N, d), as an (N,) array."""
     factored = _factor(mix.weights, mix.means, mix.covariances)
-    _, quad = _components(factored, x)
-    log_norm = _logsumexp(_log_joint(factored, quad))
-    return float(log_norm[0]) if single else log_norm
+    _, quad = _components(factored, _as_rows(x, mix.d))
+    return _logsumexp(_log_joint(factored, quad))
 
 
 class GaussianMixtureScore(ScoreModel):
@@ -239,10 +240,8 @@ class GaussianMixtureScore(ScoreModel):
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
         """Gradient of the step-t log density: sum_i r_i(x) g_i(x), g_i = -Sigma_i^{-1}(x - mu_i)."""
         factored = self._at(t)
-        x, single = _as_batch(x, self.dim)
-        r, g = _responsibilities(factored, x)
-        s = g[0] if len(g) == 1 else np.einsum("kn,knd->nd", r, g)
-        return s[0] if single else s
+        r, g = _responsibilities(factored, _as_rows(x, self.dim))
+        return g[0] if len(g) == 1 else np.einsum("kn,knd->nd", r, g)
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
         """J v without forming J, the step-t log density's second derivative.
@@ -253,9 +252,7 @@ class GaussianMixtureScore(ScoreModel):
         comes out as a nan row, silently.
         """
         factored = self._at(t)
-        x, v, single = _as_vjp_batches(x, v, self.dim)
-        if v.shape[0] == 1 and x.shape[0] > 1:
-            v = np.broadcast_to(v, x.shape)
+        x, v = _as_vjp_rows(x, v, self.dim)
         r, g = _responsibilities(factored, x)
         with np.errstate(invalid="ignore"):
             s = np.einsum("kn,knd->nd", r, g)
@@ -263,4 +260,4 @@ class GaussianMixtureScore(ScoreModel):
             out = -np.einsum("kn,knd->nd", r, v @ factored.inv_covs)
             out += np.einsum("kn,knd->nd", r * gv, g)
             out -= s * np.einsum("nd,nd->n", s, v)[:, None]
-        return out[0] if single else out
+        return out

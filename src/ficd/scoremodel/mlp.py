@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ficd.schedule import NoiseSchedule, check_step
-from ficd.scoremodel.base import ScoreModel, _as_batch, _as_vjp_batches, eps_to_score
+from ficd.scoremodel.base import ScoreModel, _as_rows, _as_vjp_rows, eps_to_score
 
 __all__ = [
     "NetSpec",
@@ -168,6 +168,11 @@ def _rows32(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _layer_sizes(spec: NetSpec, d: int) -> list[int]:
+    """Widths of the net's layers, input [x, E_t] first and output last."""
+    return [d + spec.time_embed_dim] + [spec.hidden_width] * spec.hidden_layers + [d]
+
+
 def _embedding_table(schedule: NoiseSchedule, dim: int) -> np.ndarray:
     """Embeddings of steps 1..T as float32 rows (T, dim), row t - 1 for step t."""
     t01 = np.arange(1, schedule.T + 1) / schedule.T
@@ -217,6 +222,14 @@ class LearnedScoreModel(ScoreModel):
         self._d = int(d)
         self.weights = [np.array(W, dtype=np.float32) for W in weights]
         self.biases = [np.array(b, dtype=np.float32) for b in biases]
+        sizes = _layer_sizes(spec, self._d)
+        for l, (W, b) in enumerate(zip(self.weights, self.biases)):
+            want = (sizes[l], sizes[l + 1])
+            if W.shape != want or b.shape != want[1:]:
+                raise ValueError(
+                    f"layer {l} has weights {W.shape} and bias {b.shape}, but a {spec} "
+                    f"at d = {self._d} needs {want} and {want[1:]}"
+                )
         self._embedding = _embedding_table(schedule, spec.time_embed_dim)
         W0, b0 = self.weights[0], self.biases[0]
         self._time_rows = self._embedding @ W0[self._d :] + b0
@@ -236,7 +249,7 @@ class LearnedScoreModel(ScoreModel):
         cls, spec: NetSpec, schedule: NoiseSchedule, d: int, rng: np.random.Generator
     ) -> "LearnedScoreModel":
         """He-style random initialization; the output layer starts small."""
-        sizes = [d + spec.time_embed_dim] + [spec.hidden_width] * spec.hidden_layers + [d]
+        sizes = _layer_sizes(spec, d)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             scale = math.sqrt(2.0 / fan_in)
@@ -253,19 +266,16 @@ class LearnedScoreModel(ScoreModel):
 
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
         check_step(self.schedule, t)
-        x, single = _as_batch(x, self._d)
-        eps, _ = _forward(*self._net(t), _rows32(x))
-        eps = eps.astype(np.float64)
-        return eps_to_score(eps[0] if single else eps, self.schedule, t)
+        eps, _ = _forward(*self._net(t), _rows32(_as_rows(x, self._d)))
+        return eps_to_score(eps.astype(np.float64), self.schedule, t)
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
         check_step(self.schedule, t)
-        x, v, single = _as_vjp_batches(x, v, self._d)
+        x, v = _as_vjp_rows(x, v, self._d)
         weights, biases = self._net(t)
         _, cache = _forward(weights, biases, _rows32(x), pullback=True)
         pulled = _backward_input(weights, cache, _rows32(v))
-        out = eps_to_score(pulled.astype(np.float64), self.schedule, t)
-        return out[0] if single else out
+        return eps_to_score(pulled.astype(np.float64), self.schedule, t)
 
 
 def train_dsm(

@@ -3,8 +3,8 @@
 The twin holds the model's float32 weights, biases and embedding table
 as float64 arrays, forms its own time rows E @ W0[d:] + b0 from them in
 float64, and runs the same ``_forward`` and ``_backward_input`` bodies
-on float64 input rows. So a check at float64 tolerances (batch against
-single row, pullback against central differences) tests the algebra of
+on float64 input rows. So a check at float64 tolerances (a batch against
+its one-row slices, pullback against central differences) tests the algebra of
 those bodies, and the float32 model is checked against the twin within a
 bound stated in float32 rounding units.
 """
@@ -33,17 +33,14 @@ class Float64Twin(ScoreModel):
 
     def _forward(self, x, t, pullback=False):
         check_step(self.schedule, t)
-        rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
         biases = [self.time_rows[t - 1], *self.hidden_biases]
-        return _forward(self.weights, biases, rows, pullback=pullback)
+        return _forward(self.weights, biases, np.asarray(x, dtype=np.float64), pullback=pullback)
 
     def score(self, x, t):
         eps, _ = self._forward(x, t)
-        return eps_to_score(eps[0] if np.ndim(x) == 1 else eps, self.schedule, t)
+        return eps_to_score(eps, self.schedule, t)
 
     def score_vjp(self, x, t, v):
         _, cache = self._forward(x, t, pullback=True)
-        v2d = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        pulled = _backward_input(self.weights, cache, v2d)
-        out = eps_to_score(pulled, self.schedule, t)
-        return out[0] if np.ndim(x) == 1 else out
+        pulled = _backward_input(self.weights, cache, np.asarray(v, dtype=np.float64))
+        return eps_to_score(pulled, self.schedule, t)

@@ -169,7 +169,7 @@ def test_only_posterior_pulls_back_through_the_score():
 
 def test_private_names_stay_in_their_module_or_subpackage():
     """A ``_`` name is imported only inside the top-level module or the
-    subpackage that defines it: the score models share ``_as_batch``, but
+    subpackage that defines it: the score models share ``_as_rows``, but
     no module reaches into another top-level module's private names."""
 
     def unit(dotted):  # ficd.cli -> ficd.cli; ficd.scoremodel.gmm -> ficd.scoremodel

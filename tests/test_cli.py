@@ -246,6 +246,19 @@ def test_sample_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "chain failure" in err
     assert re.search(r"the first at step t = (\d+);.*; flagged at t = \1: \d+", err), err
+    # A non-finite vector or matrix entry names its key. A nan target used to
+    # switch guidance off silently; the others failed late, as chain failures.
+    for preset, item in (
+        ("gaussian-point", "energy.target=nan,0"),
+        ("gaussian-point", "model.gmm.means=nan,0"),
+        ("gmm-tilt", "model.gmm.weights=nan,nan"),
+        ("linear-inverse", "energy.A=inf,0;0,1"),
+    ):
+        argv = ("sample", "--preset", preset, "--T", "20", "--set", item)
+        assert run(*argv, "--out", str(tmp_path / "nonfinite")) == 2, item
+        key = item.partition("=")[0]
+        message = f"configuration error: every {key} value must be finite"
+        assert message in capsys.readouterr().err, item
 
 
 @pytest.mark.parametrize(

@@ -81,6 +81,11 @@ def test_parse_vector_and_matrix():
         parse_matrix("1,0;0", "k")
     with pytest.raises(ConfigError, match="bad vector"):
         parse_vector("a,b", "k")
+    for text in ("nan,0", "1,inf", "-inf", "1e400"):
+        with pytest.raises(ConfigError, match="every k value must be finite"):
+            parse_vector(text, "k")
+    with pytest.raises(ConfigError, match="every k value must be finite"):
+        parse_matrix("1,0;0,nan", "k")
 
 
 # -- rho resolution -----------------------------------------------------

@@ -186,7 +186,7 @@ def test_conditional_gradient_exact_gaussian():
     sched = NoiseSchedule([0.5, 0.5])
     gmm = GaussianMixture.isotropic([1.0], [np.zeros(2)], [1.0])
     model = GaussianMixtureScore(gmm, sched)
-    x = np.array([2.0, -1.0])
+    x = np.array([[2.0, -1.0]])
     c = Condition.target([0.0, 0.0])
     x0_hat = 0.5 * x  # posterior mean shrinks by sqrt(alpha_bar)
     g = 2.0 * (x0_hat - c.y)
@@ -241,7 +241,7 @@ def test_conditional_gradient_linear_in_lambda():
     sched = linear_schedule(50)
     gmm = GaussianMixture.isotropic([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5])
     model = GaussianMixtureScore(gmm, sched)
-    x = np.array([0.7, -0.4])
+    x = np.array([[0.7, -0.4]])
     c = Condition.target([2.0, 2.0])
     for strategy in (EXACT, FICD, MPGD, UNIT):
         one = quadratic_term(strategy, model, sched, x, 20, c, lam=0.5)
@@ -278,7 +278,7 @@ def test_mpgd_to_ficd_norm_ratio():
     sched = linear_schedule(100)
     gmm = GaussianMixture.isotropic([1.0], [np.zeros(2)], [1.0])
     model = GaussianMixtureScore(gmm, sched)
-    x = np.array([1.0, 1.0])
+    x = np.array([[1.0, 1.0]])
     c = Condition.target([0.0, 0.0])
     for t in (2, 40, 90):
         ficd = quadratic_term(FICD, model, sched, x, t, c)
@@ -287,7 +287,7 @@ def test_mpgd_to_ficd_norm_ratio():
         abar_prev = float(sched.alpha_bars[t - 2]) if t > 1 else 1.0
         expected = 2.0 / (np.sqrt(abar_t) * np.sqrt(abar_prev))
         ratio = guidance_gradient_norm(ficd) / guidance_gradient_norm(mpgd)
-        assert ratio == pytest.approx(expected, rel=1e-12)
+        assert ratio == pytest.approx([expected], rel=1e-12)
 
 
 def test_ficd_norm_dominates_exact_on_gaussian():
@@ -296,7 +296,7 @@ def test_ficd_norm_dominates_exact_on_gaussian():
     sched = linear_schedule(100)
     gmm = GaussianMixture.isotropic([1.0], [np.zeros(2)], [1.0])
     model = GaussianMixtureScore(gmm, sched)
-    x = np.array([1.5, -0.5])
+    x = np.array([[1.5, -0.5]])
     c = Condition.target([0.0, 0.0])
     for t in (2, 10, 50, 99):
         ficd = guidance_gradient_norm(quadratic_term(FICD, model, sched, x, t, c))
@@ -381,6 +381,14 @@ def test_condition_validation():
         Condition(kind="measurement", A=np.eye(2), y=np.zeros(3))
     with pytest.raises(ValueError):
         Condition(kind="mystery", y=np.zeros(2))
+    # A non-finite target would switch guidance off silently (the distance
+    # energy's gradient zeroes every nan row), so it is named instead.
+    with pytest.raises(ValueError, match="condition y must be finite"):
+        Condition.target([np.nan, 0.0])
+    with pytest.raises(ValueError, match="condition A must be finite"):
+        Condition.measurement([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    with pytest.raises(ValueError, match="condition y must be finite"):
+        Condition.measurement(np.eye(2), [0.0, -np.inf])
     with pytest.raises(ValueError):
         QuadraticEnergy().grad(np.zeros(3), Condition.target([0.0, 0.0]))
     with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from ficd.scoremodel import (
     eps_to_score,
     finite_diff_jacobian,
     load_model,
+    mixture_logpdf,
     save_model,
     sinusoidal_time_embedding,
     train_dsm,
@@ -67,7 +68,8 @@ def test_forward_batch_matches_single():
     x = np.random.default_rng(1).normal(size=(5, 2))
     batch = twin.score(x, 40)
     for k in range(5):
-        np.testing.assert_allclose(batch[k], twin.score(x[k], 40), rtol=1e-12, atol=1e-14)
+        one_row = twin.score(x[k : k + 1], 40)
+        np.testing.assert_allclose(batch[k], one_row[0], rtol=1e-12, atol=1e-14)
 
 
 def test_jacobian_matches_central_differences():
@@ -83,21 +85,21 @@ def test_jacobian_matches_central_differences():
     for t in (0, -1, SCHED.T + 1):
         for call in (model.score, model.jacobian, lambda x, t: model.score_vjp(x, t, x)):
             with pytest.raises(IndexError):
-                call(x, t)
+                call(x[None], t)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     d=st.integers(min_value=1, max_value=4),
     t=st.integers(min_value=1, max_value=SCHED.T),
-    shape=st.sampled_from(["point", "batch", "broadcast v"]),
+    n=st.sampled_from([1, 4]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_vjp_is_transpose_jacobian_action(d, t, shape, seed):
+def test_vjp_is_transpose_jacobian_action(d, t, n, seed):
     model = Float64Twin(fresh_model(seed=seed, d=d))
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=d if shape == "point" else (4, d))
-    v = rng.normal(size=(4, d) if shape == "batch" else d)
+    x = rng.normal(size=(n, d))
+    v = rng.normal(size=(n, d))
     J = model.jacobian(x, t)
     expected = np.einsum("...ij,...i->...j", J, v)
     got = model.score_vjp(x, t, v)
@@ -105,8 +107,7 @@ def test_vjp_is_transpose_jacobian_action(d, t, shape, seed):
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
     # jacobian is built from score_vjp, so central differences are the
     # independent reference for the pullback itself.
-    xs, vs = np.broadcast_arrays(np.atleast_2d(x), np.atleast_2d(v))
-    for xi, vi, gi in zip(xs, vs, np.atleast_2d(got)):
+    for xi, vi, gi in zip(x, v, got):
         fd = finite_diff_jacobian(model, xi, t).T @ vi
         assert np.linalg.norm(gi - fd) / np.linalg.norm(fd) < 1e-5
 
@@ -136,7 +137,8 @@ def test_float32_model_stays_within_bound_of_its_twin(tmp_path):
         x, v = rng.normal(size=(16, d)), rng.normal(size=(16, d))
         want = twin.score(x, t)
         assert rel(model.score(x, t), want) < TWIN_BOUND_EPS32
-        assert rel(np.array([model.score(row, t) for row in x]), want) < TWIN_BOUND_EPS32
+        one_rows = np.concatenate([model.score(row[None], t) for row in x])
+        assert rel(one_rows, want) < TWIN_BOUND_EPS32
         assert rel(model.score_vjp(x, t, v), twin.score_vjp(x, t, v)) < TWIN_BOUND_EPS32
         assert rel(model.jacobian(x, t), twin.jacobian(x, t)) < TWIN_BOUND_EPS32
 
@@ -166,9 +168,9 @@ def test_float32_model_stays_within_bound_of_its_twin(tmp_path):
     x = np.random.default_rng(32).normal(size=(3, 2))
     for out in (
         trained.score(x, 50),
-        trained.score(x[0], 50),
         trained.score_vjp(x, 50, x),
         trained.jacobian(x, 50),
+        trained.jacobian(x[0], 50),
         samples,
     ):
         assert out.dtype == np.float64
@@ -263,6 +265,9 @@ def test_both_models_reject_bad_shapes_by_name():
         (np.zeros((4, 2)), np.zeros(3)),
         (np.zeros((4, 2)), np.zeros((3, 2))),
         (np.zeros(2), np.zeros((3, 2))),
+        # score_vjp takes v in x's shape only: no one-row or point v for all rows.
+        (np.zeros((4, 2)), np.zeros((1, 2))),
+        (np.zeros((4, 2)), np.zeros(2)),
     ]
     mixture = GaussianMixtureScore(GaussianMixture.isotropic([1.0], [np.zeros(2)], [1.0]), SCHED)
     for model in (fresh_model(), mixture):
@@ -270,9 +275,15 @@ def test_both_models_reject_bad_shapes_by_name():
             for call in (model.score, model.jacobian, lambda x, t: model.score_vjp(x, t, x)):
                 with pytest.raises(ValueError, match=r"expected \("):
                     call(x, 37)
+        # score and score_vjp take rows only; the point-wise jacobian takes a point too.
+        for call in (model.score, lambda x, t: model.score_vjp(x, t, x)):
+            with pytest.raises(ValueError, match=r"expected \(N, 2\)"):
+                call(np.zeros(2), 37)
         for x, v in bad_v:
             with pytest.raises(ValueError, match=r"expected \("):
                 model.score_vjp(x, 37, v)
+    with pytest.raises(ValueError, match=r"expected \(N, 2\)"):
+        mixture_logpdf(mixture.gmm, np.zeros(2))
 
 
 def test_sigmoid_edges_match_expit():
@@ -334,7 +345,7 @@ def test_nan_rows_stay_nan_rows():
         for out in (model.score(far, 37), model.score_vjp(far, 37, v)):
             assert np.all(np.isnan(out[2]))
             assert np.all(np.isfinite(out[[0, 1, 3]]))
-        assert np.all(np.isnan(model.score(far[2], 37)))
+        assert np.all(np.isnan(model.score(far[2:3], 37)))
         v[2, 1] = big
         out = model.score_vjp(x, 37, v)
         assert np.all(np.isnan(out[2]))
@@ -410,3 +421,26 @@ def test_save_load_round_trip(tmp_path):
         np.testing.assert_array_equal(Wa, Wb)
     x = np.random.default_rng(14).normal(size=(4, 3))
     np.testing.assert_array_equal(loaded.score(x, 20), model.score(x, 20))
+
+
+def test_weights_must_match_the_spec_and_dimension(tmp_path):
+    # A spec that misstates the width, or a d that misstates the input,
+    # names the layer at construction; a dump that records them wrong is
+    # refused on load instead of returning the wrong spec or failing in a
+    # matmul later.
+    model = fresh_model()  # SMALL: width 32, 2 hidden layers, embedding 16, d = 2
+    args = (model.weights, model.biases)
+    wide = NetSpec(hidden_width=64, hidden_layers=2, time_embed_dim=16)
+    with pytest.raises(ValueError, match=r"layer 0 has weights \(18, 32\)"):
+        LearnedScoreModel(wide, SCHED, 2, *args)
+    with pytest.raises(ValueError, match=r"layer 0 .* at d = 3 needs \(19, 32\)"):
+        LearnedScoreModel(SMALL, SCHED, 3, *args)
+    with pytest.raises(ValueError, match=r"layer 2 has weights \(32, 2\) and bias \(3,\)"):
+        LearnedScoreModel(SMALL, SCHED, 2, model.weights, [*model.biases[:2], np.zeros(3)])
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    np.savez(path, **{**arrays, "hidden_width": np.array(64)})
+    with pytest.raises(ValueError, match="layer 0 has weights"):
+        load_model(path)

@@ -73,8 +73,8 @@ def test_tweedie_with_zero_score_rescales():
 def test_tweedie_unit_gaussian_shrinks_by_sqrt_abar():
     sched = NoiseSchedule([0.5, 0.5])
     model = gaussian_model(1.0, sched)
-    out = tweedie_posterior_mean(model, sched, np.array([2.0, 0.0]), 2)
-    np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
+    out = tweedie_posterior_mean(model, sched, np.array([[2.0, 0.0]]), 2)
+    np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-12)
 
 
 def test_tweedie_identity_at_clean_data():
@@ -102,6 +102,15 @@ def test_fisher_information_unit_gaussian():
         info = fisher_information(model, np.array([1.2, -0.3]), t)
         np.testing.assert_allclose(info.matrix, -np.eye(2), rtol=1e-12)
         assert info.spectral_radius == pytest.approx(1.0, rel=1e-12)
+    # Rows give one matrix and one radius per row, each that of the point.
+    x = np.array([[1.2, -0.3], [0.0, 2.5], [-4.0, 1.0]])
+    rows = fisher_information(gaussian_model(0.7, sched), x, 30)
+    assert rows.matrix.shape == (3, 2, 2) and rows.spectral_radius.shape == (3,)
+    for k in range(3):
+        point = fisher_information(gaussian_model(0.7, sched), x[k], 30)
+        assert isinstance(point.spectral_radius, float)
+        np.testing.assert_allclose(rows.matrix[k], point.matrix, rtol=1e-14)
+        assert rows.spectral_radius[k] == pytest.approx(point.spectral_radius, rel=1e-14)
 
 
 def test_fisher_information_half_variance_closed_form():

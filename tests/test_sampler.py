@@ -153,8 +153,8 @@ def test_unconditional_step_matches_formula():
     model = unit_gaussian_model(T)
     sched = model.schedule
     rng = np.random.default_rng(0)
-    x = rng.standard_normal(2)
-    noise = rng.standard_normal(2)
+    x = rng.standard_normal((1, 2))
+    noise = rng.standard_normal((1, 2))
     t = 7
     beta = sched.betas[t - 1]
     expected = (1.0 + 0.5 * beta) * x + beta * (-x) + math.sqrt(beta) * noise
@@ -221,17 +221,15 @@ def test_exact_step_needs_a_score_vjp():
     discretization=st.sampled_from(list(Discretization)),
     t=st.sampled_from([1, 2, 7, 10]),
     n=st.integers(min_value=1, max_value=5),
-    single=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_step_writes_only_its_own_arrays(strategy, discretization, t, n, single, seed):
+def test_step_writes_only_its_own_arrays(strategy, discretization, t, n, seed):
     """step builds its result in arrays of its own: x, noise and the score
     it was given keep their bits, and the result shares memory with none
     of them; tweedie_from_score leaves x and the score as they were."""
     model = ScoreKeepingModel(bimodal_model(10))
     rng = np.random.default_rng(seed)
-    shape = (2,) if single else (n, 2)
-    x, noise = rng.standard_normal(shape), rng.standard_normal(shape)
+    x, noise = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
     x_was, noise_was = x.copy(), noise.copy()
     ddim = discretization is Discretization.DDIM
     sigma_t = ddim_sigma(model.schedule, t, 1.0) if ddim else 0.0
@@ -262,8 +260,8 @@ def test_ddim_step_matches_hand_formula():
     t = 6
     abar = sched.alpha_bars[t - 1]
     abar_prev = sched.alpha_bars[t - 2]
-    x = np.array([1.0, -2.0])
-    noise = np.array([0.5, 0.5])
+    x = np.array([[1.0, -2.0]])
+    noise = np.array([[0.5, 0.5]])
     sigma = 0.01
     s = -x
     eps = -math.sqrt(1.0 - abar) * s
@@ -288,10 +286,10 @@ def test_ddim_step_rejects_oversized_sigma():
 def test_ddim_step_final_step_returns_denoised_mean():
     model = unit_gaussian_model(8)
     sched = model.schedule
-    x = np.array([2.0, -1.0])
+    x = np.array([[2.0, -1.0]])
     abar = sched.alpha_bars[0]
     x0 = (x + (1.0 - abar) * (-x)) / math.sqrt(abar)
-    out, _ = step(None, model, None, x, 1, None, 0.0, 1.0, np.zeros(2), Discretization.DDIM)
+    out, _ = step(None, model, None, x, 1, None, 0.0, 1.0, np.zeros((1, 2)), Discretization.DDIM)
     assert np.allclose(out, x0, rtol=1e-14)
 
 
