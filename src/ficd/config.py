@@ -429,5 +429,10 @@ class ExperimentConfig:
             data = np.loadtxt(path, delimiter=",", ndmin=2)
             if data.size == 0:
                 raise ConfigError(f"training dataset is empty: {path}")
+            bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+            if bad.size:
+                raise ConfigError(
+                    f"train.data.path {path} holds a non-finite value (data row {bad[0] + 1})"
+                )
             return data
         raise ConfigError(f"unknown train.data.kind {kind!r} (normal, gmm, or file)")

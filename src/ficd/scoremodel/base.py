@@ -41,12 +41,16 @@ class ScoreModel(ABC):
 
         Row i is score_vjp(x, t, e_i), the pullback of the i-th unit
         vector. All rows come from one score_vjp call: each point is
-        repeated d times against the d unit vectors.
+        repeated d times against the d unit vectors. Any other shape of x
+        is a ValueError naming the shape passed.
         """
         d = self.dim
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[-1] != d:
+            raise ValueError(f"x has shape {x.shape}, expected ({d},) or (N, {d})")
         points = np.repeat(np.atleast_2d(x), d, axis=0)
         units = np.tile(np.eye(d), (len(points) // d, 1))
-        return self.score_vjp(points, t, units).reshape(np.shape(x)[:-1] + (d, d))
+        return self.score_vjp(points, t, units).reshape(x.shape[:-1] + (d, d))
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
         """Transpose-Jacobian action J(x, t)^T v of rows x and v (N, d); the exact pullback."""

@@ -21,8 +21,19 @@ each hidden layer's SiLU derivative s (1 + a (1 - s)), formed as
 s + h (1 - s) from the layer's output h and the sigmoid
 s = 1 / (1 + exp(-a)), which is taken from the SiLU's own denominator.
 So the backward passes evaluate no sigmoid, and the score and pullback
-forwards agree bit for bit. The score-only forward keeps nothing: holding the
-sigmoid there costs memory traffic on the sampler's hottest call.
+forwards agree bit for bit.
+
+The forward and backward bodies allocate no (N, width) array: they
+write into arrays their caller owns. A score forward writes into 2 of
+them, which it reuses layer after layer; a pullback forward into 2 per
+hidden layer, which become its cache, plus 1 for the sigmoid. The
+backward passes write their intermediates over that cache. A model keeps
+one such set per thread, sized to the largest block the thread has seen;
+``train_dsm`` keeps one for its run, beside flat weight, velocity and
+gradient buffers. A (N, width) float32 array at the benchmark's 256 rows
+and width is 256 KB, above glibc's default 128 KB mmap threshold, so in a
+process that has not raised that threshold each fresh one would be a
+fresh mapping with its page faults.
 
 The net has one precision, float32: its weights and biases, the
 embedding table and time rows, every activation and cache, the pullback,
@@ -45,6 +56,7 @@ bound to the host.
 from __future__ import annotations
 
 import math
+import threading
 import zipfile
 from dataclasses import dataclass
 
@@ -91,35 +103,41 @@ def sinusoidal_time_embedding(t01: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(args), np.cos(args)], axis=-1)
 
 
-def _forward(weights, biases, h: np.ndarray, pullback: bool = False):
+def _forward(weights, biases, h: np.ndarray, work, pullback: bool = False):
     """Run the net on input rows h; returns (eps_pred, cache).
 
     ``biases[0]`` is whatever the first layer adds to h @ weights[0]: a
     bias row, or the model's time rows, one per row of h or one for all.
-    The cache is None unless ``pullback``; then it holds the input of
-    every linear layer and the SiLU derivative of every hidden layer,
-    which is all ``_backward_input`` and ``_backward_weights`` read.
+    ``work`` holds the (N, width) arrays the hidden layers write into, in
+    h's dtype: 2 for a score forward, 2 per hidden layer plus 1 for a
+    pullback forward. The cache is None unless ``pullback``; then it holds
+    the input of every linear layer and the SiLU derivative of every
+    hidden layer, all but h in ``work``, which is all ``_backward_input``
+    and ``_backward_weights`` read. eps_pred is a new (N, d) array.
     """
     inputs, derivs = [h], []
-    for W, b in zip(weights[:-1], biases[:-1]):
-        a = h @ W
+    for l, (W, b) in enumerate(zip(weights[:-1], biases[:-1])):
+        # A score forward reuses its 2 arrays in every layer: the matmul
+        # reads h from e before the layer overwrites it.
+        a, e = work[2 * l : 2 * l + 2] if pullback else work[:2]
+        np.matmul(h, W, out=a)
         a += b
         # The SiLU a / (1 + exp(-a)), one IEEE operation per in-place step.
         # exp(-a) overflows to inf for a below about -88.7 in float32 (-709
         # in float64), where a / inf = -0 is the limit, so the overflow is
         # not an error.
-        e = np.negative(a)
+        np.negative(a, out=e)
         with np.errstate(over="ignore"):
             np.exp(e, out=e)
         e += 1.0
         # The sigmoid s = 1 / e shares the SiLU's denominator, so the score
         # and pullback forwards agree bit for bit. The derivative
-        # s (1 + a (1 - s)) is formed as s + h (1 - s) in a's buffer, once h
-        # holds the SiLU, so a pullback forward allocates only s beside the
-        # score forward's two arrays; a fourth array per layer made
-        # training slower.
+        # s (1 + a (1 - s)) is formed as s + h (1 - s) in a's array, once h
+        # holds the SiLU, so a layer caches 2 arrays and every layer shares
+        # the one array s; a third cached array per layer made training
+        # slower.
         if pullback:
-            s = np.reciprocal(e)
+            s = np.reciprocal(e, out=work[-1])
         h = np.divide(a, e, out=e)
         if pullback:
             deriv = np.subtract(1.0, s, out=a)
@@ -127,35 +145,66 @@ def _forward(weights, biases, h: np.ndarray, pullback: bool = False):
             deriv += s
             derivs.append(deriv)
             inputs.append(h)
-    eps = h @ weights[-1] + biases[-1]
+    eps = h @ weights[-1]
+    eps += biases[-1]
     return eps, ((inputs, derivs) if pullback else None)
 
 
 def _backward_input(weights, cache, grad_out: np.ndarray) -> np.ndarray:
-    """Pullback of grad_out through the net onto its input rows; leaves the cache intact."""
-    _, derivs = cache
-    g = grad_out @ weights[-1].T
-    for W, deriv in zip(reversed(weights[:-1]), reversed(derivs)):
-        g = (g * deriv) @ W.T
+    """Pullback of grad_out through the net onto its input rows, as a new (N, d) array.
+
+    The (N, width) intermediates overwrite the cache: the first the last
+    layer's input, each later one the SiLU derivative it has just used.
+    """
+    inputs, derivs = cache
+    g = np.matmul(grad_out, weights[-1].T, out=inputs[-1])
+    for l in range(len(derivs) - 1, -1, -1):
+        g *= derivs[l]
+        g = np.matmul(g, weights[l].T, out=derivs[l] if l else None)
     return g
 
 
-def _backward_weights(weights, cache, grad_out: np.ndarray):
-    """Gradients of <grad_out, eps_pred> with respect to every weight and bias."""
+def _backward_weights(weights, cache, grad_out: np.ndarray, grads_W, grads_b) -> None:
+    """Write the gradients of <grad_out, eps_pred> with respect to every
+    weight and bias into grads_W and grads_b.
+
+    The intermediates overwrite the cache as in ``_backward_input``, each
+    once the weight gradient that reads it is taken.
+    """
     inputs, derivs = cache
-    grads_W = [None] * len(weights)
-    grads_b = [None] * len(weights)
-    g = grad_out
-    grads_W[-1] = inputs[-1].T @ g
-    grads_b[-1] = g.sum(axis=0)
-    g = g @ weights[-1].T
-    for l in range(len(weights) - 2, -1, -1):
+    np.matmul(inputs[-1].T, grad_out, out=grads_W[-1])
+    np.sum(grad_out, axis=0, out=grads_b[-1])
+    g = np.matmul(grad_out, weights[-1].T, out=inputs[-1])
+    for l in range(len(derivs) - 1, -1, -1):
         g *= derivs[l]
-        grads_W[l] = inputs[l].T @ g
-        grads_b[l] = g.sum(axis=0)
-        if l > 0:
-            g = g @ weights[l].T
-    return grads_W, grads_b
+        np.matmul(inputs[l].T, g, out=grads_W[l])
+        np.sum(g, axis=0, out=grads_b[l])
+        if l:
+            g = np.matmul(g, weights[l].T, out=derivs[l])
+
+
+class _Workspace(threading.local):
+    """The (rows, width) float32 arrays a model's forwards write into, one set per thread.
+
+    Each thread makes its own set on its first call, so concurrent calls
+    share no array. The set grows to the largest row count and array
+    count the thread has asked for, and a call takes views of the first
+    rows of the arrays it needs.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.arrays: list[np.ndarray] = []
+
+    def take(self, rows: int, count: int) -> list[np.ndarray]:
+        keep = count
+        if self.arrays and rows > len(self.arrays[0]):
+            keep = max(count, len(self.arrays))
+            self.arrays = []  # freed before the larger set is made
+        capacity = len(self.arrays[0]) if self.arrays else rows
+        while len(self.arrays) < keep:
+            self.arrays.append(np.empty((capacity, self.width), dtype=np.float32))
+        return [arr[:rows] for arr in self.arrays[:count]]
 
 
 def _rows32(rows: np.ndarray) -> np.ndarray:
@@ -183,9 +232,11 @@ class LearnedScoreModel(ScoreModel):
     """Noise-prediction MLP with its schedule, exposed through the score interface.
 
     Immutable after construction (weight arrays, the embedding table and
-    the time rows are read-only); safe for concurrent evaluation.
-    ``trained`` records whether any optimizer steps ran, and
-    ``final_loss`` is the last minibatch objective.
+    the time rows are read-only); safe for concurrent evaluation, since
+    each thread runs the net in arrays of its own. ``trained`` records
+    whether any optimizer steps ran, and ``final_loss`` is the last
+    minibatch objective. A weight or bias that is not finite in float32
+    is a ValueError naming its layer.
 
     The weights and biases are stored as float32, whatever their source,
     so a float64 dump loads by rounding. ``score``, ``score_vjp`` and
@@ -199,10 +250,15 @@ class LearnedScoreModel(ScoreModel):
     embedding, no [x, E_t] input and no first bias add. Hidden layers
     form their SiLU as a / (1 + exp(-a)).
 
-    ``score`` runs the forward with no pullback cache. ``score_vjp`` runs
-    it with the cache (layer inputs and SiLU derivatives) and pulls back
+    ``score`` runs the forward with no pullback cache, in 2 (N, width)
+    float32 arrays. ``score_vjp`` runs it with the cache (layer inputs and
+    SiLU derivatives), in 2 arrays per hidden layer plus 1, and pulls back
     onto x through it without recomputing a sigmoid; ``jacobian`` is the
-    base class's, one ``score_vjp`` call for every output row.
+    base class's, one ``score_vjp`` call for every output row. Each
+    thread keeps its arrays between calls, sized to the most rows it has
+    passed: rows x width x 4 bytes x 2, or x (2 layers + 1) once it has
+    run ``score_vjp``. A smaller block runs in the first rows of them.
+    No returned array shares memory with them.
     """
 
     def __init__(
@@ -220,8 +276,10 @@ class LearnedScoreModel(ScoreModel):
         self.spec = spec
         self.schedule = schedule
         self._d = int(d)
-        self.weights = [np.array(W, dtype=np.float32) for W in weights]
-        self.biases = [np.array(b, dtype=np.float32) for b in biases]
+        # An entry beyond float32 range becomes inf here and is refused below.
+        with np.errstate(over="ignore"):
+            self.weights = [np.array(W, dtype=np.float32) for W in weights]
+            self.biases = [np.array(b, dtype=np.float32) for b in biases]
         sizes = _layer_sizes(spec, self._d)
         for l, (W, b) in enumerate(zip(self.weights, self.biases)):
             want = (sizes[l], sizes[l + 1])
@@ -230,6 +288,9 @@ class LearnedScoreModel(ScoreModel):
                     f"layer {l} has weights {W.shape} and bias {b.shape}, but a {spec} "
                     f"at d = {self._d} needs {want} and {want[1:]}"
                 )
+            for name, arr in (("weight", W), ("bias", b)):
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"layer {l} has a non-finite {name}")
         self._embedding = _embedding_table(schedule, spec.time_embed_dim)
         W0, b0 = self.weights[0], self.biases[0]
         self._time_rows = self._embedding @ W0[self._d :] + b0
@@ -237,6 +298,7 @@ class LearnedScoreModel(ScoreModel):
             arr.flags.writeable = False
         # The net as seen from x: W0[:d] in place of W0.
         self._x_weights = [W0[: self._d], *self.weights[1:]]
+        self._work = _Workspace(spec.hidden_width)
         self.trained = bool(trained)
         self.final_loss = None if final_loss is None else float(final_loss)
 
@@ -266,14 +328,16 @@ class LearnedScoreModel(ScoreModel):
 
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
         check_step(self.schedule, t)
-        eps, _ = _forward(*self._net(t), _rows32(_as_rows(x, self._d)))
+        x = _rows32(_as_rows(x, self._d))
+        eps, _ = _forward(*self._net(t), x, self._work.take(len(x), 2))
         return eps_to_score(eps.astype(np.float64), self.schedule, t)
 
     def score_vjp(self, x: np.ndarray, t: int, v: np.ndarray) -> np.ndarray:
         check_step(self.schedule, t)
         x, v = _as_vjp_rows(x, v, self._d)
         weights, biases = self._net(t)
-        _, cache = _forward(weights, biases, _rows32(x), pullback=True)
+        work = self._work.take(len(x), 2 * self.spec.hidden_layers + 1)
+        _, cache = _forward(weights, biases, _rows32(x), work, pullback=True)
         pulled = _backward_input(weights, cache, _rows32(v))
         return eps_to_score(pulled.astype(np.float64), self.schedule, t)
 
@@ -298,14 +362,20 @@ def train_dsm(
     the forward, the residual against the float32-cast noise, the backward
     and the update run in float32. The forward is the model's, with each
     batch's time rows E_t @ W0[d:] + b0 formed from the current weights;
-    W0's gradient is taken from [x_t, E_t]. Deterministic given the
+    W0's gradient is taken from [x_t, E_t]. Every weight and bias sits in
+    one flat float32 buffer, as does every velocity and every gradient,
+    with a view per layer, and each (batch, width) array of a step is
+    written into a buffer made once per run. Deterministic given the
     seed; ``steps = 0`` returns the untrained initialization. When a
     list is passed as ``loss_history`` the per-step minibatch losses are
-    appended to it.
+    appended to it. A non-finite entry of ``dataset`` is a ValueError.
     """
     dataset = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
     if dataset.size == 0:
         raise ValueError("dataset must be non-empty")
+    bad = np.flatnonzero(~np.isfinite(dataset).all(axis=1))
+    if bad.size:
+        raise ValueError(f"dataset must be finite, but row {bad[0]} is not")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     if batch_size < 1:
@@ -320,31 +390,40 @@ def train_dsm(
     if steps == 0:
         return model
 
-    # Momentum SGD in place, in the order v = m*v - lr*g, then w = w + v;
-    # that order fixes the bits of the trained weights. The in-place update
-    # keeps the views W0[:d] and W0[d:] current.
-    weights = [W.copy() for W in model.weights]
-    biases = [b.copy() for b in model.biases]
-    params = weights + biases
-    velocities = [np.zeros_like(p) for p in params]
+    # Momentum SGD in place over the flat buffers, in the order
+    # v = m*v - lr*g, then w = w + v; that order fixes the bits of the
+    # trained weights. The in-place update keeps every view current.
+    layers, initial = len(model.weights), model.weights + model.biases
+    shapes = [p.shape for p in initial]
+    size = sum(math.prod(shape) for shape in shapes)
+    params, velocity, grad = (np.zeros(size, dtype=np.float32) for _ in range(3))
+    param_views, grad_views = _views(params, shapes), _views(grad, shapes)
+    for view, p in zip(param_views, initial):
+        view[...] = p
+    weights, biases = param_views[:layers], param_views[layers:]
     x_weights, time_weights = [weights[0][:d], *weights[1:]], weights[0][d:]
+    # W0 acts on the row [x_t, E_t], so its gradient takes that whole row
+    # as the first layer's input; the forward reads its two halves.
+    first_input = np.empty((batch_size, d + net_spec.time_embed_dim), dtype=np.float32)
+    x_t, emb = first_input[:, :d], first_input[:, d:]
+    time_rows = np.empty((batch_size, net_spec.hidden_width), dtype=np.float32)
+    work = [np.empty_like(time_rows) for _ in range(2 * net_spec.hidden_layers + 1)]
+    eps32 = np.empty((batch_size, d), dtype=np.float32)
     loss = math.nan
     for step in range(steps):
         idx = rng.integers(0, n, size=batch_size)
         t = rng.integers(1, schedule.T + 1, size=batch_size)
         eps = rng.standard_normal((batch_size, d))
         abar = schedule.alpha_bars[t - 1][:, None]
-        x_t = (np.sqrt(abar) * dataset[idx] + np.sqrt(1.0 - abar) * eps).astype(np.float32)
-
-        emb = model._embedding[t - 1]
-        time_rows = emb @ time_weights
+        x_t[...] = np.sqrt(abar) * dataset[idx] + np.sqrt(1.0 - abar) * eps
+        emb[...] = model._embedding[t - 1]
+        np.matmul(emb, time_weights, out=time_rows)
         time_rows += biases[0]
-        pred, cache = _forward(x_weights, [time_rows, *biases[1:]], x_t, pullback=True)
-        # W0 acts on [x_t, E_t], so its gradient takes that whole row as the
-        # first layer's input.
-        inputs, _ = cache
-        inputs[0] = np.concatenate([x_t, emb], axis=1)
-        residual = pred - eps.astype(np.float32)
+        pred, (inputs, derivs) = _forward(
+            x_weights, [time_rows, *biases[1:]], x_t, work, pullback=True
+        )
+        eps32[...] = eps
+        residual = np.subtract(pred, eps32, out=pred)
         with np.errstate(over="ignore"):
             loss = float(np.mean(np.sum(residual**2, axis=1)))
         if not math.isfinite(loss):
@@ -353,15 +432,33 @@ def train_dsm(
             )
         if loss_history is not None:
             loss_history.append(loss)
-        grads_W, grads_b = _backward_weights(x_weights, cache, 2.0 * residual / batch_size)
-        for p, v, g in zip(params, velocities, grads_W + grads_b):
-            v *= momentum
-            g *= learning_rate
-            v -= g
-            p += v
+        residual *= 2.0
+        residual /= batch_size
+        inputs[0] = first_input
+        _backward_weights(
+            x_weights, (inputs, derivs), residual, grad_views[:layers], grad_views[layers:]
+        )
+        velocity *= momentum
+        grad *= learning_rate
+        velocity -= grad
+        params += velocity
+    if not np.isfinite(params).all():
+        raise TrainingDivergedError(
+            f"weights became non-finite at step {steps - 1} (lr={learning_rate}, batch={batch_size})"
+        )
     return LearnedScoreModel(
         net_spec, schedule, d, weights, biases, trained=True, final_loss=loss
     )
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the flat buffer, one of each shape."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
 
 
 def save_model(model: LearnedScoreModel, path) -> None:

@@ -3,10 +3,11 @@
 The twin holds the model's float32 weights, biases and embedding table
 as float64 arrays, forms its own time rows E @ W0[d:] + b0 from them in
 float64, and runs the same ``_forward`` and ``_backward_input`` bodies
-on float64 input rows. So a check at float64 tolerances (a batch against
-its one-row slices, pullback against central differences) tests the algebra of
-those bodies, and the float32 model is checked against the twin within a
-bound stated in float32 rounding units.
+on float64 input rows, in float64 work arrays of its own. So a check at
+float64 tolerances (a batch against its one-row slices, pullback against
+central differences) tests the algebra of those bodies, and the float32
+model is checked against the twin within a bound stated in float32
+rounding units.
 """
 
 import numpy as np
@@ -33,8 +34,11 @@ class Float64Twin(ScoreModel):
 
     def _forward(self, x, t, pullback=False):
         check_step(self.schedule, t)
+        x = np.asarray(x, dtype=np.float64)
         biases = [self.time_rows[t - 1], *self.hidden_biases]
-        return _forward(self.weights, biases, np.asarray(x, dtype=np.float64), pullback=pullback)
+        count = 2 * self.model.spec.hidden_layers + 1 if pullback else 2
+        work = [np.empty((len(x), self.model.spec.hidden_width)) for _ in range(count)]
+        return _forward(self.weights, biases, x, work, pullback=pullback)
 
     def score(self, x, t):
         eps, _ = self._forward(x, t)

@@ -631,12 +631,24 @@ def test_model_file_that_is_not_a_dump_is_a_config_error(tmp_path, capsys):
     with np.load(old_format) as data:
         arrays = {key: data[key] for key in data.files if key != "betas"}
     np.savez(old_format, schedule_text=np.array("T = 20\n"), **arrays)
-    for path in (text, bare_array, no_weights, old_format):
+    # One nan weight used to load, and every chain then failed at the first step (exit 3).
+    nan_weight = tmp_path / "nan_weight.npz"
+    make_model_file(nan_weight)
+    with np.load(nan_weight) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["W_1"][0, 0] = np.nan
+    np.savez(nan_weight, **arrays)
+    for path in (text, bare_array, no_weights, old_format, nan_weight):
         argv = ("sample", "--preset", "bench-mlp", "--T", "20", "--set", f"model.path={path}")
         assert run(*argv, "--out", str(tmp_path / "out")) == 2, path
         err = capsys.readouterr().err
         assert f"model.path {path} is not a ficd model dump" in err, path
         assert "re-run train-score" in err, path
+    argv = ("sample", "--preset", "bench-mlp", "--set", f"model.path={nan_weight}")
+    argv += ("--set", "schedule.T=20", "--set", "sampler.n_chains=8")
+    assert run(*argv, "--out", str(tmp_path / "nan")) == 2
+    err = capsys.readouterr().err
+    assert f"{nan_weight} is not a ficd model dump (layer 1 has a non-finite weight)" in err
 
 
 # -- train-score --------------------------------------------------------
@@ -723,6 +735,16 @@ def test_train_score_missing_dataset_names_path(tmp_path, capsys):
     )
     assert code == 2
     assert "data.csv" in capsys.readouterr().err
+
+
+def test_train_score_non_finite_dataset_is_a_config_error(tmp_path, capsys):
+    # A nan row used to reach training, which failed at step 0 (exit 3).
+    data = tmp_path / "data.csv"
+    data.write_text("0.5,1.0\nnan,0.0\n1.5,-1.0\n")
+    argv = ("--set", "train.data.kind=file", "--set", f"train.data.path={data}")
+    assert run(*train_args(tmp_path / "tn", *argv)) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: train.data.path {data} holds a non-finite value" in err
 
 
 def test_train_score_rerun_reproduces_loss_history(tmp_path):

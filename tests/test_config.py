@@ -331,6 +331,15 @@ def test_training_dataset_kinds(tmp_path):
     with pytest.raises(ConfigError, match="no.csv"):
         missing.training_dataset(rng)
 
+    for value in ("nan", "inf", "-inf"):
+        bad = tmp_path / f"{value}.csv"
+        bad.write_text(f"0,1\n2,3\n4,{value}\n")
+        bad_cfg = ExperimentConfig.from_sources(
+            overrides=[("train.data.kind", "file"), ("train.data.path", str(bad))]
+        )
+        with pytest.raises(ConfigError, match=f"train.data.path .*{value}.csv .*data row 3"):
+            bad_cfg.training_dataset(rng)
+
 
 def test_net_spec_validation_wrapped():
     bad = ExperimentConfig.from_sources(overrides=[("train.net.embed", "7")])

@@ -1,6 +1,10 @@
 """Learned noise-prediction net: derivatives, training, and persistence."""
 
 import hashlib
+import re
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +180,36 @@ def test_float32_model_stays_within_bound_of_its_twin(tmp_path):
         assert out.dtype == np.float64
 
 
+def test_non_finite_weights_name_their_layer(tmp_path):
+    model = fresh_model()
+    for l in range(SMALL.hidden_layers + 1):
+        for bad in (np.nan, np.inf, -np.inf, 1e39):  # 1e39 rounds to inf in float32
+            weights = [np.array(W, dtype=np.float64) for W in model.weights]
+            weights[l][0, -1] = bad
+            with pytest.raises(ValueError, match=f"^layer {l} has a non-finite weight$"):
+                LearnedScoreModel(SMALL, SCHED, 2, weights, model.biases)
+            biases = [np.array(b, dtype=np.float64) for b in model.biases]
+            biases[l][-1] = bad
+            with pytest.raises(ValueError, match=f"^layer {l} has a non-finite bias$"):
+                LearnedScoreModel(SMALL, SCHED, 2, model.weights, biases)
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["b_2"][0] = np.nan
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="layer 2 has a non-finite bias"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_training_rejects_a_non_finite_dataset(bad):
+    data = np.random.default_rng(16).standard_normal((64, 2))
+    data[5, 1] = bad
+    with pytest.raises(ValueError, match="^dataset must be finite, but row 5 is not$"):
+        train_dsm(data, SMALL, SCHED, steps=3)
+
+
 def test_training_is_deterministic_given_seed():
     data = np.random.default_rng(8).standard_normal((256, 2))
     a = train_dsm(data, SMALL, SCHED, steps=50, seed=42)
@@ -222,15 +256,23 @@ def test_score_outputs_are_pinned():
     )
 
 
+def work_arrays(rows, width, count, dtype=np.float32):
+    return [np.empty((rows, width), dtype=dtype) for _ in range(count)]
+
+
 def test_score_forward_keeps_no_pullback_cache():
     model = fresh_model()
     x = np.random.default_rng(22).normal(size=(3, 2)).astype(np.float32)
-    eps, cache = _forward(*model._net(37), x)
+    eps, cache = _forward(*model._net(37), x, work_arrays(3, SMALL.hidden_width, 2))
     assert cache is None
-    eps_pb, (inputs, derivs) = _forward(*model._net(37), x, pullback=True)
+    work = work_arrays(3, SMALL.hidden_width, 2 * SMALL.hidden_layers + 1)
+    eps_pb, (inputs, derivs) = _forward(*model._net(37), x, work, pullback=True)
     np.testing.assert_array_equal(eps, eps_pb)
     assert len(inputs) == SMALL.hidden_layers + 1 and len(derivs) == SMALL.hidden_layers
     assert inputs[0] is x
+    # The cache is the work arrays: each layer's SiLU derivative, then its output.
+    cached = [arr for pair in zip(derivs, inputs[1:]) for arr in pair]
+    assert all(c is w for c, w in zip(cached, work[:-1]))
 
 
 @pytest.mark.parametrize("T", [100, 1000])
@@ -270,11 +312,20 @@ def test_both_models_reject_bad_shapes_by_name():
         (np.zeros((4, 2)), np.zeros(2)),
     ]
     mixture = GaussianMixtureScore(GaussianMixture.isotropic([1.0], [np.zeros(2)], [1.0]), SCHED)
+
+    def message(text):
+        return "^" + re.escape(text) + "$"
+
     for model in (fresh_model(), mixture):
         for x in bad_x:
-            for call in (model.score, model.jacobian, lambda x, t: model.score_vjp(x, t, x)):
-                with pytest.raises(ValueError, match=r"expected \("):
+            rows_only = message(f"x has shape {x.shape}, expected (N, 2)")
+            for call in (model.score, lambda x, t: model.score_vjp(x, t, x)):
+                with pytest.raises(ValueError, match=rows_only):
                     call(x, 37)
+            # jacobian names the shape passed, not that of its repeated rows.
+            point_or_rows = message(f"x has shape {x.shape}, expected (2,) or (N, 2)")
+            with pytest.raises(ValueError, match=point_or_rows):
+                model.jacobian(x, 37)
         # score and score_vjp take rows only; the point-wise jacobian takes a point too.
         for call in (model.score, lambda x, t: model.score_vjp(x, t, x)):
             with pytest.raises(ValueError, match=r"expected \(N, 2\)"):
@@ -293,7 +344,8 @@ def test_sigmoid_edges_match_expit():
     # warning would fail the test, since RuntimeWarning is an error here.
     a = np.concatenate([np.linspace(-1e3, 1e3, 400_001), [-745.5, -709.8, -5e-324, 0.0]])
     weights, biases = [np.ones((1, 1))] * 2, [np.zeros(1)] * 2
-    eps, (_, (deriv,)) = _forward(weights, biases, a[:, None], pullback=True)
+    work = work_arrays(len(a), 1, 3, np.float64)
+    eps, (_, (deriv,)) = _forward(weights, biases, a[:, None], work, pullback=True)
     silu, deriv = eps[:, 0], deriv[:, 0]
     nonzero = a != 0.0
     s = silu[nonzero] / a[nonzero]
@@ -312,7 +364,8 @@ def test_sigmoid_edges_match_expit():
     ).astype(np.float32)
     a32 = np.concatenate([a32, np.float32([-1.4e-45, 0.0, 1.4e-45, 3.4e38, -3.4e38])])
     weights32, biases32 = [np.ones((1, 1), np.float32)] * 2, [np.zeros(1, np.float32)] * 2
-    out32, (_, (deriv32,)) = _forward(weights32, biases32, a32[:, None], pullback=True)
+    work32 = work_arrays(len(a32), 1, 3)
+    out32, (_, (deriv32,)) = _forward(weights32, biases32, a32[:, None], work32, pullback=True)
     silu32, deriv32 = out32[:, 0].astype(np.float64), deriv32[:, 0]
     assert out32.dtype == np.float32 and deriv32.dtype == np.float32
     a64 = a32.astype(np.float64)
@@ -378,6 +431,10 @@ def test_training_reduces_loss_and_diverges_loudly():
     assert done.trained and done.final_loss < start.final_loss
     with pytest.raises(TrainingDivergedError):
         train_dsm(data, SMALL, SCHED, steps=400, learning_rate=1e3, seed=0)
+    # The last update overflows after the last loss was taken: no loss sees it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError, match="weights became non-finite at step 0"):
+            train_dsm(10.0 * data, SMALL, SCHED, steps=1, learning_rate=3e38, seed=0)
 
 
 def test_point_mass_dataset_recovers_noise_only_score():
@@ -444,3 +501,114 @@ def test_weights_must_match_the_spec_and_dimension(tmp_path):
     np.savez(path, **{**arrays, "hidden_width": np.array(64)})
     with pytest.raises(ValueError, match="layer 0 has weights"):
         load_model(path)
+
+
+# The benchmark's net shape: one (256, width) float32 array is 256 KB.
+WIDE = NetSpec(hidden_width=256, hidden_layers=3, time_embed_dim=32)
+
+
+def test_warm_calls_and_training_steps_allocate_no_width_array():
+    rows = 256
+    one_array = rows * WIDE.hidden_width * np.dtype(np.float32).itemsize
+    model = fresh_model(spec=WIDE)
+    rng = np.random.default_rng(24)
+    x, v = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 2))
+    peaks = []
+
+    def mark():
+        current, peak = tracemalloc.get_traced_memory()
+        if mark.start is not None:
+            peaks.append(peak - mark.start)
+        tracemalloc.reset_peak()
+        mark.start = current
+
+    class PerStep(list):
+        """A loss history that marks each step's allocation peak as it is appended."""
+
+        def append(self, loss):
+            super().append(loss)
+            mark()
+
+    tracemalloc.start()
+    try:
+        for call in (lambda: model.score(x, 37), lambda: model.score_vjp(x, 37, v)):
+            call()  # sizes this thread's arrays
+            mark.start = None
+            mark()
+            call()
+            mark()
+        # The run's buffers are made before the first loss is appended.
+        # Each window after it runs one step's backward and update, then
+        # the next step's draws and forward.
+        mark.start = None
+        data = rng.standard_normal((512, 2))
+        train_dsm(data, WIDE, SCHED, steps=6, batch_size=rows, loss_history=PerStep())
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2 + 5
+    assert max(peaks) < one_array, peaks
+
+
+def test_results_do_not_share_the_workspace():
+    model = fresh_model()
+    rng = np.random.default_rng(25)
+    x, v = rng.normal(size=(40, 2)), rng.normal(size=(40, 2))
+    score, pulled = model.score(x, 37), model.score_vjp(x, 37, v)
+    kept = score.copy(), pulled.copy()
+    model.score(-x, 60)
+    model.score_vjp(-x, 60, -v)
+    np.testing.assert_array_equal(score, kept[0])
+    np.testing.assert_array_equal(pulled, kept[1])
+    for arr in model._work.arrays:
+        assert not np.shares_memory(arr, score) and not np.shares_memory(arr, pulled)
+
+
+def test_a_smaller_block_has_the_bits_of_a_fresh_model():
+    model = fresh_model()
+    rng = np.random.default_rng(26)
+    big = rng.normal(size=(300, 2))
+    model.score_vjp(big, 37, big)  # every array now holds 300 rows
+    fresh = fresh_model()
+    x, v = rng.normal(size=(37, 2)), rng.normal(size=(37, 2))
+    np.testing.assert_array_equal(model.score(x, 37), fresh_model().score(x, 37))
+    np.testing.assert_array_equal(model.score_vjp(x, 37, v), fresh.score_vjp(x, 37, v))
+    np.testing.assert_array_equal(model.jacobian(x[:5], 37), fresh_model().jacobian(x[:5], 37))
+    assert all(len(arr) == 300 for arr in model._work.arrays)
+
+
+def test_threads_scoring_different_row_counts_match_serial_calls():
+    model = fresh_model()
+    rng = np.random.default_rng(27)
+    counts = (3, 64, 300, 513)  # more threads than this host's cores
+    inputs = {n: (rng.normal(size=(n, 2)), rng.normal(size=(n, 2))) for n in counts}
+    serial = {n: (model.score(x, 37), model.score_vjp(x, 37, v)) for n, (x, v) in inputs.items()}
+    start = threading.Barrier(len(counts))
+    results = {n: [] for n in counts}
+    errors = []
+
+    def work(n):
+        x, v = inputs[n]
+        try:
+            start.wait(timeout=10)
+            for _ in range(25):
+                results[n].append((model.score(x, 37), model.score_vjp(x, 37, v)))
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in counts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    for n in counts:
+        assert len(results[n]) == 25
+        for score, pulled in results[n]:
+            np.testing.assert_array_equal(score, serial[n][0])
+            np.testing.assert_array_equal(pulled, serial[n][1])
