@@ -18,29 +18,14 @@ import warnings
 
 import numpy as np
 
-from ficd.analytics import (
-    benchmark_steps,
-    bound_verification,
-    deviation_bound_check,
-    phase_profile,
-    samples_to_csv,
-    trace_to_csv,
-    write_csv,
-)
+from ficd.analytics import benchmark_steps, phase_profile, samples_to_csv, trace_to_csv, write_csv
 from ficd.config import ConfigError, ExperimentConfig, parse_config_text
-from ficd.guidance import Condition, DistanceEnergy
-from ficd.posterior import PosteriorPartStrategy, strategy_name, tweedie_posterior_mean
+from ficd.posterior import PosteriorPartStrategy, strategy_name
 from ficd.presets import PRESETS
 from ficd.sampler import ChainFailureError, RunTrace, SamplerConfig, sample
-from ficd.schedule import NoiseSchedule, alpha_bar
-from ficd.scoremodel import (
-    GaussianMixture,
-    GaussianMixtureScore,
-    TrainingDivergedError,
-    finite_diff_jacobian,
-    save_model,
-    train_dsm,
-)
+from ficd.schedule import NoiseSchedule
+from ficd.scoremodel import TrainingDivergedError, save_model, train_dsm
+from ficd.verify import SUITES
 
 __all__ = ["main"]
 
@@ -160,117 +145,15 @@ def cmd_sample(config: ExperimentConfig) -> int:
 # -- verify -------------------------------------------------------------
 
 
-def _unit_gaussian_model(schedule: NoiseSchedule, variance: float = 1.0) -> GaussianMixtureScore:
-    gmm = GaussianMixture.isotropic([1.0], [[0.0, 0.0]], [variance])
-    return GaussianMixtureScore(gmm, schedule)
-
-
-def _t_grid(T: int, n: int) -> list[int]:
-    return sorted({int(t) for t in np.linspace(1, T, num=min(n, T))})
-
-
-def suite_tweedie(schedule: NoiseSchedule) -> tuple[bool, list[str]]:
-    """Denoised mean against the conjugate-Gaussian posterior mean."""
-    rng = np.random.default_rng(0)
-    lines = []
-    worst = 0.0
-    for variance in (0.25, 0.5, 1.0, 2.0, 4.0):
-        model = _unit_gaussian_model(schedule, variance)
-        for t in _t_grid(schedule.T, 5):
-            abar = alpha_bar(schedule, t)
-            x = rng.standard_normal((100, 2)) * 2.0
-            got = tweedie_posterior_mean(model, schedule, x, t)
-            denom = abar * variance + 1.0 - abar
-            expected = variance * np.sqrt(abar) * x / denom
-            worst = max(worst, float(np.max(np.abs(got - expected))))
-    passed = worst < 1e-9
-    lines.append(f"max |denoised mean - conjugate oracle| = {worst:.3e} (tolerance 1e-09)")
-    lines.append("PASS" if passed else "FAIL")
-    return passed, lines
-
-
-def suite_jacobian_fd(schedule: NoiseSchedule) -> tuple[bool, list[str]]:
-    """Analytic mixture score Jacobian against central differences."""
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(4):
-        K = int(rng.integers(1, 4))
-        weights = rng.random(K) + 0.2
-        means = rng.uniform(-2.0, 2.0, size=(K, 2))
-        variances = rng.uniform(0.3, 1.5, size=K)
-        model = GaussianMixtureScore(
-            GaussianMixture.isotropic(weights / weights.sum(), means, variances), schedule
-        )
-        for t in _t_grid(schedule.T, 3):
-            for _ in range(6):
-                x = rng.uniform(-3.0, 3.0, size=2)
-                J = model.jacobian(x, t)
-                J_fd = finite_diff_jacobian(model, x, t)
-                rel = np.linalg.norm(J - J_fd) / max(np.linalg.norm(J_fd), 1e-30)
-                worst = max(worst, float(rel))
-    passed = worst < 1e-5
-    lines = [
-        f"max relative Frobenius gap analytic vs central difference = {worst:.3e} "
-        "(tolerance 1e-05)",
-        "PASS" if passed else "FAIL",
-    ]
-    return passed, lines
-
-
-def suite_fisher_bound(schedule: NoiseSchedule) -> tuple[bool, list[str]]:
-    """Information ceiling: exact for one Gaussian, measured for a mixture."""
-    rng = np.random.default_rng(2)
-    t_set = _t_grid(schedule.T, 6)
-    single = bound_verification(
-        _unit_gaussian_model(schedule), schedule, rng.standard_normal((50, 2)) * 2.0, t_set,
-        tolerance=1e-12,
-    )
-    lines = [
-        f"single Gaussian: max radius/bound ratio = {float(single.ratio.max()):.6f}, "
-        f"pass rate {single.pass_rate:.3f}",
-        "PASS" if single.all_pass else "FAIL",
-    ]
-    bimodal = GaussianMixtureScore(
-        GaussianMixture.isotropic([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]], [0.25, 0.25]),
-        schedule,
-    )
-    measured = bound_verification(
-        bimodal, schedule, rng.uniform(-3.0, 3.0, size=(50, 2)), t_set
-    )
-    lines.append(
-        "bimodal (measured only, never failing): "
-        f"pass rate {measured.pass_rate:.3f}, max ratio {float(measured.ratio.max()):.3f}"
-    )
-    return single.all_pass, lines
-
-
-def suite_deviation_bound(schedule: NoiseSchedule) -> tuple[bool, list[str]]:
-    """Lock-step gap between the two scalar strategies vs the sharp ceiling
-    rho (2 / sqrt(abar_t) - sqrt(abar_{t-1})) for a unit-norm energy gradient."""
-    model = _unit_gaussian_model(schedule)
-    report = deviation_bound_check(
-        model, DistanceEnergy(), Condition.target([3.0, 3.0]), rho=0.5, n_chains=64, seed=3
-    )
-    return report.all_pass, report.to_text().splitlines()
-
-
-_SUITE_FNS = {
-    "tweedie": suite_tweedie,
-    "jacobian-fd": suite_jacobian_fd,
-    "fisher-bound": suite_fisher_bound,
-    "deviation-bound": suite_deviation_bound,
-}
-
-
 def cmd_verify(config: ExperimentConfig) -> int:
     schedule = config.schedule()
     report_lines = []
     all_passed = True
-    for name, suite in _SUITE_FNS.items():
-        passed, lines = suite(schedule)
-        all_passed = all_passed and passed
-        report_lines.append(f"[{name}] {'PASS' if passed else 'FAIL'}")
-        report_lines.extend(f"  {line}" for line in lines)
+    for name, suite in SUITES.items():
+        result = suite(schedule)
+        all_passed = all_passed and result.passed
+        report_lines.append(f"[{name}] {'PASS' if result.passed else 'FAIL'}")
+        report_lines.extend(f"  {line}" for line in result.lines)
     report_lines.append("ALL PASS" if all_passed else "FAILURES PRESENT")
     text = "\n".join(report_lines) + "\n"
     with open(_out_path(config, "report.txt"), "w") as fh:
@@ -424,10 +307,11 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     preset = PRESETS[args.preset] if args.preset else None
     pairs = []
     if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file does not exist: {args.config}")
-        with open(args.config) as fh:
-            pairs = _read_lines(fh.read(), args.config)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                pairs = _read_lines(fh.read(), args.config)
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read config file {args.config}: {err}") from None
     # The file's pairs come first, so --set and the flags still override them.
     return ExperimentConfig.from_sources(preset, overrides=pairs + _overrides_from(args))
 

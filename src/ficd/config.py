@@ -426,7 +426,10 @@ class ExperimentConfig:
                 raise ConfigError("train.data.kind = file needs train.data.path")
             if not os.path.exists(path):
                 raise ConfigError(f"training dataset does not exist: {path}")
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
+            try:
+                data = np.loadtxt(path, delimiter=",", ndmin=2)
+            except (OSError, ValueError) as err:
+                raise ConfigError(f"train.data.path {path} is not a numeric CSV: {err}") from None
             if data.size == 0:
                 raise ConfigError(f"training dataset is empty: {path}")
             bad = np.flatnonzero(~np.isfinite(data).all(axis=1))

@@ -1,12 +1,14 @@
 """Acceptance gate: one test per shipped claim, at the stated tolerance.
 
 Each test prints a single pass/fail line with its measured numbers, then
-asserts. Criterion 4 checks the sharp one-step ceiling on the gap
-between the two scalar guidance strategies,
-rho * kappa * (2 / sqrt(alpha_bar_t) - sqrt(alpha_bar_prev)); a unit-norm
-energy gradient meets it exactly, so it is checked at or below the
-ceiling with a 1e-12 relative rounding allowance (see the matching
-sampler property test).
+asserts. Criteria 1-4 run the ``ficd.verify`` suites that ``ficd verify``
+reports and assert their own tolerances on the returned figures, so a
+suite that loosened its own verdict would still fail here. Criterion 4
+checks the sharp one-step ceiling on the gap between the two scalar
+guidance strategies, rho * kappa * (2 / sqrt(alpha_bar_t) - sqrt(alpha_bar_prev));
+a unit-norm energy gradient meets it exactly, so it is checked at or
+below the ceiling with a 1e-12 relative rounding allowance (see the
+matching sampler property test).
 """
 
 import time
@@ -16,43 +18,26 @@ import pytest
 
 from call_counts import recorded_calls
 from cli_runs import sample_under_blas_threads
-from ficd.analytics import (
-    benchmark_steps,
-    bound_verification,
-    deviation_bound_check,
-    phase_profile,
-    sliced_wasserstein,
-    tilted_gmm_oracle,
-)
+from ficd.analytics import benchmark_steps, phase_profile, sliced_wasserstein, tilted_gmm_oracle
 from ficd.config import ExperimentConfig
 from ficd.guidance import Condition, DistanceEnergy, QuadraticEnergy
-from ficd.posterior import (
-    PosteriorPartStrategy,
-    fisher_information,
-    strategy_name,
-    tweedie_posterior_mean,
-)
+from ficd.posterior import PosteriorPartStrategy, strategy_name
 from ficd.presets import PRESETS
 from ficd.sampler import SamplerConfig, sample
-from ficd.schedule import alpha_bar, linear_schedule
-from ficd.scoremodel import (
-    GaussianMixture,
-    GaussianMixtureScore,
-    LearnedScoreModel,
-    NetSpec,
-    finite_diff_jacobian,
+from ficd.schedule import linear_schedule
+from ficd.scoremodel import LearnedScoreModel, NetSpec
+from ficd.verify import (
+    suite_deviation_bound,
+    suite_fisher_bound,
+    suite_jacobian_fd,
+    suite_tweedie,
+    unit_gaussian_model,
 )
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
     print(f"[criterion {number:02d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {number} {name}: {detail}"
-
-
-def unit_gaussian(schedule, variance=1.0):
-    return GaussianMixtureScore(
-        GaussianMixture.isotropic([1.0], [[0.0, 0.0]], [variance]), schedule
-    )
 
 
 def preset_config(name, **extra_keys):
@@ -73,17 +58,7 @@ def run_preset(config):
 
 def test_criterion_01_tweedie_exactness():
     start = time.perf_counter()
-    schedule = linear_schedule(200)
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for variance in (0.25, 0.5, 1.0, 2.0, 4.0):
-        model = unit_gaussian(schedule, variance)
-        for t in (1, 50, 100, 150, 200):
-            abar = alpha_bar(schedule, t)
-            x = rng.standard_normal((100, 2)) * 2.0
-            got = tweedie_posterior_mean(model, schedule, x, t)
-            oracle = variance * np.sqrt(abar) * x / (abar * variance + 1.0 - abar)
-            worst = max(worst, float(np.max(np.abs(got - oracle))))
+    worst = suite_tweedie(linear_schedule(200)).figures["max_abs_err"]
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 1.0
     report(1, "tweedie-exactness", ok, f"max abs err {worst:.2e}, {elapsed:.2f}s")
@@ -91,22 +66,7 @@ def test_criterion_01_tweedie_exactness():
 
 def test_criterion_02_score_jacobian_vs_finite_differences():
     start = time.perf_counter()
-    schedule = linear_schedule(200)
-    rng = np.random.default_rng(1)
-    mixtures = [
-        GaussianMixture.isotropic([1.0], [[0.5, -0.5]], [0.7]),
-        GaussianMixture.isotropic([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], [0.4, 0.4]),
-        GaussianMixture.isotropic([0.2, 0.3, 0.5], [[-2, 1], [0, -1], [2, 1]], [0.3, 1.0, 0.6]),
-    ]
-    worst = 0.0
-    for gmm in mixtures:
-        model = GaussianMixtureScore(gmm, schedule)
-        for _ in range(100):
-            x = rng.uniform(-3.0, 3.0, size=2)
-            t = int(rng.integers(1, 201))
-            J = model.jacobian(x, t)
-            J_fd = finite_diff_jacobian(model, x, t)
-            worst = max(worst, float(np.linalg.norm(J - J_fd) / np.linalg.norm(J_fd)))
+    worst = suite_jacobian_fd(linear_schedule(200)).figures["max_rel_err"]
     elapsed = time.perf_counter() - start
     ok = worst < 1e-5 and elapsed < 5.0
     report(2, "score-jacobian-vs-fd", ok, f"max rel Frobenius err {worst:.2e}, {elapsed:.2f}s")
@@ -114,41 +74,22 @@ def test_criterion_02_score_jacobian_vs_finite_differences():
 
 def test_criterion_03_information_ceiling():
     start = time.perf_counter()
-    schedule = linear_schedule(200)
-    rng = np.random.default_rng(2)
-    t_set = (1, 50, 100, 150, 200)
-    x_grid = rng.standard_normal((40, 2)) * 2.0
-
-    formula_err = 0.0
-    for variance in (0.25, 1.0, 4.0):
-        model = unit_gaussian(schedule, variance)
-        for t in t_set:
-            abar = alpha_bar(schedule, t)
-            expected = 1.0 / (abar * variance + 1.0 - abar)
-            for x in x_grid[:10]:
-                info = fisher_information(model, x, t)
-                formula_err = max(
-                    formula_err, abs(info.spectral_radius - expected) / expected
-                )
-    single = bound_verification(unit_gaussian(schedule), schedule, x_grid, t_set)
-    tight = bound_verification(unit_gaussian(schedule, 1e-8), schedule, x_grid, t_set)
-    ratio_floor = float(tight.ratio.min())
-
-    bimodal = GaussianMixtureScore(
-        GaussianMixture.isotropic([0.5, 0.5], [[-5.0, 0.0], [5.0, 0.0]], [0.25, 0.25]),
-        schedule,
-    )
-    measured = bound_verification(bimodal, schedule, rng.uniform(-6, 6, (40, 2)), t_set)
-
+    fig = suite_fisher_bound(linear_schedule(200)).figures
     elapsed = time.perf_counter() - start
-    ok = formula_err < 1e-9 and single.all_pass and ratio_floor > 0.999 and elapsed < 5.0
+    ok = (
+        fig["formula_rel_err"] < 1e-9
+        and fig["max_ratio"] <= 1.0
+        and fig["ratio_floor"] > 0.999
+        and elapsed < 5.0
+    )
     report(
         3,
         "information-ceiling",
         ok,
-        f"formula rel err {formula_err:.2e}, ceiling pass rate {single.pass_rate:.3f}, "
-        f"small-variance ratio floor {ratio_floor:.5f}, "
-        f"multimodal measured-only pass rate {measured.pass_rate:.3f}, {elapsed:.2f}s",
+        f"formula rel err {fig['formula_rel_err']:.2e}, "
+        f"ceiling pass rate {fig['ceiling_pass_rate']:.3f}, "
+        f"small-variance ratio floor {fig['ratio_floor']:.5f}, "
+        f"multimodal measured-only pass rate {fig['bimodal_pass_rate']:.3f}, {elapsed:.2f}s",
     )
 
 
@@ -157,20 +98,15 @@ def test_criterion_04_scalar_strategy_deviation_bound():
     # rho (2/sqrt(abar_t) - sqrt(abar_prev)) |g|. DistanceEnergy has
     # |g| = 1 = kappa, so every step sits on the ceiling up to rounding.
     start = time.perf_counter()
-    schedule = linear_schedule(100)
-    model = unit_gaussian(schedule)
-    rep = deviation_bound_check(
-        model, DistanceEnergy(), Condition.target([3.0, 3.0]), rho=0.5, n_chains=64, seed=0
-    )
+    fig = suite_deviation_bound(linear_schedule(100)).figures
     elapsed = time.perf_counter() - start
-    excess = float(np.max(rep.max_gap - rep.bound))
-    ok = rep.all_pass and elapsed < 10.0
+    ok = fig["max_rel_excess"] <= 1e-12 and elapsed < 10.0
     report(
         4,
         "deviation-bound",
         ok,
-        f"{len(rep.offending_steps())}/{rep.t.size} steps exceed the ceiling, "
-        f"max excess {excess:.2e}, {elapsed:.2f}s",
+        f"{fig['steps_over']}/{fig['steps']} steps exceed the ceiling, "
+        f"max excess {fig['max_excess']:.2e}, {elapsed:.2f}s",
     )
 
 
@@ -282,7 +218,7 @@ def test_criterion_08_jacobian_free_speedup():
 def test_criterion_09_zero_rho_soundness():
     start = time.perf_counter()
     schedule = linear_schedule(200)
-    model = unit_gaussian(schedule)
+    model = unit_gaussian_model(schedule)
     samples, _ = sample(
         SamplerConfig(
             T=200, strategy=PosteriorPartStrategy.FICD, rho=0.0, n_chains=10_000, seed=0

@@ -396,7 +396,6 @@ def test_deviation_check_zero_gradient_passes():
     )
     assert report.all_pass
     assert np.all(report.max_gap == 0.0)
-    assert "PASS" in report.to_text()
 
 
 def test_deviation_check_measures_scalar_gap_exactly():
@@ -421,7 +420,6 @@ def test_deviation_check_measures_scalar_gap_exactly():
         predicted = rho * (2.0 / math.sqrt(abar) - math.sqrt(abar_prev))
         assert np.isclose(report.max_gap[i], predicted, rtol=1e-9), t
     assert report.all_pass
-    assert "PASS" in report.to_text()
     halved = deviation_bound_check(
         model, DistanceEnergy(), Condition.target(np.array([30.0, 30.0])),
         rho=rho, n_chains=16, seed=3, kappa=0.5,
@@ -429,7 +427,6 @@ def test_deviation_check_measures_scalar_gap_exactly():
     assert np.array_equal(halved.max_gap, report.max_gap)
     assert not halved.all_pass
     assert len(halved.offending_steps()) == T
-    assert "FAIL" in halved.to_text()
 
 
 # --- benchmarks --------------------------------------------------------

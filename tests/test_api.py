@@ -151,20 +151,31 @@ def test_guidance_imports_no_ficd_module():
     assert _ficd_imports(tree) == []
 
 
+def _callers(names):
+    """The package's files, as paths relative to it, that call one of names."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "attr", getattr(func, "id", None)) in names:
+                found.add(path.relative_to(PACKAGE).as_posix())
+    return found
+
+
 def test_only_posterior_pulls_back_through_the_score():
     """Outside the score models, only posterior.posterior_pullback calls score_vjp."""
-    callers = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if "scoremodel" in path.relative_to(PACKAGE).parts:
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "score_vjp"
-            ):
-                callers.append(path.relative_to(PACKAGE).as_posix())
-    assert sorted(set(callers)) == ["posterior.py"]
+    callers = {path for path in _callers({"score_vjp"}) if not path.startswith("scoremodel/")}
+    assert callers == {"posterior.py"}
+
+
+def test_only_verify_runs_the_claim_checks():
+    """Inside the package only ficd.verify calls the four claims' checks, so
+    no second copy of a suite grows back beside it; ``import ficd`` does
+    not load it."""
+    checks = {"tweedie_posterior_mean", "finite_diff_jacobian"}
+    checks |= {"bound_verification", "deviation_bound_check"}
+    assert _callers(checks) == {"verify.py"}
+    assert "ficd.verify" not in _ficd_imports(ast.parse((PACKAGE / "__init__.py").read_text()))
 
 
 def test_private_names_stay_in_their_module_or_subpackage():
